@@ -37,6 +37,7 @@ from .grounding import (
 from .models import (
     And,
     EntailResult,
+    Kernel,
     Lit,
     Not,
     Or,

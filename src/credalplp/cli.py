@@ -29,10 +29,13 @@ EXIT_INCONSISTENT = 3
 
 
 def _env_int(name: str, default: int) -> int:
-    try:
-        return int(os.environ.get(name, default))
-    except ValueError:
+    text = os.environ.get(name)
+    if text is None:
         return default
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"{name} must be an integer, got {text!r}") from None
 
 
 def _rat(value: Fraction) -> str:
@@ -186,25 +189,22 @@ def _parse_choice_bits(g, bits: str) -> inference.TotalChoice:
         raise ValueError(
             f"--choice needs {n} bits (one per choice point), got {bits!r}"
         )
-    kept = tuple(c == "1" for c in bits)
-    weight = Fraction(1)
-    for cp, k in zip(g.choice_points, kept):
-        weight *= cp.prob if k else 1 - cp.prob
-    return inference.TotalChoice(kept, weight)
+    return inference.total_choice(g, [c == "1" for c in bits])
 
 
 def _cmd_models(args, started) -> int:
     g = grounding.ground(_load(args.file), max_rules=args.max_ground_rules)
     choice = _parse_choice_bits(g, args.choice)
-    gc = inference.program_for_choice(g, choice)
+    kernel = models.Kernel(g)
+    facts = kernel.kept_facts(choice.kept)
     order = sorted(range(g.n_atoms), key=lambda a: g.atoms[a])
     blocks: list[str] = []
     if args.semantics == "wf":
-        wf = models.well_founded_model(gc)
+        wf = models.well_founded_model(kernel, facts)
         names = {True: "true", False: "false", None: "undefined"}
         blocks.append("\n".join(f"{g.atoms[a]}={names[wf[a]]}" for a in order))
     else:
-        for m in models.stable_models(gc):
+        for m in models.stable_models(kernel, facts):
             blocks.append(
                 "\n".join(f"{g.atoms[a]}={'true' if m[a] else 'false'}" for a in order)
             )
@@ -286,7 +286,12 @@ def _cmd_query(args, started) -> int:
                 g, q_event, max_choices=args.max_choices, stats=stats
             )
         if semantics == "point" and result is not UNDEFINED:
-            assert result.lower == result.upper
+            if result.lower != result.upper:
+                raise ValueError(
+                    f"{klass.kind} program gave the interval "
+                    f"[{_rat(result.lower)}, {_rat(result.upper)}] where its "
+                    "semantics has a point probability"
+                )
             result = result.lower
         decision_value = result.lower if isinstance(result, inference.CredalInterval) \
             else result
@@ -373,7 +378,11 @@ _COMMANDS = {
 
 
 def run(argv: list[str]) -> int:
-    parser = build_parser()
+    try:
+        parser = build_parser()
+    except ValueError as exc:  # a malformed CREDALPLP_* setting
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USER
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

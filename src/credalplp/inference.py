@@ -16,6 +16,7 @@ from .errors import UNDEFINED, InconsistentProgramError, ResourceGuardError
 from .grounding import GroundProgram, GroundRule
 from .models import (
     Event,
+    Kernel,
     eval_event,
     stable_models,
     truth3_in,
@@ -49,7 +50,11 @@ class CredalInterval:
     upper: Fraction
 
     def __post_init__(self):
-        assert 0 <= self.lower <= self.upper <= 1
+        if not 0 <= self.lower <= self.upper <= 1:
+            raise ValueError(
+                f"credal interval needs 0 <= lower <= upper <= 1, "
+                f"got [{self.lower}, {self.upper}]"
+            )
 
 
 @dataclass(frozen=True)
@@ -65,27 +70,52 @@ class ConsistencyReport:
     witness: TotalChoice | None = None
 
 
+def _reweigh(factors, kept, suffix, stop: int) -> None:
+    """Set suffix[i] = suffix[i + 1] * factors[i][kept[i]] for i < stop, so
+    that suffix[0] is the weight of ``kept`` (suffix[n] is 1)."""
+    for i in range(stop - 1, -1, -1):
+        suffix[i] = suffix[i + 1] * factors[i][kept[i]]
+
+
+def _factors(g: GroundProgram) -> list[tuple[Fraction, Fraction]]:
+    return [(1 - cp.prob, cp.prob) for cp in g.choice_points]
+
+
+def total_choice(g: GroundProgram, kept) -> TotalChoice:
+    """The total choice keeping the choice points flagged in ``kept``
+    (indexed by choice-point id)."""
+    suffix = [Fraction(1)] * (len(kept) + 1)
+    _reweigh(_factors(g), kept, suffix, len(kept))
+    return TotalChoice(tuple(kept), suffix[0])
+
+
 def total_choices(
     g: GroundProgram, max_choices: int = DEFAULT_MAX_CHOICES
 ) -> Iterator[TotalChoice]:
     """All 2^n total choices in binary-counting order on choice-point ids
-    (id 0 is the least significant bit)."""
+    (id 0 is the least significant bit). Weights are kept as suffix products,
+    so a step recomputes only the factors of the bits it flips: about two
+    multiplications per choice."""
     n = len(g.choice_points)
     if n > max_choices:
         raise ResourceGuardError(
             f"{n} choice points exceeds cap of {max_choices} (2^n total choices)"
         )
+    factors = _factors(g)
+    kept = [False] * n
+    suffix = [Fraction(1)] * (n + 1)
     for mask in range(1 << n):
-        kept = tuple(bool((mask >> i) & 1) for i in range(n))
-        weight = Fraction(1)
-        for cp, k in zip(g.choice_points, kept):
-            weight *= cp.prob if k else 1 - cp.prob
-        yield TotalChoice(kept, weight)
+        # counting up to ``mask`` changed the bits below ``stop`` only
+        stop = (mask & -mask).bit_length() or n
+        kept[:stop] = [bool((mask >> i) & 1) for i in range(stop)]
+        _reweigh(factors, kept, suffix, stop)
+        yield TotalChoice(tuple(kept), suffix[0])
 
 
 def program_for_choice(g: GroundProgram, choice: TotalChoice) -> GroundProgram:
     """Kept choice atoms become facts; discarded atoms stay in the table and
-    are false unless derivable."""
+    are false unless derivable. The sweeps below pass the kept atoms to a
+    compiled ``Kernel`` instead; this copy is the reference they match."""
     out = GroundProgram(
         atoms=list(g.atoms),
         index=dict(g.index),
@@ -100,11 +130,11 @@ def program_for_choice(g: GroundProgram, choice: TotalChoice) -> GroundProgram:
     return out
 
 
-def _choice_models(g, choice, stats=None) -> list:
-    models = list(stable_models(program_for_choice(g, choice)))
+def _choice_models(k: Kernel, choice, stats=None) -> list:
+    models = list(stable_models(k, k.kept_facts(choice.kept)))
     if not models:
         error = InconsistentProgramError(choice)
-        error.description = choice.describe(g)
+        error.description = choice.describe(k.g)
         raise error
     if stats is not None:
         stats["choices"] = stats.get("choices", 0) + 1
@@ -118,9 +148,10 @@ def credal_unconditional(
     max_choices: int = DEFAULT_MAX_CHOICES,
     stats=None,
 ) -> CredalInterval:
+    k = Kernel(g)
     lower = upper = Fraction(0)
     for choice in total_choices(g, max_choices):
-        models = _choice_models(g, choice, stats)
+        models = _choice_models(k, choice, stats)
         holds = [eval_event(q, g, m) for m in models]
         if all(holds):
             lower += choice.weight
@@ -139,9 +170,10 @@ def credal_conditional(
     """Conditional bounds [a/(a+d), b/(b+c)] with the degenerate cases of the
     capacity-based conditioning rule; Undefined when evidence has upper
     probability zero."""
+    k = Kernel(g)
     a = b = c = d = Fraction(0)
     for choice in total_choices(g, max_choices):
-        models = _choice_models(g, choice, stats)
+        models = _choice_models(k, choice, stats)
         qe = [eval_event(q, g, m) and eval_event(e, g, m) for m in models]
         nqe = [(not eval_event(q, g, m)) and eval_event(e, g, m) for m in models]
         if all(qe):
@@ -176,9 +208,10 @@ def wf_query(
 ):
     """P(q) (or P(q | e)) under the well-founded semantics: exact three-valued
     match against the well-founded model of every total choice."""
+    k = Kernel(g)
     p_qe = p_e = Fraction(0)
     for choice in total_choices(g, max_choices):
-        wf = well_founded_model(program_for_choice(g, choice))
+        wf = well_founded_model(k, k.kept_facts(choice.kept))
         if stats is not None:
             stats["choices"] = stats.get("choices", 0) + 1
             stats["models"] = stats.get("models", 0) + 1
@@ -197,9 +230,10 @@ def wf_query(
 def wf_atom_distribution(
     g: GroundProgram, atom: str, max_choices: int = DEFAULT_MAX_CHOICES
 ) -> WfDistribution:
+    k = Kernel(g)
     probs = {True: Fraction(0), False: Fraction(0), None: Fraction(0)}
     for choice in total_choices(g, max_choices):
-        wf = well_founded_model(program_for_choice(g, choice))
+        wf = well_founded_model(k, k.kept_facts(choice.kept))
         probs[truth3_in(g, wf, atom)] += choice.weight
     return WfDistribution(probs[True], probs[False], probs[None])
 
@@ -207,8 +241,9 @@ def wf_atom_distribution(
 def check_consistency(
     g: GroundProgram, max_choices: int = DEFAULT_MAX_CHOICES
 ) -> ConsistencyReport:
+    k = Kernel(g)
     for choice in total_choices(g, max_choices):
-        if next(iter(stable_models(program_for_choice(g, choice))), None) is None:
+        if next(iter(stable_models(k, k.kept_facts(choice.kept))), None) is None:
             return ConsistencyReport(False, choice)
     return ConsistencyReport(True)
 
@@ -219,8 +254,9 @@ def event_bounds(
     """Lower/upper bounds for several events in one sweep over total choices."""
     lowers = [Fraction(0)] * len(events)
     uppers = [Fraction(0)] * len(events)
+    k = Kernel(g)
     for choice in total_choices(g, max_choices):
-        models = _choice_models(g, choice)
+        models = _choice_models(k, choice)
         for i, event in enumerate(events):
             holds = [eval_event(event, g, m) for m in models]
             if all(holds):

@@ -9,6 +9,7 @@ truth lookup helpers below account for that.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 from typing import Iterator
 
 from .errors import ResourceGuardError
@@ -86,32 +87,85 @@ def eval_event(e: Event, g: GroundProgram, model: Interpretation) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Least model (Dowling-Gallier counter propagation)
+# Compiled program and least model (Dowling-Gallier counter propagation)
+
+
+class Kernel:
+    """A ground program compiled once and shared by all its total choices.
+
+    Holds the Dowling-Gallier index (per-rule heads and positive-body counts,
+    positive and negative watch lists by atom, the rules without a positive
+    body) and the head index and occurrence counts of the stable-model search.
+    Kept choice atoms reach every routine below as extra facts, so no total
+    choice copies the program.
+    """
+
+    def __init__(self, g: GroundProgram):
+        n = g.n_atoms
+        self.g = g
+        self.n_atoms = n
+        self.heads = [rule.head for rule in g.rules]
+        self.pos_count = []
+        self.pos_watch: list[list[int]] = [[] for _ in range(n)]
+        self.neg_watch: list[list[int]] = [[] for _ in range(n)]
+        self.rules_by_head: list[list[GroundRule]] = [[] for _ in range(n)]
+        self.occurrences = [0] * n
+        for ri, rule in enumerate(g.rules):
+            pos = set(rule.pos)
+            self.pos_count.append(len(pos))
+            for a in pos:
+                self.pos_watch[a].append(ri)
+            for a in rule.neg:
+                self.neg_watch[a].append(ri)
+            self.rules_by_head[rule.head].append(rule)
+            for a in rule.pos + rule.neg:
+                self.occurrences[a] += 1
+        self.body_free = [ri for ri, count in enumerate(self.pos_count) if count == 0]
+        self.choice_atoms = [cp.ground_atom for cp in g.choice_points]
+
+    def kept_facts(self, kept) -> list[int]:
+        """Atoms of the choice points a total choice keeps (``kept`` is
+        indexed by choice-point id)."""
+        return list(compress(self.choice_atoms, kept))
+
+
+def _kernel(g) -> Kernel:
+    return g if isinstance(g, Kernel) else Kernel(g)
+
+
+def _lfp(k: Kernel, facts, assumed=()) -> set[int]:
+    """Least model of ``facts`` plus the rules whose negative body misses
+    ``assumed``, negative literals stripped: the least model of the reduct
+    when ``assumed`` is the true set of an interpretation. Linear in total
+    body size."""
+    missing = k.pos_count.copy()
+    neg_watch = k.neg_watch
+    for a in assumed:
+        for ri in neg_watch[a]:
+            missing[ri] = -1  # blocked: never counts down to 0
+    heads, pos_watch = k.heads, k.pos_watch
+    queue = [heads[ri] for ri in k.body_free if missing[ri] == 0]
+    queue += facts
+    true: set[int] = set()
+    while queue:
+        aid = queue.pop()
+        if aid in true:
+            continue
+        true.add(aid)
+        for ri in pos_watch[aid]:
+            missing[ri] -= 1
+            if missing[ri] == 0:
+                queue.append(heads[ri])
+    return true
 
 
 def least_model(g: GroundProgram) -> Interpretation:
-    """Least fixpoint of the immediate-consequence operator; linear in total
-    body size. The program must be definite."""
-    for rule in g.rules:
-        if rule.neg:
-            raise ValueError("least_model requires a definite program")
-    truth = [False] * g.n_atoms
-    missing = [len(set(rule.pos)) for rule in g.rules]
-    watchers: dict[int, list[int]] = {}
-    for ri, rule in enumerate(g.rules):
-        for p in set(rule.pos):
-            watchers.setdefault(p, []).append(ri)
-    queue = [rule.head for ri, rule in enumerate(g.rules) if missing[ri] == 0]
-    while queue:
-        aid = queue.pop()
-        if truth[aid]:
-            continue
-        truth[aid] = True
-        for ri in watchers.get(aid, ()):
-            missing[ri] -= 1
-            if missing[ri] == 0 and not truth[g.rules[ri].head]:
-                queue.append(g.rules[ri].head)
-    return truth
+    """Least fixpoint of the immediate-consequence operator. The program must
+    be definite."""
+    if any(rule.neg for rule in g.rules):
+        raise ValueError("least_model requires a definite program")
+    true = _lfp(Kernel(g), ())
+    return [aid in true for aid in range(g.n_atoms)]
 
 
 def reduct(g: GroundProgram, interp: Interpretation) -> GroundProgram:
@@ -130,75 +184,56 @@ def reduct(g: GroundProgram, interp: Interpretation) -> GroundProgram:
     return out
 
 
-def is_stable(g: GroundProgram, interp: Interpretation) -> bool:
-    return least_model(reduct(g, interp)) == list(map(bool, interp))
+def is_stable(g: GroundProgram | Kernel, interp: Interpretation, facts=()) -> bool:
+    """Whether ``interp`` is the least model of its reduct (with ``facts``)."""
+    k = _kernel(g)
+    true = set(compress(range(len(interp)), interp))
+    return len(interp) == k.n_atoms and _lfp(k, facts, true) == true
 
 
 # ---------------------------------------------------------------------------
 # Well-founded model via the alternating fixpoint
 
 
-def _lft(g: GroundProgram, assumed_true: set[int]) -> set[int]:
-    """Least model of the reduct with respect to ``assumed_true``."""
-    truth = [False] * g.n_atoms
-    rules = [r for r in g.rules if not any(n in assumed_true for n in r.neg)]
-    missing = [len(set(r.pos)) for r in rules]
-    watchers: dict[int, list[int]] = {}
-    for ri, r in enumerate(rules):
-        for p in set(r.pos):
-            watchers.setdefault(p, []).append(ri)
-    queue = [r.head for ri, r in enumerate(rules) if missing[ri] == 0]
-    while queue:
-        aid = queue.pop()
-        if truth[aid]:
-            continue
-        truth[aid] = True
-        for ri in watchers.get(aid, ()):
-            missing[ri] -= 1
-            if missing[ri] == 0 and not truth[rules[ri].head]:
-                queue.append(rules[ri].head)
-    return {i for i, t in enumerate(truth) if t}
-
-
-def alternating_iterates(g: GroundProgram, start: set[int]) -> list[set[int]]:
+def alternating_iterates(
+    g: GroundProgram | Kernel, start: set[int], facts=()
+) -> list[set[int]]:
     """Iterates of LFT∘LFT from ``start`` until stabilization (inclusive)."""
+    k = _kernel(g)
     out = [start]
     while True:
-        nxt = _lft(g, _lft(g, out[-1]))
+        nxt = _lfp(k, facts, _lfp(k, facts, out[-1]))
         if nxt == out[-1]:
             return out
         out.append(nxt)
 
 
-def well_founded_model(g: GroundProgram) -> PartialInterpretation:
-    lfp = alternating_iterates(g, set())[-1]
-    gfp = alternating_iterates(g, set(range(g.n_atoms)))[-1]
-    out: PartialInterpretation = []
-    for aid in range(g.n_atoms):
-        if aid in lfp:
-            out.append(True)
-        elif aid not in gfp:
-            out.append(False)
-        else:
-            out.append(None)
-    return out
+def well_founded_model(g: GroundProgram | Kernel, facts=()) -> PartialInterpretation:
+    k = _kernel(g)
+    lfp = alternating_iterates(k, set(), facts)[-1]
+    gfp = alternating_iterates(k, set(range(k.n_atoms)), facts)[-1]
+    return [
+        True if aid in lfp else None if aid in gfp else False
+        for aid in range(k.n_atoms)
+    ]
 
 
 # ---------------------------------------------------------------------------
 # Stable-model enumeration
 
 
-def _propagate(g, rules_by_head, assign) -> bool:
+def _propagate(k: Kernel, facts: set[int], assign) -> bool:
     """Fixpoint of two sound deductions: an atom whose rules are all blocked
-    is false; an atom with a firing rule is true. Returns False on conflict
-    with already-decided values."""
+    is false; an atom with a firing rule (or a fact) is true. Returns False
+    on conflict with already-decided values."""
     changed = True
     while changed:
         changed = False
-        for h in range(g.n_atoms):
-            derived_true = False
+        for h, rules in enumerate(k.rules_by_head):
+            # a kept choice atom has a fact rule, which fires
+            derived_true = h in facts
             all_blocked = True
-            for rule in rules_by_head.get(h, ()):
+            for rule in () if derived_true else rules:
                 blocked = any(assign[p] is False for p in rule.pos) or any(
                     assign[n] is True for n in rule.neg
                 )
@@ -225,24 +260,28 @@ def _propagate(g, rules_by_head, assign) -> bool:
     return True
 
 
-def stable_models(g: GroundProgram) -> Iterator[Interpretation]:
-    """All stable models, no duplicates, deterministic order.
+def stable_models(g: GroundProgram | Kernel, facts=()) -> Iterator[Interpretation]:
+    """All stable models (with ``facts`` added), no duplicates, deterministic
+    order.
 
     Strategy: fix the well-founded literals, branch over the undefined atoms
     (most body occurrences first, false before true) with propagation after
     each decision, and verify stability at every total leaf; propagation is
-    not proof of stability in the presence of odd loops.
+    not proof of stability in the presence of odd loops. A total well-founded
+    model is a leaf already: propagation cannot change it.
     """
-    rules_by_head: dict[int, list[GroundRule]] = {}
-    occurrences = [0] * g.n_atoms
-    for rule in g.rules:
-        rules_by_head.setdefault(rule.head, []).append(rule)
-        for a in rule.pos + rule.neg:
-            occurrences[a] += 1
+    k = _kernel(g)
+    wf = well_founded_model(k, facts)
+    if None not in wf:
+        if is_stable(k, wf, facts):
+            yield wf
+        return
+    facts = set(facts)
+    occurrences = k.occurrences
 
     def pick(assign):
         best = None
-        for aid in range(g.n_atoms):
+        for aid in range(k.n_atoms):
             if assign[aid] is None and (
                 best is None or occurrences[aid] > occurrences[best]
             ):
@@ -251,12 +290,12 @@ def stable_models(g: GroundProgram) -> Iterator[Interpretation]:
 
     def search(assign) -> Iterator[Interpretation]:
         assign = list(assign)
-        if not _propagate(g, rules_by_head, assign):
+        if not _propagate(k, facts, assign):
             return
         aid = pick(assign)
         if aid is None:
             model = [bool(v) for v in assign]
-            if is_stable(g, model):
+            if is_stable(k, model, facts):
                 yield model
             return
         for value in (False, True):
@@ -264,7 +303,7 @@ def stable_models(g: GroundProgram) -> Iterator[Interpretation]:
             branch[aid] = value
             yield from search(branch)
 
-    yield from search(well_founded_model(g))
+    yield from search(wf)
 
 
 def exhaustive_stable_models(
@@ -274,10 +313,11 @@ def exhaustive_stable_models(
     n = g.n_atoms
     if n > limit:
         raise ResourceGuardError(f"{n} atoms exceeds exhaustive limit of {limit}")
+    k = Kernel(g)
     out = []
     for mask in range(1 << n):
         interp = [bool((mask >> i) & 1) for i in range(n)]
-        if is_stable(g, interp):
+        if is_stable(k, interp):
             out.append(interp)
     return out
 

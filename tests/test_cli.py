@@ -1,7 +1,10 @@
 import json
 
+from fractions import Fraction as F
+
 import pytest
 
+from credalplp import inference
 from credalplp.cli import run
 
 import fixtures as fx
@@ -262,6 +265,29 @@ def test_env_var_caps(plp, capsys, monkeypatch):
         "--q", "calls(a)", "--semantics", "credal",
     )
     assert code == 0
+
+
+@pytest.mark.parametrize(
+    "name", ["CREDALPLP_MAX_CHOICES", "CREDALPLP_MAX_GROUND_RULES"]
+)
+def test_env_var_caps_must_be_integers(plp, capsys, monkeypatch, name):
+    monkeypatch.setenv(name, "abc")
+    code, out, err = invoke(
+        capsys, "query", plp(fx.ALARM), "--q", "calls(a)", "--semantics", "credal"
+    )
+    assert code == 1 and out == ""
+    assert err == f"error: {name} must be an integer, got 'abc'\n"
+
+
+def test_point_semantics_rejects_an_interval(plp, capsys, monkeypatch):
+    monkeypatch.setattr(
+        inference, "credal_unconditional",
+        lambda *args, **kwargs: inference.CredalInterval(F(0), F(1)),
+    )
+    code, out, err = invoke(capsys, "query", plp(fx.ALARM), "--q", "calls(a)")
+    assert code == 1 and out == ""
+    assert err.startswith("error: acyclic program gave the interval [0/1, 1/1]")
+    assert err.count("\n") == 1
 
 
 def test_byte_identical_output_without_timing(plp, capsys):

@@ -53,6 +53,13 @@ def test_program_for_choice_adds_fact_rules():
     assert c.least_model(c.reduct(gc, [True] * gc.n_atoms))[gc.atom_id("v")]
 
 
+def test_credal_interval_rejects_bad_bounds():
+    c.CredalInterval(F(0), F(1))
+    for lower, upper in ((F(1, 2), F(1, 3)), (F(-1, 2), F(0)), (F(0), F(3, 2))):
+        with pytest.raises(ValueError, match="lower <= upper"):
+            c.CredalInterval(lower, upper)
+
+
 # ---------------------------------------------------------------------------
 # unconditional credal queries
 

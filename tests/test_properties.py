@@ -3,9 +3,11 @@
 The lower probability of a consistent program is an infinitely monotone
 Choquet capacity; these tests exercise the low-order consequences (conjugacy,
 2-monotonicity, the n=3 inclusion-exclusion bound) on a seeded stream of
-random programs, plus cross-oracle checks of the model enumerator.
+random programs, plus cross-oracle checks of the model enumerator and of the
+compiled kernel the sweeps share across total choices.
 """
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -149,3 +151,105 @@ def test_interval_sanity_fixtures(name):
     for atom in g.atoms:
         iv = c.credal_unconditional(g, c.And((c.Lit(atom),)), max_choices=8)
         assert 0 <= iv.lower <= iv.upper <= 1
+
+
+# ---------------------------------------------------------------------------
+# the compiled kernel with kept choice atoms as facts, against the per-choice
+# program copy and a naive oracle that shares no code with the kernel
+
+
+def naive_least_model(g):
+    """T_P iterated from the empty set until nothing new is derived."""
+    true = set()
+    while True:
+        derived = {r.head for r in g.rules if all(p in true for p in r.pos)}
+        if derived == true:
+            return [aid in true for aid in range(g.n_atoms)]
+        true = derived
+
+
+def naive_stable_models(g):
+    out = []
+    for bits in itertools.product((False, True), repeat=g.n_atoms):
+        interp = list(bits)
+        if naive_least_model(c.reduct(g, interp)) == interp:
+            out.append(interp)
+    return out
+
+
+def naive_well_founded_model(g):
+    """Alternating fixpoint of the Gelfond-Lifschitz operator: iterate it
+    twice from all-false (the true atoms) and from all-true (the atoms that
+    are not false)."""
+
+    def gamma(interp):
+        return naive_least_model(c.reduct(g, interp))
+
+    bounds = []
+    for start in (False, True):
+        interp = [start] * g.n_atoms
+        while (nxt := gamma(gamma(interp))) != interp:
+            interp = nxt
+        bounds.append(interp)
+    true, not_false = bounds
+    return [True if t else None if u else False for t, u in zip(true, not_false)]
+
+
+def edge_case_program(rng: random.Random) -> str:
+    """A random program plus probabilities 0 and 1 and two probabilistic
+    facts over one atom."""
+    zero, one, twice = (rng.choice(ATOMS[:4]) for _ in range(3))
+    return "\n".join(
+        [random_program(rng), f"0::{zero}.", f"1::{one}.", f"1/2::{twice}.",
+         f"1/3::{twice}."]
+    )
+
+
+# a kept choice atom heading a rule that one branch of an even loop blocks
+KEPT_HEAD_IN_LOOP = "1/2::a. a :- not b. b :- not c. c :- not b."
+
+
+def differential_programs():
+    for text in [KEPT_HEAD_IN_LOOP, *fx.ALL_PROGRAMS.values()]:
+        g = fx.grd(text)
+        if g.n_atoms <= 10:
+            yield g
+    rng = random.Random(20261018)
+    for i in range(60):
+        yield fx.grd(edge_case_program(rng) if i % 3 == 0 else random_program(rng))
+
+
+def test_kernel_with_kept_facts_matches_program_copy_and_oracle():
+    for g in differential_programs():
+        kernel = c.Kernel(g)
+        for choice in c.total_choices(g):
+            facts = kernel.kept_facts(choice.kept)
+            gc = c.program_for_choice(g, choice)
+            models = list(c.stable_models(kernel, facts))
+            wf = c.well_founded_model(kernel, facts)
+            assert models == list(c.stable_models(gc))
+            assert wf == c.well_founded_model(gc)
+            oracle = naive_stable_models(gc)
+            assert sorted(map(tuple, models)) == sorted(map(tuple, oracle))
+            assert all(c.is_stable(kernel, interp, facts) for interp in oracle)
+            assert wf == naive_well_founded_model(gc)
+
+
+PROBS = [Fraction(0), Fraction(1), Fraction(1, 3), Fraction(5, 7), Fraction(1, 2),
+         Fraction(2, 9)]
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_total_choices_match_per_bit_products(n):
+    g = fx.grd("z.\n" + "".join(f"{p}::f{i}.\n" for i, p in enumerate(PROBS[:n])))
+    probs = [cp.prob for cp in g.choice_points]
+    assert sorted(probs) == sorted(PROBS[:n])
+    want = []
+    for mask in range(1 << n):
+        kept = tuple(bool((mask >> i) & 1) for i in range(n))
+        weight = Fraction(1)
+        for p, k in zip(probs, kept):
+            weight *= p if k else 1 - p
+        want.append(c.TotalChoice(kept, weight))
+    assert list(c.total_choices(g)) == want
+    assert [c.inference.total_choice(g, ch.kept) for ch in want] == want
