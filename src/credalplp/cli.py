@@ -139,10 +139,6 @@ def _emit(args, record: dict, text_lines: list[str], started: float):
             print(line)
 
 
-def _format_choice(g, choice) -> str:
-    return choice.describe(g)
-
-
 def _cmd_check(args, started) -> int:
     program = _load(args.file)
     diags = syntax.lint_program(program, filename=args.file)
@@ -345,7 +341,7 @@ def _cmd_consistency(args, started) -> int:
         _emit(args, {"command": "consistency", "consistent": True},
               ["consistent: yes"], started)
         return EXIT_OK
-    witness = _format_choice(g, report.witness)
+    witness = report.witness.describe(g)
     _emit(
         args,
         {"command": "consistency", "consistent": False, "witness": witness},
@@ -395,9 +391,8 @@ def run(argv: list[str]) -> int:
             print(str(diag), file=sys.stderr)
         return EXIT_USER
     except InconsistentProgramError as exc:
-        witness = getattr(exc, "description", str(exc.witness))
         print(f"inconsistent program: no stable model for total choice "
-              f"{witness}", file=sys.stderr)
+              f"{exc.description}", file=sys.stderr)
         return EXIT_INCONSISTENT
     except ResourceGuardError as exc:
         print(f"resource guard: {exc}", file=sys.stderr)

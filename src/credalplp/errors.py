@@ -27,11 +27,12 @@ class NotAcyclicError(PlpError):
 class InconsistentProgramError(PlpError):
     """A credal query hit a total choice with no stable model.
 
-    ``witness`` is the offending TotalChoice.
+    ``witness`` is the offending TotalChoice; ``description`` names its atoms.
     """
 
-    def __init__(self, witness):
+    def __init__(self, witness, description: str):
         self.witness = witness
+        self.description = description
         super().__init__(f"no stable model for total choice {witness}")
 
 

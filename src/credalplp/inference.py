@@ -4,12 +4,18 @@ All arithmetic is over ``fractions.Fraction``; decimal rendering happens only
 at the presentation layer. Credal queries follow a strict consistency policy:
 the first total choice without a stable model aborts the query with a witness
 (no renormalization).
+
+Every bound folds one mass function (the belief-function form of the credal
+semantics): the weight of the total choices whose models, projected onto the
+query and evidence, form exactly a set S; the lower (upper) probability sums
+the sets S whose every (some) member satisfies the query.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 from typing import Iterator
 
 from .errors import UNDEFINED, InconsistentProgramError, ResourceGuardError
@@ -130,16 +136,40 @@ def program_for_choice(g: GroundProgram, choice: TotalChoice) -> GroundProgram:
     return out
 
 
-def _choice_models(k: Kernel, choice, stats=None) -> list:
-    models = list(stable_models(k, k.kept_facts(choice.kept)))
-    if not models:
-        error = InconsistentProgramError(choice)
-        error.description = choice.describe(k.g)
-        raise error
-    if stats is not None:
-        stats["choices"] = stats.get("choices", 0) + 1
-        stats["models"] = stats.get("models", 0) + len(models)
-    return models
+def _sweep(g: GroundProgram, project, semantics: str, max_choices, stats=None):
+    """Map each set S of ``project`` images to the weight of the total choices
+    whose models (all stable ones, or the well-founded one when ``semantics``
+    is "wf") project onto exactly S. Aborts on the first choice without a
+    stable model; counts choices and models into ``stats``."""
+    k = Kernel(g)
+    mass: dict[frozenset, Fraction] = {}
+    for choice in total_choices(g, max_choices):
+        facts = k.kept_facts(choice.kept)
+        if semantics == "wf":
+            models = [well_founded_model(k, facts)]
+        else:
+            models = list(stable_models(k, facts))
+            if not models:
+                raise InconsistentProgramError(choice, choice.describe(g))
+        if stats is not None:
+            stats["choices"] = stats.get("choices", 0) + 1
+            stats["models"] = stats.get("models", 0) + len(models)
+        key = frozenset(map(project, models))
+        mass[key] = mass.get(key, 0) + choice.weight
+    return mass
+
+
+def _fold(mass, test) -> tuple[Fraction, Fraction]:
+    """(mass of the sets whose every element passes ``test``, mass of the
+    sets with some element that does): the lower and upper probability."""
+    lower = upper = Fraction(0)
+    for images, weight in mass.items():
+        holds = [test(image) for image in images]
+        if all(holds):
+            lower += weight
+        if any(holds):
+            upper += weight
+    return lower, upper
 
 
 def credal_unconditional(
@@ -148,16 +178,7 @@ def credal_unconditional(
     max_choices: int = DEFAULT_MAX_CHOICES,
     stats=None,
 ) -> CredalInterval:
-    k = Kernel(g)
-    lower = upper = Fraction(0)
-    for choice in total_choices(g, max_choices):
-        models = _choice_models(k, choice, stats)
-        holds = [eval_event(q, g, m) for m in models]
-        if all(holds):
-            lower += choice.weight
-        if any(holds):
-            upper += choice.weight
-    return CredalInterval(lower, upper)
+    return event_bounds(g, [q], max_choices, stats)[0]
 
 
 def credal_conditional(
@@ -170,20 +191,12 @@ def credal_conditional(
     """Conditional bounds [a/(a+d), b/(b+c)] with the degenerate cases of the
     capacity-based conditioning rule; Undefined when evidence has upper
     probability zero."""
-    k = Kernel(g)
-    a = b = c = d = Fraction(0)
-    for choice in total_choices(g, max_choices):
-        models = _choice_models(k, choice, stats)
-        qe = [eval_event(q, g, m) and eval_event(e, g, m) for m in models]
-        nqe = [(not eval_event(q, g, m)) and eval_event(e, g, m) for m in models]
-        if all(qe):
-            a += choice.weight
-        if any(qe):
-            b += choice.weight
-        if all(nqe):
-            c += choice.weight
-        if any(nqe):
-            d += choice.weight
+    mass = _sweep(
+        g, lambda m: (eval_event(q, g, m), eval_event(e, g, m)), "stable",
+        max_choices, stats,
+    )
+    a, b = _fold(mass, lambda qe: qe[0] and qe[1])
+    c, d = _fold(mass, lambda qe: not qe[0] and qe[1])
     if b + d == 0:
         return UNDEFINED
     if b + c == 0 and d > 0:
@@ -208,18 +221,13 @@ def wf_query(
 ):
     """P(q) (or P(q | e)) under the well-founded semantics: exact three-valued
     match against the well-founded model of every total choice."""
-    k = Kernel(g)
-    p_qe = p_e = Fraction(0)
-    for choice in total_choices(g, max_choices):
-        wf = well_founded_model(k, k.kept_facts(choice.kept))
-        if stats is not None:
-            stats["choices"] = stats.get("choices", 0) + 1
-            stats["models"] = stats.get("models", 0) + 1
-        e_ok = _matches_wf(g, wf, e_assignments) if e_assignments else True
-        if e_ok:
-            p_e += choice.weight
-            if _matches_wf(g, wf, q_assignments):
-                p_qe += choice.weight
+
+    def project(wf):
+        e_ok = _matches_wf(g, wf, e_assignments or ())
+        return e_ok, e_ok and _matches_wf(g, wf, q_assignments)
+
+    mass = _sweep(g, project, "wf", max_choices, stats)
+    p_e, p_qe = (_fold(mass, itemgetter(i))[0] for i in (0, 1))
     if not e_assignments:
         return p_qe
     if p_e == 0:
@@ -230,17 +238,17 @@ def wf_query(
 def wf_atom_distribution(
     g: GroundProgram, atom: str, max_choices: int = DEFAULT_MAX_CHOICES
 ) -> WfDistribution:
-    k = Kernel(g)
-    probs = {True: Fraction(0), False: Fraction(0), None: Fraction(0)}
-    for choice in total_choices(g, max_choices):
-        wf = well_founded_model(k, k.kept_facts(choice.kept))
-        probs[truth3_in(g, wf, atom)] += choice.weight
-    return WfDistribution(probs[True], probs[False], probs[None])
+    mass = _sweep(g, lambda wf: truth3_in(g, wf, atom), "wf", max_choices)
+    return WfDistribution(
+        *(_fold(mass, lambda v: v is value)[0] for value in (True, False, None))
+    )
 
 
 def check_consistency(
     g: GroundProgram, max_choices: int = DEFAULT_MAX_CHOICES
 ) -> ConsistencyReport:
+    """Its own loop rather than a sweep: it stops at the first stable model of
+    each choice, where a sweep would enumerate them all."""
     k = Kernel(g)
     for choice in total_choices(g, max_choices):
         if next(iter(stable_models(k, k.kept_facts(choice.kept))), None) is None:
@@ -249,21 +257,17 @@ def check_consistency(
 
 
 def event_bounds(
-    g: GroundProgram, events: list[Event], max_choices: int = DEFAULT_MAX_CHOICES
+    g: GroundProgram,
+    events: list[Event],
+    max_choices: int = DEFAULT_MAX_CHOICES,
+    stats=None,
 ) -> list[CredalInterval]:
     """Lower/upper bounds for several events in one sweep over total choices."""
-    lowers = [Fraction(0)] * len(events)
-    uppers = [Fraction(0)] * len(events)
-    k = Kernel(g)
-    for choice in total_choices(g, max_choices):
-        models = _choice_models(k, choice)
-        for i, event in enumerate(events):
-            holds = [eval_event(event, g, m) for m in models]
-            if all(holds):
-                lowers[i] += choice.weight
-            if any(holds):
-                uppers[i] += choice.weight
-    return [CredalInterval(lo, up) for lo, up in zip(lowers, uppers)]
+    mass = _sweep(
+        g, lambda m: tuple(eval_event(e, g, m) for e in events), "stable",
+        max_choices, stats,
+    )
+    return [CredalInterval(*_fold(mass, itemgetter(i))) for i in range(len(events))]
 
 
 def missing_atoms(g: GroundProgram, assignments) -> list[str]:

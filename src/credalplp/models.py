@@ -64,14 +64,13 @@ def event_from_assignments(assignments) -> Event:
     return And(tuple(lits))
 
 
-def truth_in(g: GroundProgram, model: Interpretation, atom: str) -> bool:
+def truth_in(g: GroundProgram, model: PartialInterpretation, atom: str):
+    """Value of ``atom`` in a two- or three-valued model (false if not active)."""
     aid = g.atom_id(atom)
     return False if aid is None else model[aid]
 
 
-def truth3_in(g: GroundProgram, model: PartialInterpretation, atom: str):
-    aid = g.atom_id(atom)
-    return False if aid is None else model[aid]
+truth3_in = truth_in
 
 
 def eval_event(e: Event, g: GroundProgram, model: Interpretation) -> bool:
@@ -288,22 +287,22 @@ def stable_models(g: GroundProgram | Kernel, facts=()) -> Iterator[Interpretatio
                 best = aid
         return best
 
-    def search(assign) -> Iterator[Interpretation]:
-        assign = list(assign)
+    # explicit stack, not recursion: pushing True first explores False first
+    stack = [wf]
+    while stack:
+        assign = stack.pop()
         if not _propagate(k, facts, assign):
-            return
+            continue
         aid = pick(assign)
         if aid is None:
             model = [bool(v) for v in assign]
             if is_stable(k, model, facts):
                 yield model
-            return
-        for value in (False, True):
+            continue
+        for value in (True, False):
             branch = list(assign)
             branch[aid] = value
-            yield from search(branch)
-
-    yield from search(wf)
+            stack.append(branch)
 
 
 def exhaustive_stable_models(

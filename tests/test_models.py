@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -169,6 +171,19 @@ def test_stable_models_no_duplicates_and_deterministic():
     assert run1 == run2
     assert len(run1) == len({tuple(m) for m in run1})
     assert len(run1) == 2  # vertices 1, 3, 4 colorable two ways total
+
+
+def test_deep_search_does_not_recurse():
+    # 400 independent even loops: one decision per loop on the first path
+    g = fx.grd("".join(f"p{i} :- not q{i}. q{i} :- not p{i}.\n" for i in range(400)))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(300)
+    try:
+        model = next(c.stable_models(g))
+    finally:
+        sys.setrecursionlimit(limit)
+    assert sum(model) == 400
+    assert c.is_stable(g, model)
 
 
 @pytest.mark.parametrize(

@@ -3,8 +3,9 @@
 The lower probability of a consistent program is an infinitely monotone
 Choquet capacity; these tests exercise the low-order consequences (conjugacy,
 2-monotonicity, the n=3 inclusion-exclusion bound) on a seeded stream of
-random programs, plus cross-oracle checks of the model enumerator and of the
-compiled kernel the sweeps share across total choices.
+random programs, plus cross-oracle checks of the model enumerator, of the
+compiled kernel the sweeps share across total choices, and of the credal and
+well-founded entry points against a plain loop over total choices.
 """
 
 import itertools
@@ -253,3 +254,130 @@ def test_total_choices_match_per_bit_products(n):
         want.append(c.TotalChoice(kept, weight))
     assert list(c.total_choices(g)) == want
     assert [c.inference.total_choice(g, ch.kept) for ch in want] == want
+
+
+# ---------------------------------------------------------------------------
+# the credal and well-founded entry points against a plain loop over total
+# choices with the exhaustive stable-model oracle
+
+
+def reference_credal(g, events):
+    """Per event, [lower, upper] summed choice by choice over the exhaustive
+    stable models of each choice's program copy, plus the choice and model
+    counts; or the description of the first choice without a stable model."""
+    sums = [[Fraction(0), Fraction(0)] for _ in events]
+    stats = {"choices": 0, "models": 0}
+    for choice in c.total_choices(g):
+        gc = c.program_for_choice(g, choice)
+        models = c.exhaustive_stable_models(gc)
+        if not models:
+            return choice.describe(g)
+        stats["choices"] += 1
+        stats["models"] += len(models)
+        for pair, event in zip(sums, events):
+            holds = [c.eval_event(event, gc, m) for m in models]
+            if all(holds):
+                pair[0] += choice.weight
+            if any(holds):
+                pair[1] += choice.weight
+    return sums, stats
+
+
+def reference_conditional(sums):
+    (a, b), (c_, d) = sums
+    if b + d == 0:
+        return "undefined", c.UNDEFINED
+    if b + c_ == 0 and d > 0:
+        return "zero", c.CredalInterval(Fraction(0), Fraction(0))
+    if a + d == 0 and b > 0:
+        return "one", c.CredalInterval(Fraction(1), Fraction(1))
+    return "ratio", c.CredalInterval(a / (a + d), b / (b + c_))
+
+
+def reference_wf(g, q_assignments, e_assignments, atom):
+    """P(q and e), P(e) and the distribution of ``atom`` over true, false and
+    undefined, summed over the well-founded model of each program copy."""
+    names = {True: "true", False: "false", None: "undefined"}
+    p_qe = p_e = Fraction(0)
+    dist = {"true": Fraction(0), "false": Fraction(0), "undefined": Fraction(0)}
+    for choice in c.total_choices(g):
+        gc = c.program_for_choice(g, choice)
+        wf = naive_well_founded_model(gc)
+        value = {a: names[wf[aid]] for aid, a in enumerate(gc.atoms)}
+        if all(value.get(a, "false") == v for a, v in e_assignments):
+            p_e += choice.weight
+            if all(value.get(a, "false") == v for a, v in q_assignments):
+                p_qe += choice.weight
+        dist[value.get(atom, "false")] += choice.weight
+    return p_qe, p_e, dist
+
+
+def random_assignments(rng: random.Random, atoms):
+    return [
+        (a, rng.choice(("true", "false", "undefined")))
+        for a in rng.sample(atoms, rng.randint(1, min(2, len(atoms))))
+    ]
+
+
+def test_folded_entry_points_match_a_plain_reference_loop():
+    rng = random.Random(20261019)
+    programs = [fx.grd(text) for text in fx.ALL_PROGRAMS.values()]
+    programs = [g for g in programs if g.n_atoms <= 10]
+    programs += [
+        fx.grd(edge_case_program(rng) if i % 4 == 0 else random_program(rng))
+        for i in range(150)
+    ]
+    cases = set()
+    for g in programs:
+        q, e = random_event(rng), random_event(rng)
+        # evidence on an atom of the program, against a sure, an impossible
+        # and a contradicting query: the degenerate conditioning cases
+        x = c.Lit(rng.choice(g.atoms)) if g.atoms else e
+        conditionals = [(q, e), (c.And(()), x), (c.Or(()), x), (c.Not(x), x)]
+        events = [q, e, c.Not(q)]
+        for cq, ce in conditionals:
+            events += [c.And((cq, ce)), c.And((c.Not(cq), ce))]
+
+        want = reference_credal(g, events)
+        if isinstance(want, str):
+            cases.add("inconsistent")
+            for entry in (
+                lambda: c.event_bounds(g, events),
+                lambda: c.credal_unconditional(g, q),
+                lambda: c.credal_conditional(g, q, e),
+            ):
+                with pytest.raises(c.InconsistentProgramError) as exc:
+                    entry()
+                assert exc.value.description == want
+        else:
+            sums, ref_stats = want
+            intervals = [c.CredalInterval(lo, up) for lo, up in sums]
+            assert c.event_bounds(g, events) == intervals
+            stats = {}
+            assert c.credal_unconditional(g, q, stats=stats) == intervals[0]
+            assert stats == ref_stats
+            for j, (cq, ce) in enumerate(conditionals):
+                case, interval = reference_conditional(sums[3 + 2 * j:5 + 2 * j])
+                cases.add(case)
+                stats = {}
+                assert c.credal_conditional(g, cq, ce, stats=stats) == interval
+                assert stats == ref_stats
+
+        atoms = [*g.atoms, "missing"]
+        q_as, e_as = random_assignments(rng, atoms), random_assignments(rng, atoms)
+        atom = rng.choice(atoms)
+        p_qe, p_e, dist = reference_wf(g, q_as, e_as, atom)
+        p_q, _, _ = reference_wf(g, q_as, [], atom)
+        stats = {}
+        assert c.wf_query(g, q_as, stats=stats) == p_q
+        n = 1 << len(g.choice_points)
+        assert stats == {"choices": n, "models": n}
+        assert c.wf_query(g, q_as, e_as) == (p_qe / p_e if p_e else c.UNDEFINED)
+        cases.add("wf evidence" if p_e else "wf undefined")
+        assert c.wf_atom_distribution(g, atom) == c.WfDistribution(
+            dist["true"], dist["false"], dist["undefined"]
+        )
+    assert cases == {
+        "inconsistent", "undefined", "zero", "one", "ratio", "wf evidence",
+        "wf undefined",
+    }
