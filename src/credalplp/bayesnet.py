@@ -15,10 +15,9 @@ from fractions import Fraction
 from .errors import UNDEFINED, NotAcyclicError, ResourceGuardError
 from .grounding import GroundProgram, classify, dependency_graph
 from .models import And, Event, Lit, Not, Or
+from .syntax import TRUTH
 
 DEFAULT_MAX_PARENTS = 16
-
-_TRUTH2 = {"true": True, "false": False}
 
 
 def _choice_node_name(cp_id: int) -> str:
@@ -158,8 +157,10 @@ def bn_query(bn: BayesNet, q_assignments, e_assignments=None):
     """Exact joint summation over root configurations; Undefined when the
     evidence has probability zero."""
     roots = [n for n in bn.nodes if n.is_root]
-    q = [(str(atom), _TRUTH2[v]) for atom, v in q_assignments]
-    e = [(str(atom), _TRUTH2[v]) for atom, v in (e_assignments or [])]
+    q = [(str(atom), TRUTH[v]) for atom, v in q_assignments]
+    e = [(str(atom), TRUTH[v]) for atom, v in (e_assignments or [])]
+    if any(value is None for _, value in q + e):
+        raise ValueError("undefined assignment: a Bayesian network is two-valued")
     p_qe = p_e = Fraction(0)
     for mask in range(1 << len(roots)):
         weight = Fraction(1)

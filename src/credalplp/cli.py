@@ -47,7 +47,10 @@ def _dec(value: Fraction) -> str:
 
 
 def _parse_rational(text: str) -> Fraction:
-    value = Fraction(text)
+    try:
+        value = Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"{text}: zero denominator") from None
     if not 0 <= value <= 1:
         raise ValueError(f"{text} outside [0, 1]")
     return value
@@ -193,18 +196,15 @@ def _cmd_models(args, started) -> int:
     choice = _parse_choice_bits(g, args.choice)
     kernel = models.Kernel(g)
     facts = kernel.kept_facts(choice.kept)
-    order = sorted(range(g.n_atoms), key=lambda a: g.atoms[a])
-    blocks: list[str] = []
     if args.semantics == "wf":
-        wf = models.well_founded_model(kernel, facts)
-        names = {True: "true", False: "false", None: "undefined"}
-        blocks.append("\n".join(f"{g.atoms[a]}={names[wf[a]]}" for a in order))
+        found = [models.well_founded_model(kernel, facts)]
     else:
-        for m in models.stable_models(kernel, facts):
-            blocks.append(
-                "\n".join(f"{g.atoms[a]}={'true' if m[a] else 'false'}" for a in order)
-            )
-    print("\n%%\n".join(blocks))
+        found = models.stable_models(kernel, facts)
+    names = {value: name for name, value in syntax.TRUTH.items()}
+    order = sorted(range(g.n_atoms), key=lambda a: g.atoms[a])
+    print("\n%%\n".join(
+        "\n".join(f"{g.atoms[a]}={names[m[a]]}" for a in order) for m in found
+    ))
     return EXIT_OK
 
 
@@ -229,19 +229,25 @@ def _warn_missing(g, query):
 
 
 def _cross_check(g, args):
+    """Compare the kernel's stable models of each total choice with the
+    brute-force oracle on a program copy, up to ``--oracle-limit`` atoms."""
+    if g.n_atoms > args.oracle_limit:
+        return
+    kernel = models.Kernel(g)
     for choice in inference.total_choices(g, args.max_choices):
-        gc = inference.program_for_choice(g, choice)
-        if gc.n_atoms > args.oracle_limit:
-            continue
-        enumerated = sorted(map(tuple, models.stable_models(gc)))
-        brute = sorted(map(tuple, models.exhaustive_stable_models(gc, args.oracle_limit)))
-        if enumerated != brute:
-            raise AssertionError(
-                f"stable-model enumeration mismatch for choice {choice}"
+        found = models.stable_models(kernel, kernel.kept_facts(choice.kept))
+        brute = models.exhaustive_stable_models(
+            inference.program_for_choice(g, choice), args.oracle_limit
+        )
+        if sorted(map(tuple, found)) != sorted(map(tuple, brute)):
+            raise ValueError(
+                "cross-check: the stable models of total choice "
+                f"{choice.describe(g)} differ from the brute-force oracle"
             )
 
 
 def _cmd_query(args, started) -> int:
+    gamma = None if args.gamma is None else _parse_rational(args.gamma)
     g = grounding.ground(_load(args.file), max_rules=args.max_ground_rules)
     klass = grounding.classify(grounding.dependency_graph(g))
     semantics = _resolve_semantics(args, klass)
@@ -320,8 +326,7 @@ def _cmd_query(args, started) -> int:
     lines.append(f"choices_visited: {record['choices_visited']}")
     lines.append(f"models_visited: {record['models_visited']}")
 
-    if args.gamma is not None:
-        gamma = _parse_rational(args.gamma)
+    if gamma is not None:
         # the P(E)=0 convention: an undefined conditional decides NO
         decision = "NO" if decision_value is UNDEFINED else (
             "YES" if decision_value > gamma else "NO"

@@ -103,36 +103,35 @@ def _apply(atom, subst) -> GroundAtom:
 def _match_positive(rule: Rule, by_pred: dict[str, list[GroundAtom]], universe):
     """Yield substitutions grounding the rule with all positive subgoals in
     the possibly-true set; variables not bound by a positive subgoal range
-    over the full universe."""
-    pos = [sg.atom for sg in rule.body if not sg.negated]
-
-    def extend(i: int, subst: dict[str, str]):
+    over the full universe. A depth-first join over an explicit stack, one
+    subgoal per level, in the order a recursive join would yield."""
+    pos = [
+        (sg.atom.predicate, [(t.is_variable, t.name) for t in sg.atom.args])
+        for sg in rule.body
+        if not sg.negated
+    ]
+    bound = {name for _, args in pos for is_var, name in args if is_var}
+    free = sorted(rule.variables() - bound)
+    stack: list[tuple[int, dict[str, str]]] = [(0, {})]
+    while stack:
+        i, subst = stack.pop()
         if i == len(pos):
-            free = sorted(rule.variables() - subst.keys())
             for combo in itertools.product(universe, repeat=len(free)):
                 yield {**subst, **dict(zip(free, combo))}
-            return
-        atom = pos[i]
-        for cand in by_pred.get(atom.predicate, ()):
-            if len(cand[1]) != len(atom.args):
+            continue
+        predicate, args = pos[i]
+        children = []
+        for cand in by_pred.get(predicate, ()):
+            if len(cand[1]) != len(args):
                 continue
             new = dict(subst)
-            ok = True
-            for t, cname in zip(atom.args, cand[1]):
-                if t.is_variable:
-                    bound = new.get(t.name)
-                    if bound is None:
-                        new[t.name] = cname
-                    elif bound != cname:
-                        ok = False
-                        break
-                elif t.name != cname:
-                    ok = False
+            for (is_var, name), cname in zip(args, cand[1]):
+                # a variable binds to cname unless it is bound already
+                if (new.setdefault(name, cname) if is_var else name) != cname:
                     break
-            if ok:
-                yield from extend(i + 1, new)
-
-    yield from extend(0, {})
+            else:
+                children.append((i + 1, new))
+        stack.extend(reversed(children))
 
 
 def ground(program: Program, max_rules: int = DEFAULT_MAX_GROUND_RULES) -> GroundProgram:

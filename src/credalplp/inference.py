@@ -8,7 +8,9 @@ the first total choice without a stable model aborts the query with a witness
 Every bound folds one mass function (the belief-function form of the credal
 semantics): the weight of the total choices whose models, projected onto the
 query and evidence, form exactly a set S; the lower (upper) probability sums
-the sets S whose every (some) member satisfies the query.
+the sets S whose every (some) member satisfies the query. A well-founded
+answer is the same fold with one three-valued model per total choice, so its
+lower and upper probabilities coincide.
 """
 
 from __future__ import annotations
@@ -24,14 +26,13 @@ from .models import (
     Event,
     Kernel,
     eval_event,
+    event_from_assignments,
     stable_models,
     truth3_in,
     well_founded_model,
 )
 
 DEFAULT_MAX_CHOICES = 20
-
-_TRUTH3 = {"true": True, "false": False, "undefined": None}
 
 
 @dataclass(frozen=True)
@@ -181,18 +182,13 @@ def credal_unconditional(
     return event_bounds(g, [q], max_choices, stats)[0]
 
 
-def credal_conditional(
-    g: GroundProgram,
-    q: Event,
-    e: Event,
-    max_choices: int = DEFAULT_MAX_CHOICES,
-    stats=None,
-):
+def _conditional(g: GroundProgram, q: Event, e: Event, semantics, max_choices, stats):
     """Conditional bounds [a/(a+d), b/(b+c)] with the degenerate cases of the
     capacity-based conditioning rule; Undefined when evidence has upper
-    probability zero."""
+    probability zero. With one model per choice ("wf"), a = b and c = d, and
+    the rule is P(q and e) / P(e)."""
     mass = _sweep(
-        g, lambda m: (eval_event(q, g, m), eval_event(e, g, m)), "stable",
+        g, lambda m: (eval_event(q, g, m), eval_event(e, g, m)), semantics,
         max_choices, stats,
     )
     a, b = _fold(mass, lambda qe: qe[0] and qe[1])
@@ -206,10 +202,16 @@ def credal_conditional(
     return CredalInterval(a / (a + d), b / (b + c))
 
 
-def _matches_wf(g, wf, assignments) -> bool:
-    return all(
-        truth3_in(g, wf, str(atom)) == _TRUTH3[value] for atom, value in assignments
-    )
+def credal_conditional(
+    g: GroundProgram,
+    q: Event,
+    e: Event,
+    max_choices: int = DEFAULT_MAX_CHOICES,
+    stats=None,
+):
+    """Lower and upper P(q | e) over the stable models of every total choice;
+    Undefined when evidence has upper probability zero."""
+    return _conditional(g, q, e, "stable", max_choices, stats)
 
 
 def wf_query(
@@ -221,18 +223,11 @@ def wf_query(
 ):
     """P(q) (or P(q | e)) under the well-founded semantics: exact three-valued
     match against the well-founded model of every total choice."""
-
-    def project(wf):
-        e_ok = _matches_wf(g, wf, e_assignments or ())
-        return e_ok, e_ok and _matches_wf(g, wf, q_assignments)
-
-    mass = _sweep(g, project, "wf", max_choices, stats)
-    p_e, p_qe = (_fold(mass, itemgetter(i))[0] for i in (0, 1))
-    if not e_assignments:
-        return p_qe
-    if p_e == 0:
-        return UNDEFINED
-    return p_qe / p_e
+    result = _conditional(
+        g, event_from_assignments(q_assignments),
+        event_from_assignments(e_assignments or ()), "wf", max_choices, stats,
+    )
+    return result if result is UNDEFINED else result.lower
 
 
 def wf_atom_distribution(

@@ -14,6 +14,7 @@ from typing import Iterator
 
 from .errors import ResourceGuardError
 from .grounding import GroundProgram, GroundRule
+from .syntax import TRUTH
 
 Interpretation = list  # list[bool]
 PartialInterpretation = list  # list[bool | None]
@@ -27,10 +28,11 @@ DEFAULT_EXHAUSTIVE_LIMIT = 20
 
 @dataclass(frozen=True)
 class Lit:
-    """A ground-atom literal; ``value`` is the truth value it asserts."""
+    """A ground-atom literal; ``value`` is the truth value it asserts
+    (``None``: undefined)."""
 
     atom: str
-    value: bool = True
+    value: bool | None = True
 
 
 @dataclass(frozen=True)
@@ -55,12 +57,12 @@ FALSE: Event = Or(())
 
 
 def event_from_assignments(assignments) -> Event:
-    """Conjunction of two-valued assignments [(Atom|str, "true"|"false")]."""
+    """Conjunction of assignments [(Atom|str, "true"|"false"|"undefined")]."""
     lits = []
     for atom, value in assignments:
-        if value not in ("true", "false"):
-            raise ValueError(f"event literal needs true/false, got {value!r}")
-        lits.append(Lit(str(atom), value == "true"))
+        if value not in TRUTH:
+            raise ValueError(f"event literal needs true/false/undefined, got {value!r}")
+        lits.append(Lit(str(atom), TRUTH[value]))
     return And(tuple(lits))
 
 
@@ -73,7 +75,10 @@ def truth_in(g: GroundProgram, model: PartialInterpretation, atom: str):
 truth3_in = truth_in
 
 
-def eval_event(e: Event, g: GroundProgram, model: Interpretation) -> bool:
+def eval_event(e: Event, g: GroundProgram, model: PartialInterpretation) -> bool:
+    """Truth of ``e`` in a two- or three-valued model: a literal holds when
+    its atom has exactly the literal's value, so an undefined atom matches
+    only an undefined literal."""
     if isinstance(e, Lit):
         return truth_in(g, model, e.atom) == e.value
     if isinstance(e, Not):
@@ -94,9 +99,9 @@ class Kernel:
 
     Holds the Dowling-Gallier index (per-rule heads and positive-body counts,
     positive and negative watch lists by atom, the rules without a positive
-    body) and the head index and occurrence counts of the stable-model search.
-    Kept choice atoms reach every routine below as extra facts, so no total
-    choice copies the program.
+    body) and the head index, occurrence counts and branching order of the
+    stable-model search. Kept choice atoms reach every routine below as extra
+    facts, so no total choice copies the program.
     """
 
     def __init__(self, g: GroundProgram):
@@ -120,6 +125,8 @@ class Kernel:
             for a in rule.pos + rule.neg:
                 self.occurrences[a] += 1
         self.body_free = [ri for ri, count in enumerate(self.pos_count) if count == 0]
+        # branching order: most body occurrences first, lowest id on ties
+        self.order = sorted(range(n), key=lambda a: -self.occurrences[a])
         self.choice_atoms = [cp.ground_atom for cp in g.choice_points]
 
     def kept_facts(self, kept) -> list[int]:
@@ -276,24 +283,13 @@ def stable_models(g: GroundProgram | Kernel, facts=()) -> Iterator[Interpretatio
             yield wf
         return
     facts = set(facts)
-    occurrences = k.occurrences
-
-    def pick(assign):
-        best = None
-        for aid in range(k.n_atoms):
-            if assign[aid] is None and (
-                best is None or occurrences[aid] > occurrences[best]
-            ):
-                best = aid
-        return best
-
     # explicit stack, not recursion: pushing True first explores False first
     stack = [wf]
     while stack:
         assign = stack.pop()
         if not _propagate(k, facts, assign):
             continue
-        aid = pick(assign)
+        aid = next((a for a in k.order if assign[a] is None), None)
         if aid is None:
             model = [bool(v) for v in assign]
             if is_stable(k, model, facts):

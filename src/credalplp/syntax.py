@@ -108,7 +108,8 @@ class Program:
         )
 
 
-TRUTH_VALUES = ("true", "false", "undefined")
+# truth-value names of query assignments; None is undefined
+TRUTH = {"true": True, "false": False, "undefined": None}
 
 
 @dataclass
@@ -379,7 +380,7 @@ def _parse_assignments(text: str, filename: str) -> list[tuple[Atom, str]]:
         if parser.peek().text == "=":
             parser.next()
             vtok = parser.next()
-            if vtok.text not in TRUTH_VALUES:
+            if vtok.text not in TRUTH:
                 parser.error(vtok, f"unknown truth value {vtok.text!r}")
             value = vtok.text
         if not atom.is_ground:

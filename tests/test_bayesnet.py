@@ -235,3 +235,10 @@ def test_export_round_trip_preserves_answers(name):
     for aid in range(g.n_atoms):
         q = fx.qassign(f"{g.atoms[aid]}=true")
         assert c.bn_query(bn2, q) == c.bn_query(bn, q)
+
+
+def test_bn_query_rejects_undefined_assignments():
+    bn = c.compile_bn(fx.grd(fx.EXPR3))
+    for q, e in (("v=undefined", None), ("v", "r=undefined")):
+        with pytest.raises(ValueError, match="two-valued"):
+            c.bn_query(bn, fx.qassign(q), e and fx.qassign(e))

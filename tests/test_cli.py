@@ -4,7 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from credalplp import inference
+from credalplp import inference, models
 from credalplp.cli import run
 
 import fixtures as fx
@@ -305,3 +305,36 @@ def test_timing_field_present_by_default(plp, capsys):
 
 def test_help_exits_zero(capsys):
     assert run(["--help"]) in (0,)
+
+
+@pytest.mark.parametrize("gamma", ["1/0", "abc", "3/2"])
+def test_bad_gamma_is_a_user_error_before_the_sweep(plp, capsys, gamma):
+    # COLD is inconsistent: reaching the sweep would exit 3
+    code, out, err = invoke(
+        capsys, "query", plp(fx.COLD), "--q", "cold",
+        "--semantics", "credal", "--gamma", gamma,
+    )
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_cross_check_leaves_output_unchanged(plp, capsys):
+    path = plp(fx.WINS)
+    for semantics, q in (("credal", "wins(b)"), ("wf", "wins(b)=undefined")):
+        argv = ["--no-timing", "query", path, "--q", q, "--semantics", semantics]
+        plain = invoke(capsys, *argv)
+        assert plain[0] == 0
+        assert invoke(capsys, *argv, "--cross-check") == plain
+
+
+def test_cross_check_mismatch_is_a_user_error(plp, capsys, monkeypatch):
+    real = models.stable_models
+    monkeypatch.setattr(
+        models, "stable_models", lambda k, facts=(): list(real(k, facts))[:-1]
+    )
+    code, out, err = invoke(
+        capsys, "query", plp(fx.WINS), "--q", "wins(b)",
+        "--semantics", "credal", "--cross-check",
+    )
+    assert code == 1 and out == ""
+    assert err.startswith("error: cross-check") and err.count("\n") == 1

@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 import credalplp as c
+from credalplp.cli import run
 from credalplp.grounding import program_constants
 
 import fixtures as fx
@@ -246,3 +247,16 @@ def test_active_grounding_preserves_models(name):
         for aid, text in enumerate(full.atoms):
             got = c.truth3_in(active, wf_a, text)
             assert got == wf_f[aid]
+
+
+def test_long_positive_body_grounds_without_recursion(capsys, tmp_path):
+    n = 1200
+    body = ", ".join(f"p{i}" for i in range(n))
+    text = f"q :- {body}.\n" + " ".join(f"p{i}." for i in range(n))
+    g = c.ground(c.parse_program(text))
+    (rule,) = [r for r in g.rules if g.atoms[r.head] == "q"]
+    assert [g.atoms[a] for a in rule.pos] == [f"p{i}" for i in range(n)]
+    path = tmp_path / "long.plp"
+    path.write_text(text)
+    assert run(["--no-timing", "query", str(path), "--q", "q"]) == 0
+    assert "P = 1/1 (1)" in capsys.readouterr().out

@@ -285,3 +285,33 @@ def test_enumeration_matches_exhaustive_random(rules):
     got = sorted(tuple(m) for m in c.stable_models(g))
     want = sorted(tuple(m) for m in c.exhaustive_stable_models(g))
     assert got == want
+
+
+# ---------------------------------------------------------------------------
+# one truth table for events over two- and three-valued models
+
+
+def test_undefined_assignment_is_a_none_literal():
+    e = c.event_from_assignments(fx.qassign("p=undefined, q=false, r"))
+    assert e == c.And((c.Lit("p", None), c.Lit("q", False), c.Lit("r", True)))
+    with pytest.raises(ValueError, match="true/false/undefined"):
+        c.event_from_assignments([("p", "maybe")])
+
+
+def test_event_matches_exact_three_valued_truth():
+    g = fx.grd(fx.PQR_DET)  # p and q undefined, r absent from the table
+    wf = c.well_founded_model(g)
+    assert c.eval_event(c.Lit("p", None), g, wf)
+    assert not c.eval_event(c.Lit("p", True), g, wf)
+    assert not c.eval_event(c.Lit("p", False), g, wf)
+    assert c.eval_event(c.Lit("r", False), g, wf)
+    assert not c.eval_event(c.Lit("r", None), g, wf)
+
+
+@settings(max_examples=100, deadline=None)
+@given(random_programs())
+def test_branching_order_is_most_occurrences_then_lowest_id(rules):
+    k = c.Kernel(fx.grd(render(rules)))
+    assert sorted(k.order) == list(range(k.n_atoms))
+    keys = [(-k.occurrences[a], a) for a in k.order]
+    assert keys == sorted(keys)
