@@ -1,7 +1,7 @@
 """Command-line front end.
 
-Exit codes: 0 success, 1 user error, 2 resource guard exceeded,
-3 inconsistent program (credal query aborted).
+Exit codes: 0 success, 1 user error, 2 resource guard exceeded or
+interrupted, 3 inconsistent program (credal query aborted).
 """
 
 from __future__ import annotations
@@ -232,6 +232,11 @@ def _cross_check(g, args):
     """Compare the kernel's stable models of each total choice with the
     brute-force oracle on a program copy, up to ``--oracle-limit`` atoms."""
     if g.n_atoms > args.oracle_limit:
+        print(
+            f"WARNING cross-check skipped: {g.n_atoms} atoms exceeds "
+            f"--oracle-limit {args.oracle_limit}",
+            file=sys.stderr,
+        )
         return
     kernel = models.Kernel(g)
     for choice in inference.total_choices(g, args.max_choices):
@@ -401,6 +406,9 @@ def run(argv: list[str]) -> int:
         return EXIT_INCONSISTENT
     except ResourceGuardError as exc:
         print(f"resource guard: {exc}", file=sys.stderr)
+        return EXIT_RESOURCE
+    except KeyboardInterrupt:
+        print("interrupted", file=sys.stderr)
         return EXIT_RESOURCE
     except (NotAcyclicError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -6,6 +6,26 @@ deterministic facts and choice-point atoms with negative subgoals treated as
 satisfiable. Atoms that are never possibly true are omitted from the atom
 table and are false in every stable/well-founded model of every total choice,
 so negative literals over them are simply dropped.
+
+Each rule is compiled once into a join plan: per positive subgoal, its
+predicate, arity and arguments, and the argument positions already bound
+when the join reaches it (constants and variables of earlier subgoals),
+plus the variables no positive subgoal binds, which range over the whole
+universe. A subgoal finds its candidates in a hash index on those positions,
+one index per (predicate, arity, bound positions), built on first use and
+kept current as atoms are added. The fixpoint is semi-naive (Bancilhon &
+Ramakrishnan 1986): the heads of rules without positive subgoals are added
+once, and each later round joins a rule once per positive subgoal j, with
+subgoal j matching only atoms first added in the previous round, the
+subgoals before j only older atoms, and those after j any atom. A round's
+new heads are collected before any is added, so no index changes under a
+running join. Ground rules are then emitted in source order, each rule's
+substitutions sorted, from one indexed join per rule over the final set.
+
+``max_rules`` caps the emitted rules. It also fires during the fixpoint, as
+soon as the possibly-true atoms other than choice atoms outnumber it: each of
+those heads at least one distinct emitted rule, so the cap would be exceeded
+anyway, and a blown-up fixpoint stops early instead.
 """
 
 from __future__ import annotations
@@ -100,86 +120,188 @@ def _apply(atom, subst) -> GroundAtom:
     )
 
 
-def _match_positive(rule: Rule, by_pred: dict[str, list[GroundAtom]], universe):
+@dataclass(frozen=True)
+class _Step:
+    """One positive subgoal, as the join reaches it after the earlier ones."""
+
+    predicate: str
+    arity: int
+    bound: tuple[int, ...]  # positions known on arrival: constants, earlier variables
+    key: tuple[tuple[bool, str], ...]  # (is_variable, name) at those positions
+    binds: tuple[tuple[int, str], ...]  # (position, variable) first bound here
+    checks: tuple[tuple[int, str], ...]  # (position, variable) repeating a bind
+
+
+@dataclass(frozen=True)
+class _Plan:
+    rule: Rule
+    steps: tuple[_Step, ...]  # the positive subgoals in body order
+    free: tuple[str, ...]  # variables no positive subgoal binds, sorted
+    variables: tuple[str, ...]  # every variable of the rule, sorted
+
+
+def _plan(rule: Rule) -> _Plan:
+    steps = []
+    known: set[str] = set()
+    for sg in rule.body:
+        if sg.negated:
+            continue
+        args = sg.atom.args
+        bound = tuple(
+            i for i, t in enumerate(args) if not t.is_variable or t.name in known
+        )
+        binds, checks = [], []
+        for i, t in enumerate(args):
+            if t.is_variable and t.name not in known:
+                first = all(name != t.name for _, name in binds)
+                (binds if first else checks).append((i, t.name))
+        known.update(name for _, name in binds)
+        steps.append(_Step(
+            sg.atom.predicate, len(args), bound,
+            tuple((args[i].is_variable, args[i].name) for i in bound),
+            tuple(binds), tuple(checks),
+        ))
+    variables = tuple(sorted(rule.variables()))
+    free = tuple(v for v in variables if v not in known)
+    return _Plan(rule, tuple(steps), free, variables)
+
+
+class _PossiblyTrue:
+    """The possibly-true atoms, numbered in the order they were added, with
+    one hash index per (predicate, arity, bound positions). An index maps the
+    values at its positions to the numbers of the matching atoms, in
+    ascending order; it is built on first use and kept current by ``add``."""
+
+    def __init__(self):
+        self.atoms: list[GroundAtom] = []
+        self.members: set[GroundAtom] = set()
+        # (predicate, arity) -> bound positions -> key -> atom numbers; the
+        # index on no positions lists every atom of the predicate
+        self.indexes: dict[tuple[str, int], dict[tuple[int, ...], dict]] = {}
+
+    def add(self, ga: GroundAtom) -> None:
+        if ga in self.members:
+            return
+        self.members.add(ga)
+        self.atoms.append(ga)
+        pred, args = ga
+        n = len(self.atoms) - 1
+        tables = self.indexes.setdefault((pred, len(args)), {(): {}})
+        for bound, table in tables.items():
+            table.setdefault(tuple(args[p] for p in bound), []).append(n)
+
+    def lookup(self, step: _Step, key: tuple[str, ...]) -> list[int]:
+        tables = self.indexes.setdefault((step.predicate, step.arity), {(): {}})
+        table = tables.get(step.bound)
+        if table is None:
+            table = tables[step.bound] = {}
+            for n in tables[()].get((), ()):
+                args = self.atoms[n][1]
+                table.setdefault(tuple(args[p] for p in step.bound), []).append(n)
+        return table.get(key, ())
+
+
+def _match_positive(plan: _Plan, possible: _PossiblyTrue, universe, delta=-1, lo=0):
     """Yield substitutions grounding the rule with all positive subgoals in
     the possibly-true set; variables not bound by a positive subgoal range
     over the full universe. A depth-first join over an explicit stack, one
-    subgoal per level, in the order a recursive join would yield."""
-    pos = [
-        (sg.atom.predicate, [(t.is_variable, t.name) for t in sg.atom.args])
-        for sg in rule.body
-        if not sg.negated
-    ]
-    bound = {name for _, args in pos for is_var, name in args if is_var}
-    free = sorted(rule.variables() - bound)
+    subgoal per level, each looked up in the index on its bound positions.
+
+    With ``delta`` = j (a semi-naive round), subgoal j matches only atoms
+    numbered ``lo`` or more, the subgoals before it only atoms numbered
+    below ``lo``, and the subgoals after it any atom; the default matches
+    every subgoal against every atom."""
+    steps, atoms = plan.steps, possible.atoms
     stack: list[tuple[int, dict[str, str]]] = [(0, {})]
     while stack:
         i, subst = stack.pop()
-        if i == len(pos):
-            for combo in itertools.product(universe, repeat=len(free)):
-                yield {**subst, **dict(zip(free, combo))}
+        if i == len(steps):
+            for combo in itertools.product(universe, repeat=len(plan.free)):
+                yield {**subst, **dict(zip(plan.free, combo))}
             continue
-        predicate, args = pos[i]
+        step = steps[i]
+        found = possible.lookup(
+            step, tuple(subst[name] if is_var else name for is_var, name in step.key)
+        )
+        if i < delta:
+            found = itertools.takewhile(lo.__gt__, found)
+        elif i == delta:
+            found = itertools.takewhile(lo.__le__, reversed(found))
         children = []
-        for cand in by_pred.get(predicate, ()):
-            if len(cand[1]) != len(args):
-                continue
+        for n in found:
+            args = atoms[n][1]
             new = dict(subst)
-            for (is_var, name), cname in zip(args, cand[1]):
-                # a variable binds to cname unless it is bound already
-                if (new.setdefault(name, cname) if is_var else name) != cname:
-                    break
-            else:
+            for p, name in step.binds:
+                new[name] = args[p]
+            if all(new[name] == args[p] for p, name in step.checks):
                 children.append((i + 1, new))
         stack.extend(reversed(children))
 
 
+def _cap_exceeded(max_rules: int) -> ResourceGuardError:
+    return ResourceGuardError(f"ground rule count exceeds cap of {max_rules}")
+
+
 def ground(program: Program, max_rules: int = DEFAULT_MAX_GROUND_RULES) -> GroundProgram:
     universe = program_constants(program)
+    plans = [_plan(rule) for rule in program.rules]
     g = GroundProgram()
 
     # choice points: one per grounding of each probabilistic fact, in source
     # order then substitution order; duplicates over one atom stay distinct
-    choice_atoms: list[GroundAtom] = []
+    possible = _PossiblyTrue()
     for pf in program.prob_facts:
         varnames = sorted(pf.atom.variables())
         for combo in itertools.product(universe, repeat=len(varnames)):
             ga = _apply(pf.atom, dict(zip(varnames, combo)))
             aid = g.intern(atom_text(ga))
             g.choice_points.append(ChoicePoint(len(g.choice_points), aid, pf.prob))
-            choice_atoms.append(ga)
+            possible.add(ga)
+    n_choice = len(possible.atoms)
 
-    # possibly-true fixpoint
-    possible: set[GroundAtom] = set()
-    by_pred: dict[str, list[GroundAtom]] = {}
+    # possibly-true fixpoint, semi-naive: a round's new heads are collected
+    # before any is added, so no index changes under a running join
+    pending: dict[GroundAtom, None] = {}
 
-    def add(ga: GroundAtom) -> bool:
-        if ga in possible:
-            return False
-        possible.add(ga)
-        by_pred.setdefault(ga[0], []).append(ga)
-        return True
+    def derive(plan: _Plan, subst: dict[str, str]) -> None:
+        ga = _apply(plan.rule.head, subst)
+        if ga in possible.members or ga in pending:
+            return
+        pending[ga] = None
+        # each possibly-true atom that is not a choice atom heads an emitted rule
+        if len(possible.atoms) + len(pending) - n_choice > max_rules:
+            raise _cap_exceeded(max_rules)
 
-    for ga in choice_atoms:
-        add(ga)
-
-    changed = True
-    while changed:
-        changed = False
-        for rule in program.rules:
-            for subst in _match_positive(rule, by_pred, universe):
-                if add(_apply(rule.head, subst)):
-                    changed = True
+    for plan in plans:
+        if not plan.steps:
+            for subst in _match_positive(plan, possible, universe):
+                derive(plan, subst)
+    lo = 0  # atoms numbered lo or more were first added in the previous round
+    while pending or lo < len(possible.atoms):
+        for ga in pending:
+            possible.add(ga)
+        pending.clear()
+        fresh = {(pred, len(args)) for pred, args in possible.atoms[lo:]}
+        hi = len(possible.atoms)
+        for plan in plans:
+            for j, step in enumerate(plan.steps):
+                if (step.predicate, step.arity) in fresh:
+                    for subst in _match_positive(plan, possible, universe, j, lo):
+                        derive(plan, subst)
+        lo = hi
 
     # emit ground rules: source order, then substitution lexicographic
     seen: set[GroundRule] = set()
-    for rule in program.rules:
-        varnames = sorted(rule.variables())
+    for plan in plans:
+        rule = plan.rule
         substs = sorted(
-            {tuple(s[v] for v in varnames) for s in _match_positive(rule, by_pred, universe)}
+            {
+                tuple(s[v] for v in plan.variables)
+                for s in _match_positive(plan, possible, universe)
+            }
         )
         for combo in substs:
-            subst = dict(zip(varnames, combo))
+            subst = dict(zip(plan.variables, combo))
             head = _apply(rule.head, subst)
             pos = [_apply(sg.atom, subst) for sg in rule.body if not sg.negated]
             neg = [
@@ -187,7 +309,7 @@ def ground(program: Program, max_rules: int = DEFAULT_MAX_GROUND_RULES) -> Groun
                 for sg in rule.body
                 if sg.negated
                 for ga in [_apply(sg.atom, subst)]
-                if ga in possible  # impossible atoms are false: literal holds
+                if ga in possible.members  # impossible atoms are false: literal holds
             ]
             gr = GroundRule(
                 g.intern(atom_text(head)),
@@ -199,9 +321,7 @@ def ground(program: Program, max_rules: int = DEFAULT_MAX_GROUND_RULES) -> Groun
             seen.add(gr)
             g.rules.append(gr)
             if len(g.rules) > max_rules:
-                raise ResourceGuardError(
-                    f"ground rule count exceeds cap of {max_rules}"
-                )
+                raise _cap_exceeded(max_rules)
             if not rule.body:
                 g.fact_atoms.add(gr.head)
     return g

@@ -4,7 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from credalplp import inference, models
+from credalplp import cli, inference, models
 from credalplp.cli import run
 
 import fixtures as fx
@@ -338,3 +338,22 @@ def test_cross_check_mismatch_is_a_user_error(plp, capsys, monkeypatch):
     )
     assert code == 1 and out == ""
     assert err.startswith("error: cross-check") and err.count("\n") == 1
+
+
+def test_cross_check_skip_is_reported(plp, capsys):
+    path = plp(fx.WINS)
+    argv = ["--no-timing", "query", path, "--q", "wins(b)", "--semantics", "credal"]
+    plain = invoke(capsys, *argv)
+    n = fx.grd(fx.WINS).n_atoms
+    code, out, err = invoke(capsys, *argv, "--cross-check", "--oracle-limit", "2")
+    assert (code, out) == plain[:2]
+    assert err == f"WARNING cross-check skipped: {n} atoms exceeds --oracle-limit 2\n"
+
+
+def test_interrupt_exits_2_without_a_traceback(plp, capsys, monkeypatch):
+    def interrupted(args, started):
+        raise KeyboardInterrupt
+
+    monkeypatch.setitem(cli._COMMANDS, "query", interrupted)
+    code, out, err = invoke(capsys, "query", plp(fx.WINS), "--q", "wins(b)")
+    assert (code, out, err) == (2, "", "interrupted\n")

@@ -1,3 +1,5 @@
+import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -260,3 +262,194 @@ def test_long_positive_body_grounds_without_recursion(capsys, tmp_path):
     path.write_text(text)
     assert run(["--no-timing", "query", str(path), "--q", "q"]) == 0
     assert "P = 1/1 (1)" in capsys.readouterr().out
+
+
+def test_rule_cap_fires_during_the_fixpoint(capsys, tmp_path):
+    # 40^4 possibly-true r atoms; each heads an emitted rule, so the cap
+    # is known to be exceeded long before the fixpoint ends
+    text = " ".join(f"c(k{i})." for i in range(40))
+    text += "\nr(A, B, C, D) :- c(A), c(B), c(C), c(D).\n"
+    with pytest.raises(c.ResourceGuardError, match="exceeds cap of 1000$"):
+        c.ground(c.parse_program(text), max_rules=1000)
+    path = tmp_path / "blowup.plp"
+    path.write_text(text)
+    assert run(["--max-ground-rules", "1000", "ground", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "resource guard: ground rule count exceeds cap of 1000\n"
+
+
+# ---------------------------------------------------------------------------
+# indexed, semi-naive grounding against a naive reference grounder
+
+
+def naive_ground(program: c.Program) -> c.GroundProgram:
+    """Reference grounder: every rule instance over the whole Herbrand
+    universe, a naive possibly-true fixpoint over those instances, then the
+    emission of ``ground``: source order, substitutions in lexicographic
+    order, negative literals over impossible atoms dropped, duplicates
+    skipped."""
+    universe = program_constants(program)
+    g = c.GroundProgram()
+    possible = set()
+    for pf in program.prob_facts:
+        varnames = sorted(pf.atom.variables())
+        for combo in itertools.product(universe, repeat=len(varnames)):
+            text = _subst_text(pf.atom, dict(zip(varnames, combo)))
+            g.choice_points.append(
+                c.ChoicePoint(len(g.choice_points), g.intern(text), pf.prob)
+            )
+            possible.add(text)
+    instances = []
+    for rule in program.rules:
+        varnames = sorted(rule.variables())
+        for combo in itertools.product(universe, repeat=len(varnames)):
+            subst = dict(zip(varnames, combo))
+            texts = [
+                [_subst_text(sg.atom, subst) for sg in rule.body if sg.negated == neg]
+                for neg in (False, True)
+            ]
+            instances.append((rule, _subst_text(rule.head, subst), *texts))
+    changed = True
+    while changed:
+        changed = False
+        for _, head, pos, _ in instances:
+            if head not in possible and all(a in possible for a in pos):
+                possible.add(head)
+                changed = True
+    seen = set()
+    for rule, head, pos, neg in instances:
+        if not all(a in possible for a in pos):
+            continue
+        gr = c.GroundRule(
+            g.intern(head),
+            tuple(g.intern(a) for a in pos),
+            tuple(g.intern(a) for a in neg if a in possible),
+        )
+        if gr not in seen:
+            seen.add(gr)
+            g.rules.append(gr)
+            if not rule.body:
+                g.fact_atoms.add(gr.head)
+    return g
+
+
+_SIGNATURES = [("p", 1), ("p", 2), ("q", 1), ("r", 2), ("s", 0), ("t", 3)]
+
+
+def random_relational_program(rng: random.Random) -> c.Program:
+    """A small random program with variables, built as a syntax tree so that
+    one predicate can occur at two arities (the parser rejects that)."""
+    consts = ["a", "b", "c", "7"][: rng.randint(1, 4)]
+    variables = ["X", "Y", "Z", "W"][: rng.randint(1, 4)]
+    sigs = rng.sample(_SIGNATURES, rng.randint(2, 5))
+
+    def atom(var_share):
+        pred, arity = rng.choice(sigs)
+        return c.Atom(pred, tuple(
+            c.Term("var", rng.choice(variables)) if rng.random() < var_share
+            else c.Term("const", rng.choice(consts))
+            for _ in range(arity)
+        ))
+
+    facts = [c.Rule(atom(0)) for _ in range(rng.randint(0, 4))]
+    prob_facts = [
+        c.ProbFact(atom(0.3), Fraction(rng.randint(1, 9), 10))
+        for _ in range(rng.randint(0, 3))
+    ]
+    if facts and rng.random() < 0.3:
+        facts.append(rng.choice(facts))
+    if prob_facts and rng.random() < 0.3:
+        prob_facts.append(rng.choice(prob_facts))
+    rules = [
+        c.Rule(atom(0.8), tuple(
+            c.Subgoal(atom(0.7), rng.random() < 0.3)
+            for _ in range(rng.randint(0, 3))
+        ))
+        for _ in range(rng.randint(1, 5))
+    ]
+    program_rules = facts + rules
+    rng.shuffle(program_rules)
+    return c.Program(program_rules, prob_facts)
+
+
+def _features(program: c.Program) -> set[str]:
+    found = set()
+    atoms = [pf.atom for pf in program.prob_facts]
+    for rule in program.rules:
+        atoms += [rule.head] + [sg.atom for sg in rule.body]
+        pos_vars, neg_vars = (
+            set().union(*(sg.atom.variables() for sg in rule.body if sg.negated == neg))
+            for neg in (False, True)
+        )
+        if any(not t.is_variable for sg in rule.body for t in sg.atom.args):
+            found.add("constant in a body")
+        if rule.head.variables() - pos_vars - neg_vars:
+            found.add("variable only in the head")
+        if neg_vars - pos_vars - rule.head.variables():
+            found.add("variable only under not")
+        if rule.body and all(sg.negated for sg in rule.body):
+            found.add("rule without a positive body")
+    for a in atoms:
+        names = [t.name for t in a.args if t.is_variable]
+        if len(names) > len(set(names)):
+            found.add("repeated variable")
+    signatures = {(a.predicate, len(a.args)) for a in atoms}
+    if len(signatures) > len({pred for pred, _ in signatures}):
+        found.add("one predicate at two arities")
+    if any(pf.atom.variables() for pf in program.prob_facts):
+        found.add("probabilistic fact with variables")
+    facts = [r.head for r in program.rules if not r.body]
+    facts_p = [pf.atom for pf in program.prob_facts]
+    if len(facts) > len(set(facts)) or len(facts_p) > len(set(facts_p)):
+        found.add("duplicate facts")
+    return found
+
+
+def _check_against_naive(program: c.Program) -> int:
+    got = c.ground(program)
+    want = naive_ground(program)
+    assert c.dump_ground(got) == c.dump_ground(want)
+    assert got.fact_atoms == want.fact_atoms
+    # the cap fires exactly where the emitted rules exceed it
+    n = len(got.rules)
+    assert c.dump_ground(c.ground(program, max_rules=n)) == c.dump_ground(got)
+    if n:
+        with pytest.raises(c.ResourceGuardError):
+            c.ground(program, max_rules=n - 1)
+    return n
+
+
+# s{k} is first derived in round k, and the rules over two of them come
+# first in source order, so the last atom of each round is an s atom that a
+# later round must pair, as an old atom, with the next one; z's negative
+# literals show which c atoms the fixpoint found
+_PAIRS = [(i, j) for i in range(4) for j in range(4) if i != j]
+STAGGERED = " ".join(
+    [f"c{i}{j} :- s{i}, s{j}." for i, j in _PAIRS]
+    + ["s0."] + [f"s{k + 1} :- s{k}." for k in range(3)]
+    + ["z :- " + ", ".join(f"not c{i}{j}" for i, j in _PAIRS) + "."]
+)
+
+
+@pytest.mark.parametrize("name", sorted(fx.ALL_PROGRAMS) + ["staggered"])
+def test_ground_matches_naive_reference_on_fixtures(name):
+    text = STAGGERED if name == "staggered" else fx.ALL_PROGRAMS[name]
+    _check_against_naive(c.parse_program(text))
+
+
+def test_ground_matches_naive_reference_on_random_relational_programs():
+    rng = random.Random(20261018)
+    seen: set[str] = set()
+    rules = 0
+    for _ in range(250):
+        program = random_relational_program(rng)
+        seen |= _features(program)
+        rules += _check_against_naive(program)
+    assert seen == {
+        "repeated variable", "constant in a body", "variable only in the head",
+        "variable only under not", "one predicate at two arities",
+        "rule without a positive body", "probabilistic fact with variables",
+        "duplicate facts",
+    }
+    assert rules > 1000
