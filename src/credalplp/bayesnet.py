@@ -36,19 +36,16 @@ def eval_formula(e: Event, env: dict[str, bool]) -> bool:
     raise TypeError(f"not a formula: {e!r}")
 
 
-def _require_acyclic(g: GroundProgram):
-    if classify(dependency_graph(g)).kind != "acyclic":
-        raise NotAcyclicError("program's grounded dependency graph has a cycle")
-
-
 def clark_completion(g: GroundProgram) -> dict[int, Event]:
-    """Per-atom completion formulas for an acyclic ground program.
+    """Per-atom completion formulas for an acyclic ground program
+    (``NotAcyclicError`` otherwise).
 
     Pure choice-point atoms (no rules) are excluded; they become root nodes.
     An atom with rules maps to the disjunction of its rule bodies, a fact to
     TRUE (empty conjunction), an atom with no rules to FALSE.
     """
-    _require_acyclic(g)
+    if classify(dependency_graph(g)).kind != "acyclic":
+        raise NotAcyclicError("program's grounded dependency graph has a cycle")
     rules_by_head: dict[int, list] = {}
     for rule in g.rules:
         rules_by_head.setdefault(rule.head, []).append(rule)
@@ -94,7 +91,7 @@ class BayesNet:
 def compile_bn(
     g: GroundProgram, max_parents: int = DEFAULT_MAX_PARENTS
 ) -> BayesNet:
-    _require_acyclic(g)
+    completion = clark_completion(g)  # raises NotAcyclicError on a cycle
     rules_by_head: dict[int, list] = {}
     for rule in g.rules:
         rules_by_head.setdefault(rule.head, []).append(rule)
@@ -102,7 +99,6 @@ def compile_bn(
     for cp in g.choice_points:
         cps_by_atom.setdefault(cp.ground_atom, []).append(cp)
 
-    completion = clark_completion(g)
     nodes: dict[str, BnNode] = {}
     order: list[str] = []  # creation order, used as the Kahn tie-break
 

@@ -99,9 +99,9 @@ class Kernel:
 
     Holds the Dowling-Gallier index (per-rule heads and positive-body counts,
     positive and negative watch lists by atom, the rules without a positive
-    body) and the head index, occurrence counts and branching order of the
-    stable-model search. Kept choice atoms reach every routine below as extra
-    facts, so no total choice copies the program.
+    body) and the occurrence counts and branching order of the stable-model
+    search. Kept choice atoms reach every routine below as extra facts, so no
+    total choice copies the program.
     """
 
     def __init__(self, g: GroundProgram):
@@ -112,7 +112,6 @@ class Kernel:
         self.pos_count = []
         self.pos_watch: list[list[int]] = [[] for _ in range(n)]
         self.neg_watch: list[list[int]] = [[] for _ in range(n)]
-        self.rules_by_head: list[list[GroundRule]] = [[] for _ in range(n)]
         self.occurrences = [0] * n
         for ri, rule in enumerate(g.rules):
             pos = set(rule.pos)
@@ -121,7 +120,6 @@ class Kernel:
                 self.pos_watch[a].append(ri)
             for a in rule.neg:
                 self.neg_watch[a].append(ri)
-            self.rules_by_head[rule.head].append(rule)
             for a in rule.pos + rule.neg:
                 self.occurrences[a] += 1
         self.body_free = [ri for ri, count in enumerate(self.pos_count) if count == 0]
@@ -228,53 +226,45 @@ def well_founded_model(g: GroundProgram | Kernel, facts=()) -> PartialInterpreta
 # Stable-model enumeration
 
 
-def _propagate(k: Kernel, facts: set[int], assign) -> bool:
-    """Fixpoint of two sound deductions: an atom whose rules are all blocked
-    is false; an atom with a firing rule (or a fact) is true. Returns False
-    on conflict with already-decided values."""
-    changed = True
-    while changed:
+def _propagate(k: Kernel, facts, assign) -> bool:
+    """Narrow ``assign`` to what every stable model extending it agrees on,
+    with two least models per round (the smodels atleast/atmost pair):
+
+    - ``must``, the least model of the facts and true atoms under the rules
+      whose negative body is all false: every such stable model contains it;
+    - ``can``, the least model of the reduct by the true atoms: every such
+      stable model is contained in it.
+
+    Undecided atoms in ``must`` become true and those outside ``can`` false,
+    until nothing changes. Returns False when ``must`` has a false atom or
+    leaves ``can``: no stable model extends ``assign``.
+    """
+    while True:
+        true = [a for a, v in enumerate(assign) if v]
+        not_false = [a for a, v in enumerate(assign) if v is not False]
+        must = _lfp(k, [*facts, *true], not_false)
+        can = _lfp(k, facts, true)
+        if not must <= can or any(assign[a] is False for a in must):
+            return False
         changed = False
-        for h, rules in enumerate(k.rules_by_head):
-            # a kept choice atom has a fact rule, which fires
-            derived_true = h in facts
-            all_blocked = True
-            for rule in () if derived_true else rules:
-                blocked = any(assign[p] is False for p in rule.pos) or any(
-                    assign[n] is True for n in rule.neg
-                )
-                if blocked:
-                    continue
-                all_blocked = False
-                if all(assign[p] is True for p in rule.pos) and all(
-                    assign[n] is False for n in rule.neg
-                ):
-                    derived_true = True
-                    break
-            if derived_true:
-                if assign[h] is False:
-                    return False
-                if assign[h] is None:
-                    assign[h] = True
-                    changed = True
-            elif all_blocked:
-                if assign[h] is True:
-                    return False
-                if assign[h] is None:
-                    assign[h] = False
-                    changed = True
-    return True
+        for a, v in enumerate(assign):
+            if v is None and (a in must or a not in can):
+                assign[a] = a in must
+                changed = True
+        if not changed:
+            return True
 
 
 def stable_models(g: GroundProgram | Kernel, facts=()) -> Iterator[Interpretation]:
     """All stable models (with ``facts`` added), no duplicates, deterministic
     order.
 
-    Strategy: fix the well-founded literals, branch over the undefined atoms
-    (most body occurrences first, false before true) with propagation after
-    each decision, and verify stability at every total leaf; propagation is
-    not proof of stability in the presence of odd loops. A total well-founded
-    model is a leaf already: propagation cannot change it.
+    Strategy: fix the well-founded literals, branch on the first undecided
+    atom of ``Kernel.order`` (false before true) and ``_propagate`` after
+    each decision, so models come in lexicographic order on ``Kernel.order``.
+    A total leaf that survives propagation is closed under its reduct and
+    inside its least model, so it is stable; ``is_stable`` still checks it by
+    definition. A total well-founded model is a leaf already.
     """
     k = _kernel(g)
     wf = well_founded_model(k, facts)
@@ -282,7 +272,6 @@ def stable_models(g: GroundProgram | Kernel, facts=()) -> Iterator[Interpretatio
         if is_stable(k, wf, facts):
             yield wf
         return
-    facts = set(facts)
     # explicit stack, not recursion: pushing True first explores False first
     stack = [wf]
     while stack:
@@ -304,17 +293,23 @@ def stable_models(g: GroundProgram | Kernel, facts=()) -> Iterator[Interpretatio
 def exhaustive_stable_models(
     g: GroundProgram, limit: int = DEFAULT_EXHAUSTIVE_LIMIT
 ) -> list[Interpretation]:
-    """Brute-force oracle: test all 2^n interpretations for stability."""
+    """Brute-force oracle. A stable model is the least model of its reduct,
+    and the reduct depends only on which negatively occurring atoms are true:
+    so guess every set N of those atoms and keep the least model of the
+    reduct by N when it gives exactly N. Models come in binary-counting order
+    over all atoms, atom 0 lowest."""
     n = g.n_atoms
     if n > limit:
         raise ResourceGuardError(f"{n} atoms exceeds exhaustive limit of {limit}")
     k = Kernel(g)
+    negative = [a for a in range(n) if k.neg_watch[a]]
     out = []
-    for mask in range(1 << n):
-        interp = [bool((mask >> i) & 1) for i in range(n)]
-        if is_stable(k, interp):
-            out.append(interp)
-    return out
+    for mask in range(1 << len(negative)):
+        guess = {a for i, a in enumerate(negative) if (mask >> i) & 1}
+        true = _lfp(k, (), guess)
+        if true.intersection(negative) == guess:
+            out.append([a in true for a in range(n)])
+    return sorted(out, key=lambda m: m[::-1])
 
 
 # ---------------------------------------------------------------------------

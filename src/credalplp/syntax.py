@@ -90,6 +90,9 @@ class Rule:
 class ProbFact:
     atom: Atom
     prob: Fraction
+    # where the clause starts, for diagnostics; not part of its identity
+    line: int = field(default=1, compare=False, repr=False)
+    col: int = field(default=1, compare=False, repr=False)
 
     def __str__(self) -> str:
         return f"{format_rational(self.prob)}::{self.atom}."
@@ -327,11 +330,12 @@ class _Parser:
 
     def parse_clause(self, program: Program):
         if self._at_probability():
+            start = self.peek()
             prob = self.parse_probability()
             self.expect("::")
             atom = self.parse_atom()
             self.expect(".")
-            program.prob_facts.append(ProbFact(atom, prob))
+            program.prob_facts.append(ProbFact(atom, prob, start.line, start.col))
             return
         head = self.parse_atom()
         body: list[Subgoal] = []
@@ -470,8 +474,8 @@ def lint_program(program: Program, filename: str = "<string>") -> list[Diagnosti
                     Diagnostic(
                         "warning",
                         filename,
-                        1,
-                        1,
+                        pf.line,
+                        pf.col,
                         f"probabilistic fact {pf.atom} unifies with the head of "
                         f"rule '{rule}' (disjointness condition violated)",
                     )

@@ -36,6 +36,8 @@ def test_completion_rejects_cycles():
     for name in ("smokers", "pqr", "wins", "barber"):
         with pytest.raises(c.NotAcyclicError):
             c.clark_completion(fx.grd(fx.ALL_PROGRAMS[name]))
+        with pytest.raises(c.NotAcyclicError, match="dependency graph has a cycle"):
+            c.compile_bn(fx.grd(fx.ALL_PROGRAMS[name]))
 
 
 # ---------------------------------------------------------------------------

@@ -340,6 +340,32 @@ def test_cross_check_mismatch_is_a_user_error(plp, capsys, monkeypatch):
     assert err.startswith("error: cross-check") and err.count("\n") == 1
 
 
+# win-move with 10 probabilistic moves: 18 atoms, 8 of them under negation
+GAME10 = """wins(X) :- move(X,Y), not wins(Y).
+1/10::move(p0,p4).
+1/5::move(p0,p5).
+1/10::move(p0,p6).
+1/2::move(p1,p7).
+1/5::move(p2,p7).
+1/10::move(p3,p5).
+1/10::move(p4,p2).
+1/2::move(p5,p1).
+1/5::move(p6,p3).
+3/10::move(p7,p0).
+"""
+
+
+def test_cross_check_finishes_on_a_game_at_the_default_limit(plp, capsys):
+    argv = [
+        "--no-timing", "query", plp(GAME10), "--q", "wins(p0)", "--e", "wins(p4)",
+        "--semantics", "credal",
+    ]
+    plain = invoke(capsys, *argv)
+    assert plain[0] == 0 and "choices_visited: 1024" in plain[1]
+    code, out, err = invoke(capsys, *argv, "--cross-check")
+    assert (code, out, err) == plain
+
+
 def test_cross_check_skip_is_reported(plp, capsys):
     path = plp(fx.WINS)
     argv = ["--no-timing", "query", path, "--q", "wins(b)", "--semantics", "credal"]

@@ -1,9 +1,11 @@
+import random
 import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import credalplp as c
+from credalplp import models
 from credalplp.models import TRUE, FALSE, alternating_iterates
 
 import fixtures as fx
@@ -315,3 +317,55 @@ def test_branching_order_is_most_occurrences_then_lowest_id(rules):
     assert sorted(k.order) == list(range(k.n_atoms))
     keys = [(-k.occurrences[a], a) for a in k.order]
     assert keys == sorted(keys)
+
+
+# ---------------------------------------------------------------------------
+# the search against the oracle: the same models, in lexicographic order on
+# Kernel.order (false before true), with one stability check per model
+
+
+def odd_loop_program(rng: random.Random) -> str:
+    """Up to 8 atoms, 3 choice points and 10 rules, negation in half the body
+    literals, and an odd loop through negation half the time."""
+    atoms = [f"a{i}" for i in range(rng.randint(3, 8))]
+    lines = [f"1/2::{a}." for a in rng.sample(atoms, rng.randint(0, 3))]
+    for _ in range(rng.randint(1, 10)):
+        body = [
+            ("not " if rng.random() < 0.5 else "") + a
+            for a in rng.sample(atoms, rng.randint(0, 3))
+        ]
+        head = rng.choice(atoms)
+        lines.append(f"{head} :- {', '.join(body)}." if body else f"{head}.")
+    if rng.random() < 0.5:
+        x, y, z = rng.sample(atoms, 3)
+        lines.append(f"{x} :- not {y}. {y} :- not {z}. {z} :- not {x}.")
+    return "\n".join(lines)
+
+
+def test_search_yields_the_oracle_models_in_order_checking_each_once(monkeypatch):
+    calls = 0
+    real = models.is_stable
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return real(*args)
+
+    monkeypatch.setattr(models, "is_stable", counting)
+    texts = list(fx.ALL_PROGRAMS.values())
+    rng = random.Random(20261018)
+    texts += [odd_loop_program(rng) for _ in range(300)]
+    empty = 0
+    for text in texts:
+        g = fx.grd(text)
+        if g.n_atoms > 12:
+            continue
+        kernel = c.Kernel(g)
+        for choice in c.total_choices(g):
+            brute = c.exhaustive_stable_models(c.program_for_choice(g, choice))
+            want = sorted(brute, key=lambda m: tuple(m[a] for a in kernel.order))
+            calls = 0
+            assert list(c.stable_models(kernel, kernel.kept_facts(choice.kept))) == want
+            assert calls == len(want)
+            empty += not want
+    assert empty > 0  # some choices have no stable model

@@ -232,6 +232,8 @@ def test_kernel_with_kept_facts_matches_program_copy_and_oracle():
             assert wf == c.well_founded_model(gc)
             oracle = naive_stable_models(gc)
             assert sorted(map(tuple, models)) == sorted(map(tuple, oracle))
+            brute = c.exhaustive_stable_models(gc)
+            assert sorted(map(tuple, brute)) == sorted(map(tuple, oracle))
             assert all(c.is_stable(kernel, interp, facts) for interp in oracle)
             assert wf == naive_well_founded_model(gc)
 

@@ -173,3 +173,16 @@ def test_no_warning_when_disjoint():
 def test_diagnostic_format():
     diags = c.lint_program(c.parse_program("0.5::v. v :- r. r."), filename="x.plp")
     assert str(diags[0]).startswith("WARNING x.plp:1:1 ")
+
+
+def test_diagnostic_reports_the_fact_position():
+    text = "v :- r.\nr.\n0.5::v.\n  1/2::v.\n"
+    program = c.parse_program(text)
+    diags = c.lint_program(program, filename="x.plp")
+    assert [(d.line, d.col) for d in diags] == [(3, 1), (4, 3)]
+    assert str(diags[0]).startswith("WARNING x.plp:3:1 ")
+    # positions are not part of a fact's identity
+    again = c.parse_program(c.format_program(program))
+    assert again == program
+    assert [(pf.line, pf.col) for pf in again.prob_facts] == [(1, 1), (2, 1)]
+    assert hash(again.prob_facts[0]) == hash(program.prob_facts[0])
