@@ -29,13 +29,17 @@ EXIT_INCONSISTENT = 3
 
 
 def _env_int(name: str, default: int) -> int:
-    text = os.environ.get(name)
-    if text is None:
-        return default
+    return _cap(name, os.environ.get(name, default))
+
+
+def _cap(name: str, text: str | int) -> int:
     try:
-        return int(text)
+        value = int(text)
     except ValueError:
         raise ValueError(f"{name} must be an integer, got {text!r}") from None
+    if value < 0:
+        raise ValueError(f"{name} must be non-negative, got {value}")
+    return value
 
 
 def _rat(value: Fraction) -> str:
@@ -395,6 +399,8 @@ def run(argv: list[str]) -> int:
         return EXIT_USER if exc.code else EXIT_OK
     started = time.perf_counter()
     try:
+        for flag in ("--max-choices", "--max-ground-rules", "--oracle-limit"):
+            _cap(flag, getattr(args, flag[2:].replace("-", "_"), 0))
         return _COMMANDS[args.command](args, started)
     except PlpSyntaxError as exc:
         for diag in exc.diagnostics:

@@ -12,15 +12,17 @@ predicate, arity and arguments, and the argument positions already bound
 when the join reaches it (constants and variables of earlier subgoals),
 plus the variables no positive subgoal binds, which range over the whole
 universe. A subgoal finds its candidates in a hash index on those positions,
-one index per (predicate, arity, bound positions), built on first use and
+one index per (predicate, arity, bound positions) that some plan names,
 kept current as atoms are added. The fixpoint is semi-naive (Bancilhon &
 Ramakrishnan 1986): the heads of rules without positive subgoals are added
 once, and each later round joins a rule once per positive subgoal j, with
 subgoal j matching only atoms first added in the previous round, the
 subgoals before j only older atoms, and those after j any atom. A round's
 new heads are collected before any is added, so no index changes under a
-running join. Ground rules are then emitted in source order, each rule's
-substitutions sorted, from one indexed join per rule over the final set.
+running join. Each substitution is found in exactly one round, the one that
+adds the highest-numbered of its positive atoms, so ground rules are emitted,
+in source order and each rule's substitutions sorted, from the substitutions
+the rounds found.
 
 ``max_rules`` caps the emitted rules. It also fires during the fixpoint, as
 soon as the possibly-true atoms other than choice atoms outnumber it: each of
@@ -168,16 +170,17 @@ def _plan(rule: Rule) -> _Plan:
 
 class _PossiblyTrue:
     """The possibly-true atoms, numbered in the order they were added, with
-    one hash index per (predicate, arity, bound positions). An index maps the
-    values at its positions to the numbers of the matching atoms, in
-    ascending order; it is built on first use and kept current by ``add``."""
+    one hash index per (predicate, arity, bound positions) that a step of
+    ``plans`` names. An index maps the values at its positions to the numbers
+    of the matching atoms, in ascending order; ``add`` keeps it current."""
 
-    def __init__(self):
+    def __init__(self, plans: list[_Plan]):
         self.atoms: list[GroundAtom] = []
         self.members: set[GroundAtom] = set()
-        # (predicate, arity) -> bound positions -> key -> atom numbers; the
-        # index on no positions lists every atom of the predicate
+        # (predicate, arity) -> bound positions -> key -> atom numbers
         self.indexes: dict[tuple[str, int], dict[tuple[int, ...], dict]] = {}
+        for step in (step for plan in plans for step in plan.steps):
+            self.indexes.setdefault((step.predicate, step.arity), {})[step.bound] = {}
 
     def add(self, ga: GroundAtom) -> None:
         if ga in self.members:
@@ -186,31 +189,21 @@ class _PossiblyTrue:
         self.atoms.append(ga)
         pred, args = ga
         n = len(self.atoms) - 1
-        tables = self.indexes.setdefault((pred, len(args)), {(): {}})
-        for bound, table in tables.items():
+        for bound, table in self.indexes.get((pred, len(args)), {}).items():
             table.setdefault(tuple(args[p] for p in bound), []).append(n)
 
     def lookup(self, step: _Step, key: tuple[str, ...]) -> list[int]:
-        tables = self.indexes.setdefault((step.predicate, step.arity), {(): {}})
-        table = tables.get(step.bound)
-        if table is None:
-            table = tables[step.bound] = {}
-            for n in tables[()].get((), ()):
-                args = self.atoms[n][1]
-                table.setdefault(tuple(args[p] for p in step.bound), []).append(n)
-        return table.get(key, ())
+        return self.indexes[step.predicate, step.arity][step.bound].get(key, ())
 
 
-def _match_positive(plan: _Plan, possible: _PossiblyTrue, universe, delta=-1, lo=0):
-    """Yield substitutions grounding the rule with all positive subgoals in
-    the possibly-true set; variables not bound by a positive subgoal range
-    over the full universe. A depth-first join over an explicit stack, one
-    subgoal per level, each looked up in the index on its bound positions.
-
-    With ``delta`` = j (a semi-naive round), subgoal j matches only atoms
-    numbered ``lo`` or more, the subgoals before it only atoms numbered
-    below ``lo``, and the subgoals after it any atom; the default matches
-    every subgoal against every atom."""
+def _match_positive(plan: _Plan, possible: _PossiblyTrue, universe, delta: int, lo: int):
+    """Yield the substitutions of one semi-naive round: subgoal ``delta``
+    matches only atoms numbered ``lo`` or more, the subgoals before it only
+    atoms numbered below ``lo``, and the subgoals after it any possibly-true
+    atom; variables not bound by a positive subgoal range over the full
+    universe. A depth-first join over an explicit stack, one subgoal per
+    level, each looked up in the index on its bound positions. A rule without
+    positive subgoals looks at no atom and yields its whole grounding."""
     steps, atoms = plan.steps, possible.atoms
     stack: list[tuple[int, dict[str, str]]] = [(0, {})]
     while stack:
@@ -249,7 +242,7 @@ def ground(program: Program, max_rules: int = DEFAULT_MAX_GROUND_RULES) -> Groun
 
     # choice points: one per grounding of each probabilistic fact, in source
     # order then substitution order; duplicates over one atom stay distinct
-    possible = _PossiblyTrue()
+    possible = _PossiblyTrue(plans)
     for pf in program.prob_facts:
         varnames = sorted(pf.atom.variables())
         for combo in itertools.product(universe, repeat=len(varnames)):
@@ -262,8 +255,11 @@ def ground(program: Program, max_rules: int = DEFAULT_MAX_GROUND_RULES) -> Groun
     # possibly-true fixpoint, semi-naive: a round's new heads are collected
     # before any is added, so no index changes under a running join
     pending: dict[GroundAtom, None] = {}
+    # rule position -> its substitutions, values in ``plan.variables`` order
+    found: dict[int, set[tuple[str, ...]]] = {i: set() for i in range(len(plans))}
 
-    def derive(plan: _Plan, subst: dict[str, str]) -> None:
+    def derive(i: int, plan: _Plan, subst: dict[str, str]) -> None:
+        found[i].add(tuple(subst[v] for v in plan.variables))
         ga = _apply(plan.rule.head, subst)
         if ga in possible.members or ga in pending:
             return
@@ -272,10 +268,10 @@ def ground(program: Program, max_rules: int = DEFAULT_MAX_GROUND_RULES) -> Groun
         if len(possible.atoms) + len(pending) - n_choice > max_rules:
             raise _cap_exceeded(max_rules)
 
-    for plan in plans:
+    for i, plan in enumerate(plans):
         if not plan.steps:
-            for subst in _match_positive(plan, possible, universe):
-                derive(plan, subst)
+            for subst in _match_positive(plan, possible, universe, 0, 0):
+                derive(i, plan, subst)
     lo = 0  # atoms numbered lo or more were first added in the previous round
     while pending or lo < len(possible.atoms):
         for ga in pending:
@@ -283,24 +279,19 @@ def ground(program: Program, max_rules: int = DEFAULT_MAX_GROUND_RULES) -> Groun
         pending.clear()
         fresh = {(pred, len(args)) for pred, args in possible.atoms[lo:]}
         hi = len(possible.atoms)
-        for plan in plans:
+        for i, plan in enumerate(plans):
             for j, step in enumerate(plan.steps):
                 if (step.predicate, step.arity) in fresh:
                     for subst in _match_positive(plan, possible, universe, j, lo):
-                        derive(plan, subst)
+                        derive(i, plan, subst)
         lo = hi
 
-    # emit ground rules: source order, then substitution lexicographic
+    # emit ground rules: source order, then substitution lexicographic; each
+    # rule's set is released once emitted, so the peak memory does not grow
     seen: set[GroundRule] = set()
-    for plan in plans:
+    for i, plan in enumerate(plans):
         rule = plan.rule
-        substs = sorted(
-            {
-                tuple(s[v] for v in plan.variables)
-                for s in _match_positive(plan, possible, universe)
-            }
-        )
-        for combo in substs:
+        for combo in sorted(found.pop(i)):
             subst = dict(zip(plan.variables, combo))
             head = _apply(rule.head, subst)
             pos = [_apply(sg.atom, subst) for sg in rule.body if not sg.negated]

@@ -276,7 +276,8 @@ def stable_models(g: GroundProgram | Kernel, facts=()) -> Iterator[Interpretatio
     stack = [wf]
     while stack:
         assign = stack.pop()
-        if not _propagate(k, facts, assign):
+        # at the well-founded model (T, U), must = T and can = U: nothing to do
+        if assign is not wf and not _propagate(k, facts, assign):
             continue
         aid = next((a for a in k.order if assign[a] is None), None)
         if aid is None:

@@ -279,6 +279,38 @@ def test_env_var_caps_must_be_integers(plp, capsys, monkeypatch, name):
     assert err == f"error: {name} must be an integer, got 'abc'\n"
 
 
+@pytest.mark.parametrize(
+    "flag, exit_at_zero",
+    [("--max-choices", 2), ("--max-ground-rules", 2), ("--oracle-limit", 0)],
+)
+def test_negative_cap_flags_are_user_errors(plp, capsys, flag, exit_at_zero):
+    def argv(value):
+        query = ["query", plp(fx.ALARM), "--q", "calls(a)", "--cross-check"]
+        if flag == "--oracle-limit":
+            return query + [flag, value]
+        return [flag, value] + query
+
+    code, out, err = invoke(capsys, *argv("-1"))
+    assert code == 1 and out == ""
+    assert err == f"error: {flag} must be non-negative, got -1\n"
+    # 0 is a valid cap: ALARM exceeds the first two, and skips the cross-check
+    assert invoke(capsys, *argv("0"))[0] == exit_at_zero
+
+
+@pytest.mark.parametrize(
+    "name", ["CREDALPLP_MAX_CHOICES", "CREDALPLP_MAX_GROUND_RULES"]
+)
+def test_negative_env_var_caps_are_user_errors(plp, capsys, monkeypatch, name):
+    argv = ("query", plp(fx.ALARM), "--q", "calls(a)", "--semantics", "credal")
+    monkeypatch.setenv(name, "-2")
+    code, out, err = invoke(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err == f"error: {name} must be non-negative, got -2\n"
+    monkeypatch.setenv(name, "0")  # valid, and ALARM exceeds it
+    code, _, err = invoke(capsys, *argv)
+    assert code == 2 and err.startswith("resource guard:")
+
+
 def test_point_semantics_rejects_an_interval(plp, capsys, monkeypatch):
     monkeypatch.setattr(
         inference, "credal_unconditional",

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 import credalplp as c
+from credalplp import grounding
 from credalplp.cli import run
 from credalplp.grounding import program_constants
 
@@ -277,6 +278,26 @@ def test_rule_cap_fires_during_the_fixpoint(capsys, tmp_path):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "resource guard: ground rule count exceeds cap of 1000\n"
+
+
+def test_each_rule_instance_is_joined_once(monkeypatch):
+    # the semi-naive rounds find every instance once, and emission joins no
+    # rule again: as many substitutions as emitted rules (no duplicate rules)
+    joined = 0
+    match = grounding._match_positive
+
+    def counting(*args):
+        nonlocal joined
+        for subst in match(*args):
+            joined += 1
+            yield subst
+
+    monkeypatch.setattr(grounding, "_match_positive", counting)
+    g = c.ground(c.parse_program(
+        "path(X,Y) :- edge(X,Y). path(X,Z) :- edge(X,Y), path(Y,Z). "
+        "edge(a,b). edge(b,c). 0.5::edge(c,a). edge(c,d)."
+    ))
+    assert len(g.rules) == 19 and joined == len(g.rules)
 
 
 # ---------------------------------------------------------------------------
