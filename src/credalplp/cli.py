@@ -71,12 +71,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="output style; machine emits one JSON object",
     )
     parser.add_argument(
-        "--max-choices", type=int,
+        "--max-choices",
         default=_env_int("CREDALPLP_MAX_CHOICES", inference.DEFAULT_MAX_CHOICES),
         help="cap on choice points (2^n total choices)",
     )
     parser.add_argument(
-        "--max-ground-rules", type=int,
+        "--max-ground-rules",
         default=_env_int(
             "CREDALPLP_MAX_GROUND_RULES", grounding.DEFAULT_MAX_GROUND_RULES
         ),
@@ -116,7 +116,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="verify the enumeration against brute-force oracles when small",
     )
     p.add_argument(
-        "--oracle-limit", type=int, default=models.DEFAULT_EXHAUSTIVE_LIMIT,
+        "--oracle-limit", default=models.DEFAULT_EXHAUSTIVE_LIMIT,
         help="atom cap for the exhaustive stable-model oracle",
     )
 
@@ -400,7 +400,9 @@ def run(argv: list[str]) -> int:
     started = time.perf_counter()
     try:
         for flag in ("--max-choices", "--max-ground-rules", "--oracle-limit"):
-            _cap(flag, getattr(args, flag[2:].replace("-", "_"), 0))
+            name = flag[2:].replace("-", "_")
+            if hasattr(args, name):
+                setattr(args, name, _cap(flag, getattr(args, name)))
         return _COMMANDS[args.command](args, started)
     except PlpSyntaxError as exc:
         for diag in exc.diagnostics:

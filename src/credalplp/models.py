@@ -99,9 +99,14 @@ class Kernel:
 
     Holds the Dowling-Gallier index (per-rule heads and positive-body counts,
     positive and negative watch lists by atom, the rules without a positive
-    body) and the occurrence counts and branching order of the stable-model
-    search. Kept choice atoms reach every routine below as extra facts, so no
-    total choice copies the program.
+    body), the atoms with a negative watch list (``negative``) and the
+    occurrence counts and branching order of the stable-model search. Kept
+    choice atoms reach every routine below as extra facts, so no total choice
+    copies the program.
+
+    It also caches the reduct least models of one set of facts, the total
+    choice being solved (see ``_gamma``): ``facts`` and ``gammas``, replaced
+    when a call brings other facts.
     """
 
     def __init__(self, g: GroundProgram):
@@ -123,6 +128,9 @@ class Kernel:
             for a in rule.pos + rule.neg:
                 self.occurrences[a] += 1
         self.body_free = [ri for ri, count in enumerate(self.pos_count) if count == 0]
+        self.negative = frozenset(a for a in range(n) if self.neg_watch[a])
+        self.facts: tuple[int, ...] | None = None
+        self.gammas: dict[frozenset[int], frozenset[int]] = {}
         # branching order: most body occurrences first, lowest id on ties
         self.order = sorted(range(n), key=lambda a: -self.occurrences[a])
         self.choice_atoms = [cp.ground_atom for cp in g.choice_points]
@@ -163,6 +171,21 @@ def _lfp(k: Kernel, facts, assumed=()) -> set[int]:
     return true
 
 
+def _gamma(k: Kernel, facts, assumed) -> frozenset[int]:
+    """``_lfp(k, facts, assumed)``, the least model of the reduct by
+    ``assumed``, cached in ``k``. The reduct depends on ``assumed`` only
+    through its negatively occurring atoms, so they key the entry; the cache
+    holds the entries of the last ``facts`` only."""
+    facts = tuple(facts)
+    if facts != k.facts:
+        k.facts, k.gammas = facts, {}
+    key = k.negative.intersection(assumed)
+    true = k.gammas.get(key)
+    if true is None:
+        true = k.gammas[key] = frozenset(_lfp(k, facts, key))
+    return true
+
+
 def least_model(g: GroundProgram) -> Interpretation:
     """Least fixpoint of the immediate-consequence operator. The program must
     be definite."""
@@ -192,7 +215,7 @@ def is_stable(g: GroundProgram | Kernel, interp: Interpretation, facts=()) -> bo
     """Whether ``interp`` is the least model of its reduct (with ``facts``)."""
     k = _kernel(g)
     true = set(compress(range(len(interp)), interp))
-    return len(interp) == k.n_atoms and _lfp(k, facts, true) == true
+    return len(interp) == k.n_atoms and _gamma(k, facts, true) == true
 
 
 # ---------------------------------------------------------------------------
@@ -201,12 +224,14 @@ def is_stable(g: GroundProgram | Kernel, interp: Interpretation, facts=()) -> bo
 
 def alternating_iterates(
     g: GroundProgram | Kernel, start: set[int], facts=()
-) -> list[set[int]]:
-    """Iterates of LFT∘LFT from ``start`` until stabilization (inclusive)."""
+) -> list[frozenset[int]]:
+    """Iterates of LFT∘LFT from ``start`` until stabilization (inclusive), as
+    frozensets. LFT is the cached ``_gamma``: on a definite program every call
+    of one total choice is the same least model, computed once."""
     k = _kernel(g)
-    out = [start]
+    out = [frozenset(start)]
     while True:
-        nxt = _lfp(k, facts, _lfp(k, facts, out[-1]))
+        nxt = _gamma(k, facts, _gamma(k, facts, out[-1]))
         if nxt == out[-1]:
             return out
         out.append(nxt)
@@ -233,7 +258,8 @@ def _propagate(k: Kernel, facts, assign) -> bool:
     - ``must``, the least model of the facts and true atoms under the rules
       whose negative body is all false: every such stable model contains it;
     - ``can``, the least model of the reduct by the true atoms: every such
-      stable model is contained in it.
+      stable model is contained in it. It comes from the cache of ``_gamma``;
+      ``must`` has other facts, so it does not.
 
     Undecided atoms in ``must`` become true and those outside ``can`` false,
     until nothing changes. Returns False when ``must`` has a false atom or
@@ -243,7 +269,7 @@ def _propagate(k: Kernel, facts, assign) -> bool:
         true = [a for a, v in enumerate(assign) if v]
         not_false = [a for a, v in enumerate(assign) if v is not False]
         must = _lfp(k, [*facts, *true], not_false)
-        can = _lfp(k, facts, true)
+        can = _gamma(k, facts, true)
         if not must <= can or any(assign[a] is False for a in must):
             return False
         changed = False
@@ -303,7 +329,7 @@ def exhaustive_stable_models(
     if n > limit:
         raise ResourceGuardError(f"{n} atoms exceeds exhaustive limit of {limit}")
     k = Kernel(g)
-    negative = [a for a in range(n) if k.neg_watch[a]]
+    negative = sorted(k.negative)
     out = []
     for mask in range(1 << len(negative)):
         guess = {a for i, a in enumerate(negative) if (mask >> i) & 1}

@@ -298,6 +298,18 @@ def test_negative_cap_flags_are_user_errors(plp, capsys, flag, exit_at_zero):
 
 
 @pytest.mark.parametrize(
+    "flag", ["--max-choices", "--max-ground-rules", "--oracle-limit"]
+)
+@pytest.mark.parametrize("value", ["abc", "", "1.5"])
+def test_malformed_cap_flags_are_one_line_user_errors(plp, capsys, flag, value):
+    query = ["query", plp(fx.ALARM), "--q", "calls(a)", "--cross-check"]
+    argv = query + [flag, value] if flag == "--oracle-limit" else [flag, value] + query
+    code, out, err = invoke(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err == f"error: {flag} must be an integer, got {value!r}\n"
+
+
+@pytest.mark.parametrize(
     "name", ["CREDALPLP_MAX_CHOICES", "CREDALPLP_MAX_GROUND_RULES"]
 )
 def test_negative_env_var_caps_are_user_errors(plp, capsys, monkeypatch, name):

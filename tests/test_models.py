@@ -369,3 +369,136 @@ def test_search_yields_the_oracle_models_in_order_checking_each_once(monkeypatch
             assert calls == len(want)
             empty += not want
     assert empty > 0  # some choices have no stable model
+
+
+# ---------------------------------------------------------------------------
+# the per-choice cache of reduct least models: one least model per total
+# choice on a definite program, bounded to one choice, immutable
+
+
+def reach_program(rng: random.Random, nodes=8, edges=10) -> str:
+    """``path/2`` reachability over ``nodes`` nodes with ``edges`` distinct
+    probabilistic edges: definite, with cycles."""
+    pairs = [(x, y) for x in range(nodes) for y in range(nodes) if x != y]
+    lines = [
+        "path(X,Y) :- edge(X,Y).",
+        "path(X,Z) :- edge(X,Y), path(Y,Z).",
+        *(f"1/2::edge(n{x},n{y})." for x, y in rng.sample(pairs, edges)),
+    ]
+    return "\n".join(lines)
+
+
+def counting_lfp(monkeypatch):
+    """Replace ``models._lfp`` with a wrapper; returns its call counter."""
+    calls = [0]
+    real = models._lfp
+
+    def counting(*args):
+        calls[0] += 1
+        return real(*args)
+
+    monkeypatch.setattr(models, "_lfp", counting)
+    return calls
+
+
+def test_definite_programs_run_one_least_model_per_total_choice(monkeypatch):
+    calls = counting_lfp(monkeypatch)
+    texts = [*fx.ALL_PROGRAMS.values(), reach_program(random.Random(8))]
+    programs = [fx.grd(text) for text in texts]
+    programs = [g for g in programs if not any(rule.neg for rule in g.rules)]
+    assert len(programs[-1].choice_points) == 10 and len(programs) >= 6
+    for g in programs:
+        # consecutive total choices with equal facts (two choice points over
+        # one atom) share their least model
+        kept = [models.Kernel(g).kept_facts(ch.kept) for ch in c.total_choices(g)]
+        distinct = sum(i == 0 or facts != kept[i - 1] for i, facts in enumerate(kept))
+        atom = g.atoms[-1]
+        for query in (
+            lambda: c.credal_unconditional(g, c.Lit(atom)),
+            lambda: c.wf_query(g, [(atom, "true")]),
+        ):
+            calls[0] = 0
+            query()
+            assert calls[0] == distinct
+
+
+def recorded_kernels(monkeypatch):
+    """Make ``inference`` record every ``Kernel`` it compiles."""
+    kernels = []
+
+    def recording(g):
+        kernels.append(models.Kernel(g))
+        return kernels[-1]
+
+    monkeypatch.setattr(c.inference, "Kernel", recording)
+    return kernels
+
+
+@pytest.mark.parametrize("semantics", ["stable", "wf"])
+@pytest.mark.parametrize("name", ["wins", "dilbert", "alarm", "coloring", "pqr"])
+def test_cache_after_a_sweep_holds_the_last_choice_only(monkeypatch, name, semantics):
+    g = fx.grd(fx.ALL_PROGRAMS[name])
+    kernels = recorded_kernels(monkeypatch)
+    c.inference._sweep(g, tuple, semantics, 20)
+    (k,) = kernels
+    last = list(c.total_choices(g))[-1]
+    facts = k.kept_facts(last.kept)
+    # solving the last choice alone on a fresh kernel fills the same entries
+    fresh = models.Kernel(g)
+    if semantics == "wf":
+        c.well_founded_model(fresh, facts)
+    else:
+        list(c.stable_models(fresh, facts))
+    assert k.facts == fresh.facts == tuple(facts)
+    assert k.gammas == fresh.gammas and k.gammas
+    for key, true in k.gammas.items():
+        assert key <= k.negative and true == models._lfp(k, facts, key)
+
+
+def test_oracle_and_least_model_bypass_the_cache(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("cached least model requested")
+
+    monkeypatch.setattr(models, "_gamma", refuse)
+    for text in fx.ALL_PROGRAMS.values():
+        g = fx.grd(text)
+        if g.n_atoms <= 12:
+            c.exhaustive_stable_models(g)
+        if not any(rule.neg for rule in g.rules):
+            c.least_model(g)
+
+
+def test_propagate_caches_only_its_can_bound(monkeypatch):
+    g = fx.grd(fx.GAME)
+    k = models.Kernel(g)
+    wf = c.well_founded_model(k)
+    before = dict(k.gammas)
+    assumed = []
+    real = models._gamma
+
+    def recording(kernel, facts, true):
+        assumed.append(list(true))
+        return real(kernel, facts, true)
+
+    monkeypatch.setattr(models, "_gamma", recording)
+    assign = list(wf)
+    assign[g.atom_id("wins(a)")] = True
+    assert models._propagate(k, (), assign)
+    assert assign[g.atom_id("wins(b)")] is False
+    # ``must`` has the true atoms as extra facts: had it gone through the
+    # cache, the entries of the choice's own facts would be gone
+    assert k.facts == () and before.items() <= k.gammas.items()
+    assert set(k.gammas) == set(before) | {k.negative.intersection(a) for a in assumed}
+
+
+def test_iterates_and_cached_least_models_are_immutable():
+    for text in ("a :- not b. b :- not a.", fx.SMOKERS_DET, fx.GAME):
+        g = fx.grd(text)
+        k = models.Kernel(g)
+        for start in (set(), set(range(g.n_atoms))):
+            last = alternating_iterates(k, start, ())[-1]
+            with pytest.raises(AttributeError):
+                last.add(0)
+            start.add(-1)  # the caller's set is not an iterate
+            assert -1 not in last
+        assert all(type(true) is frozenset for true in k.gammas.values())

@@ -238,6 +238,72 @@ def test_kernel_with_kept_facts_matches_program_copy_and_oracle():
             assert wf == naive_well_founded_model(gc)
 
 
+def stratified_program(rng: random.Random) -> str:
+    """Random rules over two strata: the upper one negates only the lower."""
+    low, high = ATOMS[:3], ATOMS[3:]
+    lines = [f"1/2::{a}." for a in rng.sample(low, rng.randint(1, 3))]
+    for _ in range(rng.randint(2, 8)):
+        head = rng.choice(ATOMS)
+        body = rng.sample(ATOMS if head in high else low, rng.randint(0, 2))
+        if head in high:
+            body += [f"not {a}" for a in rng.sample(low, rng.randint(1, 2))]
+        lines.append(f"{head} :- {', '.join(body)}." if body else f"{head}.")
+    return "\n".join(lines)
+
+
+def odd_loop_program(rng: random.Random) -> str:
+    x, y, z = rng.sample(ATOMS, 3)
+    return f"{random_program(rng)}\n{x} :- not {y}. {y} :- not {z}. {z} :- not {x}."
+
+
+def test_cached_reduct_least_models_match_fresh_ones(monkeypatch):
+    """Every cached least model equals a fresh ``_lfp``, and the models,
+    their order and the iterates equal those of an uncached run."""
+    cached, lfp = c.models._gamma, c.models._lfp
+
+    def checked(k, facts, assumed):
+        true = cached(k, facts, assumed)
+        assert true == lfp(k, facts, assumed)
+        return true
+
+    def uncached(k, facts, assumed):
+        return frozenset(lfp(k, facts, assumed))
+
+    def solve(g):
+        k = c.Kernel(g)
+        out = []
+        for choice in c.total_choices(g):
+            facts = k.kept_facts(choice.kept)
+            stable = list(c.stable_models(k, facts))
+            wf = c.well_founded_model(k, facts)
+            candidates = [
+                *stable, [v is True for v in wf], [v is not False for v in wf]
+            ]
+            out.append((
+                stable, wf,
+                c.models.alternating_iterates(k, set(), facts),
+                c.models.alternating_iterates(k, set(range(g.n_atoms)), facts),
+                [c.is_stable(k, m, facts) for m in candidates],
+            ))
+        return out
+
+    rng = random.Random(20261020)
+    texts = [KEPT_HEAD_IN_LOOP, *fx.ALL_PROGRAMS.values()]
+    # half with an odd loop, a quarter with stratified negation
+    makers = (odd_loop_program, stratified_program, odd_loop_program, random_program)
+    texts += [makers[i % 4](rng) for i in range(160)]
+    kinds, empty = set(), 0
+    for text in texts:
+        g = fx.grd(text)
+        kinds.add(c.classify(c.dependency_graph(g)).kind)
+        monkeypatch.setattr(c.models, "_gamma", uncached)
+        want = solve(g)
+        monkeypatch.setattr(c.models, "_gamma", checked)
+        assert solve(g) == want
+        empty += sum(not stable for stable, *_ in want)
+    assert kinds == {"acyclic", "stratified", "general"} and empty > 0
+
+
 PROBS = [Fraction(0), Fraction(1), Fraction(1, 3), Fraction(5, 7), Fraction(1, 2),
          Fraction(2, 9)]
 
