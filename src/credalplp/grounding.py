@@ -332,55 +332,47 @@ def dependency_graph(g: GroundProgram) -> DependencyGraph:
     return DependencyGraph(set(range(g.n_atoms)), edges)
 
 
-def _sccs(nodes: set[int], succ: dict[int, list[int]]) -> list[list[int]]:
-    """Tarjan's algorithm, iterative."""
-    index: dict[int, int] = {}
-    low: dict[int, int] = {}
-    on_stack: set[int] = set()
-    stack: list[int] = []
-    out: list[list[int]] = []
-    counter = itertools.count()
-
-    for root in sorted(nodes):
-        if root in index:
+def _components(nodes, succ, pred) -> dict[int, int]:
+    """Map each node to a representative of its strongly connected component
+    (Kosaraju-Sharir, iterative). Pass one orders the nodes by when a
+    depth-first search over ``succ`` finishes them; pass two takes them last
+    finished first, each unplaced one representing the unplaced nodes that
+    reach it over ``pred``."""
+    finished: list[int] = []
+    seen: set[int] = set()
+    for root in nodes:
+        if root in seen:
             continue
+        seen.add(root)
         work = [(root, iter(succ.get(root, ())))]
-        index[root] = low[root] = next(counter)
-        stack.append(root)
-        on_stack.add(root)
         while work:
-            node, it = work[-1]
-            advanced = False
-            for child in it:
-                if child not in index:
-                    index[child] = low[child] = next(counter)
-                    stack.append(child)
-                    on_stack.add(child)
+            node, children = work[-1]
+            for child in children:
+                if child not in seen:
+                    seen.add(child)
                     work.append((child, iter(succ.get(child, ()))))
-                    advanced = True
                     break
-                if child in on_stack:
-                    low[node] = min(low[node], index[child])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[node])
-            if low[node] == index[node]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack.discard(w)
-                    comp.append(w)
-                    if w == node:
-                        break
-                out.append(comp)
-    return out
+            else:
+                work.pop()
+                finished.append(node)
+    rep: dict[int, int] = {}
+    for root in reversed(finished):
+        if root in rep:
+            continue
+        rep[root] = root
+        stack = [root]
+        while stack:
+            for src in pred.get(stack.pop(), ()):
+                if src not in rep:
+                    rep[src] = root
+                    stack.append(src)
+    return rep
 
 
-def _cycle_witness(u: int, v: int, comp: set[int], succ: dict[int, list[int]]) -> list[int]:
-    """A cycle using edge u -> v: path v ~> u inside comp, closed by u -> v."""
+def _cycle_witness(u: int, v: int, succ: dict[int, list[int]]) -> list[int]:
+    """A cycle using edge u -> v: the breadth-first path v ~> u, closed by
+    u -> v. Every node on a path v ~> u lies in u's component, and the search
+    reaches those only through each other, as if confined to the component."""
     if u == v:
         return [u]
     prev = {v: None}
@@ -389,7 +381,7 @@ def _cycle_witness(u: int, v: int, comp: set[int], succ: dict[int, list[int]]) -
         nxt = []
         for x in frontier:
             for y in succ.get(x, ()):
-                if y in comp and y not in prev:
+                if y not in prev:
                     prev[y] = x
                     nxt.append(y)
         frontier = nxt
@@ -403,30 +395,24 @@ def _cycle_witness(u: int, v: int, comp: set[int], succ: dict[int, list[int]]) -
 
 
 def classify(dg: DependencyGraph) -> ProgramClass:
+    """Acyclic when no edge lies on a cycle, that is, inside one strongly
+    connected component; else general when such an edge is negative and
+    stratified when none is. The witness cycle runs through the first such
+    edge in sorted order, negative edges first."""
+    edges = sorted(dg.edges)
     succ: dict[int, list[int]] = {}
-    for src, dst, _sign in sorted(dg.edges):
+    pred: dict[int, list[int]] = {}
+    for src, dst, _sign in edges:
         succ.setdefault(src, []).append(dst)
-    comps = _sccs(dg.nodes, succ)
-    comp_of = {n: i for i, comp in enumerate(comps) for n in comp}
-    comp_sets = [set(c) for c in comps]
-
-    neg_internal = None
-    cyc_internal = None
-    for src, dst, sign in sorted(dg.edges):
-        if comp_of[src] != comp_of[dst]:
-            continue
-        if src == dst or len(comp_sets[comp_of[src]]) > 1:
-            if sign == "negative" and neg_internal is None:
-                neg_internal = (src, dst)
-            if cyc_internal is None:
-                cyc_internal = (src, dst)
-    if neg_internal is not None:
-        u, v = neg_internal
-        return ProgramClass("general", _cycle_witness(u, v, comp_sets[comp_of[u]], succ))
-    if cyc_internal is not None:
-        u, v = cyc_internal
-        return ProgramClass("stratified", _cycle_witness(u, v, comp_sets[comp_of[u]], succ))
-    return ProgramClass("acyclic")
+        pred.setdefault(dst, []).append(src)
+    rep = _components(dg.nodes, succ, pred)
+    on_cycle = [(src, dst, sign) for src, dst, sign in edges if rep[src] == rep[dst]]
+    if not on_cycle:
+        return ProgramClass("acyclic")
+    negative = [edge for edge in on_cycle if edge[2] == "negative"]
+    u, v, sign = (negative or on_cycle)[0]
+    kind = "general" if sign == "negative" else "stratified"
+    return ProgramClass(kind, _cycle_witness(u, v, succ))
 
 
 # ---------------------------------------------------------------------------

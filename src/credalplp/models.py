@@ -111,7 +111,6 @@ class Kernel:
 
     def __init__(self, g: GroundProgram):
         n = g.n_atoms
-        self.g = g
         self.n_atoms = n
         self.heads = [rule.head for rule in g.rules]
         self.pos_count = []
@@ -290,14 +289,11 @@ def stable_models(g: GroundProgram | Kernel, facts=()) -> Iterator[Interpretatio
     each decision, so models come in lexicographic order on ``Kernel.order``.
     A total leaf that survives propagation is closed under its reduct and
     inside its least model, so it is stable; ``is_stable`` still checks it by
-    definition. A total well-founded model is a leaf already.
+    definition. The well-founded model itself is not propagated, so a total
+    one is a leaf with a single ``is_stable`` call.
     """
     k = _kernel(g)
     wf = well_founded_model(k, facts)
-    if None not in wf:
-        if is_stable(k, wf, facts):
-            yield wf
-        return
     # explicit stack, not recursion: pushing True first explores False first
     stack = [wf]
     while stack:
@@ -324,18 +320,21 @@ def exhaustive_stable_models(
     and the reduct depends only on which negatively occurring atoms are true:
     so guess every set N of those atoms and keep the least model of the
     reduct by N when it gives exactly N. Models come in binary-counting order
-    over all atoms, atom 0 lowest."""
-    n = g.n_atoms
-    if n > limit:
-        raise ResourceGuardError(f"{n} atoms exceeds exhaustive limit of {limit}")
+    over all atoms, atom 0 lowest. It takes 2^(negatively occurring atoms)
+    least models, so more than ``limit`` of those atoms is refused."""
     k = Kernel(g)
     negative = sorted(k.negative)
+    if len(negative) > limit:
+        raise ResourceGuardError(
+            f"{len(negative)} negatively occurring atoms exceeds exhaustive "
+            f"limit of {limit}"
+        )
     out = []
     for mask in range(1 << len(negative)):
         guess = {a for i, a in enumerate(negative) if (mask >> i) & 1}
         true = _lfp(k, (), guess)
         if true.intersection(negative) == guess:
-            out.append([a in true for a in range(n)])
+            out.append([a in true for a in range(k.n_atoms)])
     return sorted(out, key=lambda m: m[::-1])
 
 

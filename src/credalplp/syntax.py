@@ -103,13 +103,6 @@ class Program:
     rules: list[Rule] = field(default_factory=list)
     prob_facts: list[ProbFact] = field(default_factory=list)
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, Program)
-            and self.rules == other.rules
-            and self.prob_facts == other.prob_facts
-        )
-
 
 # truth-value names of query assignments; None is undefined
 TRUTH = {"true": True, "false": False, "undefined": None}
@@ -154,71 +147,58 @@ class _Token:
 
 
 def _tokenize(text: str, filename: str) -> list[_Token]:
+    """Split ``text`` into tokens, ending with EOF. Only the offset ``i``
+    advances: a token's column is its offset from the start of its line, plus
+    one. Text that ends inside a comment gives EOF the comment's column."""
     toks: list[_Token] = []
-    i, line, col = 0, 1, 1
-    n = len(text)
+    i, line, line_start, n = 0, 1, 0, len(text)
     while i < n:
         c = text[i]
         if c == "\n":
             i += 1
-            line += 1
-            col = 1
+            line, line_start = line + 1, i
             continue
         if c.isspace():
             i += 1
-            col += 1
             continue
         if c == "%":
-            while i < n and text[i] != "\n":
-                i += 1
+            end = text.find("\n", i)
+            if end < 0:
+                break
+            i = end
             continue
-        start_line, start_col = line, col
+        start, col = i, i - line_start + 1
         if c.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
+            while i < n and text[i].isdigit():
+                i += 1
+            kind = "INT"
             # decimal point only when followed by another digit; a bare "."
             # after digits terminates the clause
-            if j + 1 < n and text[j] == "." and text[j + 1].isdigit():
-                j += 1
-                while j < n and text[j].isdigit():
-                    j += 1
-                toks.append(_Token("DECIMAL", text[i:j], start_line, start_col))
-            else:
-                toks.append(_Token("INT", text[i:j], start_line, start_col))
-            col += j - i
-            i = j
-            continue
-        if c.isalpha() or c == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            word = text[i:j]
-            kind = "VAR" if (word[0].isupper() or word[0] == "_") else "NAME"
-            toks.append(_Token(kind, word, start_line, start_col))
-            col += j - i
-            i = j
-            continue
-        if text.startswith("::", i) or text.startswith(":-", i):
-            toks.append(_Token("PUNCT", text[i : i + 2], start_line, start_col))
+            if i + 1 < n and text[i] == "." and text[i + 1].isdigit():
+                i += 1
+                while i < n and text[i].isdigit():
+                    i += 1
+                kind = "DECIMAL"
+        elif c.isalpha() or c == "_":
+            while i < n and (text[i].isalnum() or text[i] == "_"):
+                i += 1
+            kind = "VAR" if (c.isupper() or c == "_") else "NAME"
+        elif text.startswith(("::", ":-"), i):
             i += 2
-            col += 2
-            continue
-        if text.startswith("\\+", i):
+            kind = "PUNCT"
+        elif text.startswith("\\+", i):
             # alternate spelling of default negation
-            toks.append(_Token("NAME", "not", start_line, start_col))
             i += 2
-            col += 2
-            continue
-        if c in ",().=/":
-            toks.append(_Token("PUNCT", c, start_line, start_col))
+            kind = "NAME"
+        elif c in ",().=/":
             i += 1
-            col += 1
-            continue
-        raise PlpSyntaxError(
-            [Diagnostic("error", filename, line, col, f"unexpected character {c!r}")]
-        )
-    toks.append(_Token("EOF", "", line, col))
+            kind = "PUNCT"
+        else:
+            raise PlpSyntaxError(
+                [Diagnostic("error", filename, line, col, f"unexpected character {c!r}")]
+            )
+        toks.append(_Token(kind, "not" if c == "\\" else text[start:i], line, col))
+    toks.append(_Token("EOF", "", line, i - line_start + 1))
     return toks
 
 
@@ -254,9 +234,7 @@ class _Parser:
 
     def parse_term(self) -> Term:
         tok = self.next()
-        if tok.kind == "NAME":
-            return Term("const", tok.text)
-        if tok.kind == "INT":
+        if tok.kind in ("NAME", "INT"):
             return Term("const", tok.text)
         if tok.kind == "VAR":
             return Term("var", tok.text)
@@ -296,41 +274,28 @@ class _Parser:
         return Subgoal(self.parse_atom())
 
     def parse_probability(self) -> Fraction:
+        """The weight at the start of a clause: a DECIMAL, INT or INT/INT."""
         tok = self.next()
         if tok.kind == "DECIMAL":
             value = Fraction(tok.text)
-        elif tok.kind == "INT":
-            if self.peek().text == "/":
-                self.next()
-                den = self.next()
-                if den.kind != "INT":
-                    self.error(den, "expected a denominator")
-                if int(den.text) == 0:
-                    self.error(den, "zero denominator")
-                value = Fraction(int(tok.text), int(den.text))
-            else:
-                value = Fraction(int(tok.text))
+        elif self.peek().text == "/":
+            self.next()
+            den = self.next()
+            if den.kind != "INT":
+                self.error(den, "expected a denominator")
+            if int(den.text) == 0:
+                self.error(den, "zero denominator")
+            value = Fraction(int(tok.text), int(den.text))
         else:
-            self.error(tok, f"expected a probability, found {tok.text!r}")
+            value = Fraction(int(tok.text))
         if not 0 <= value <= 1:
             self.error(tok, f"probability {tok.text} outside [0, 1]")
         return value
 
-    def _at_probability(self) -> bool:
-        tok = self.peek()
-        if tok.kind == "DECIMAL":
-            return True
-        if tok.kind == "INT":
-            nxt = self.toks[self.pos + 1]
-            if nxt.text == "::":
-                return True
-            if nxt.text == "/" and self.toks[self.pos + 3].text == "::":
-                return True
-        return False
-
     def parse_clause(self, program: Program):
-        if self._at_probability():
-            start = self.peek()
+        # an atom starts with a NAME, so a leading number is a weight
+        start = self.peek()
+        if start.kind in ("DECIMAL", "INT"):
             prob = self.parse_probability()
             self.expect("::")
             atom = self.parse_atom()

@@ -44,6 +44,12 @@ def test_syntax_error_exit_code(plp, capsys):
     assert "ERROR" in err
 
 
+def test_truncated_weight_is_one_error_line(plp, capsys):
+    path = plp("1/")
+    code, out, err = invoke(capsys, "check", path)
+    assert (code, out, err) == (1, "", f"ERROR {path}:1:3 expected a denominator\n")
+
+
 def test_missing_file_is_user_error(capsys):
     code, _, err = invoke(capsys, "check", "/nonexistent/x.plp")
     assert code == 1
@@ -414,10 +420,33 @@ def test_cross_check_skip_is_reported(plp, capsys):
     path = plp(fx.WINS)
     argv = ["--no-timing", "query", path, "--q", "wins(b)", "--semantics", "credal"]
     plain = invoke(capsys, *argv)
-    n = fx.grd(fx.WINS).n_atoms
     code, out, err = invoke(capsys, *argv, "--cross-check", "--oracle-limit", "2")
     assert (code, out) == plain[:2]
-    assert err == f"WARNING cross-check skipped: {n} atoms exceeds --oracle-limit 2\n"
+    assert err == (
+        "WARNING cross-check skipped: 3 negatively occurring atoms exceeds "
+        "--oracle-limit 2\n"
+    )
+    # a choice cap breach is a resource guard, not a skipped cross-check
+    code, out, err = invoke(
+        capsys, "--max-choices", "0", *argv, "--cross-check", "--oracle-limit", "2"
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith("resource guard: ") and "WARNING" not in err
+
+
+def test_cross_check_runs_on_a_large_definite_program(plp, capsys):
+    # no atom occurs negatively, so the oracle guesses one set per choice
+    text = (
+        "edge(n1, n2). edge(n2, n3). edge(n3, n4). edge(n4, n5). edge(n5, n6).\n"
+        "0.5::edge(n6, n1). 1/3::edge(n3, n1).\n"
+        "path(X, Y) :- edge(X, Y).\n"
+        "path(X, Z) :- edge(X, Y), path(Y, Z).\n"
+    )
+    assert fx.grd(text).n_atoms > models.DEFAULT_EXHAUSTIVE_LIMIT
+    argv = ["--no-timing", "query", plp(text), "--q", "path(n4, n2)"]
+    plain = invoke(capsys, *argv)
+    assert plain[0] == 0 and plain[2] == ""
+    assert invoke(capsys, *argv, "--cross-check") == plain
 
 
 def test_interrupt_exits_2_without_a_traceback(plp, capsys, monkeypatch):

@@ -1,3 +1,4 @@
+import collections
 import itertools
 import random
 from fractions import Fraction
@@ -161,6 +162,61 @@ def test_classify_monotone_under_rule_addition():
     for extra in additions:
         kind1 = c.classify(c.dependency_graph(fx.grd(base + " " + extra))).kind
         assert order[kind1] >= order[kind0]
+
+
+def _reference_class(edges) -> tuple[str, list[int] | None]:
+    """By reachability: an edge u -> v is on a cycle when u is reachable from
+    v; the first such edge in sorted order, negative ones first, names the
+    kind, and its witness is the breadth-first path v ~> u."""
+    succ = {}
+    for src, dst, _sign in sorted(edges):
+        succ.setdefault(src, []).append(dst)
+
+    def bfs_tree(start):
+        prev, queue = {start: None}, collections.deque([start])
+        while queue:
+            x = queue.popleft()
+            for y in succ.get(x, ()):
+                if y not in prev:
+                    prev[y] = x
+                    queue.append(y)
+        return prev
+
+    on_cycle = [e for e in sorted(edges) if e[0] in bfs_tree(e[1])]
+    if not on_cycle:
+        return "acyclic", None
+    negative = [e for e in on_cycle if e[2] == "negative"]
+    u, v, sign = (negative or on_cycle)[0]
+    prev = bfs_tree(v)
+    path = [u]
+    while path[-1] != v:
+        path.append(prev[path[-1]])
+    return ("general" if sign == "negative" else "stratified"), path[::-1]
+
+
+def test_classify_matches_reachability_reference_on_random_graphs():
+    rng = random.Random(9)
+    kinds = set()
+    for _ in range(2000):
+        n = rng.randint(1, 12)
+        edges = {
+            (rng.randrange(n), rng.randrange(n), rng.choice(("positive", "negative")))
+            for _ in range(rng.randint(0, 2 * n))
+        }
+        klass = c.classify(c.DependencyGraph(set(range(n)), edges))
+        assert (klass.kind, klass.witness) == _reference_class(edges)
+        kinds.add(klass.kind)
+    assert kinds == {"acyclic", "stratified", "general"}
+
+
+def test_classify_long_cycle_and_chain_without_recursion():
+    n = 20000
+    cycle = {(i, (i + 1) % n, "positive") for i in range(n)}
+    klass = c.classify(c.DependencyGraph(set(range(n)), cycle))
+    assert klass.kind == "stratified"
+    assert klass.witness == [*range(1, n), 0]
+    chain = {(i, i + 1, "negative") for i in range(n - 1)}
+    assert c.classify(c.DependencyGraph(set(range(n)), chain)).kind == "acyclic"
 
 
 # ---------------------------------------------------------------------------

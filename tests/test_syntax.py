@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import credalplp as c
-from credalplp.syntax import format_rational
+from credalplp.syntax import _tokenize, format_rational
 
 import fixtures as fx
 
@@ -60,6 +60,51 @@ def test_syntax_error_has_position():
     diag = exc.value.diagnostics[0]
     assert diag.level == "error"
     assert diag.line == 1 and diag.col >= 1
+
+
+def test_token_positions_are_pinned():
+    text = "% head\r\n0.25::a.\r\n1/2::b(1).\tc(X) :-\tb(X),\r\n  \\+ a. % to EOF"
+    toks = [(t.kind, t.text, t.line, t.col) for t in _tokenize(text, "f")]
+    assert toks == [
+        ("DECIMAL", "0.25", 2, 1), ("PUNCT", "::", 2, 5), ("NAME", "a", 2, 7),
+        ("PUNCT", ".", 2, 8),
+        ("INT", "1", 3, 1), ("PUNCT", "/", 3, 2), ("INT", "2", 3, 3),
+        ("PUNCT", "::", 3, 4), ("NAME", "b", 3, 6), ("PUNCT", "(", 3, 7),
+        ("INT", "1", 3, 8), ("PUNCT", ")", 3, 9), ("PUNCT", ".", 3, 10),
+        ("NAME", "c", 3, 12), ("PUNCT", "(", 3, 13), ("VAR", "X", 3, 14),
+        ("PUNCT", ")", 3, 15), ("PUNCT", ":-", 3, 17), ("NAME", "b", 3, 20),
+        ("PUNCT", "(", 3, 21), ("VAR", "X", 3, 22), ("PUNCT", ")", 3, 23),
+        ("PUNCT", ",", 3, 24),
+        ("NAME", "not", 4, 3), ("NAME", "a", 4, 6), ("PUNCT", ".", 4, 7),
+        # the text ends inside a comment: EOF keeps the comment's column
+        ("EOF", "", 4, 9),
+    ]
+
+
+@pytest.mark.parametrize(
+    "text",
+    [*fx.ALL_PROGRAMS.values(), "0.5::p. 1/2::q. r :- p, not q."],
+    ids=[*fx.ALL_PROGRAMS, "weights"],
+)
+def test_truncated_programs_parse_or_raise_syntax_errors(text):
+    for end in range(len(text) + 1):
+        try:
+            c.parse_program(text[:end])
+        except c.PlpSyntaxError:
+            pass
+
+
+@pytest.mark.parametrize("text, col, message", [
+    ("1", 2, "expected '::', found ''"),
+    ("1/", 3, "expected a denominator"),
+    ("1.", 2, "expected '::', found '.'"),
+    ("0.5 p.", 5, "expected '::', found 'p'"),
+])
+def test_clause_starting_with_a_number_is_a_probabilistic_fact(text, col, message):
+    with pytest.raises(c.PlpSyntaxError) as exc:
+        c.parse_program(text)
+    diag = exc.value.diagnostics[0]
+    assert (diag.line, diag.col, diag.message) == (1, col, message)
 
 
 def test_variables_upper_vs_lower():
