@@ -77,46 +77,56 @@ class ConsistencyReport:
     witness: TotalChoice | None = None
 
 
-def _reweigh(factors, kept, suffix, stop: int) -> None:
-    """Set suffix[i] = suffix[i + 1] * factors[i][kept[i]] for i < stop, so
-    that suffix[0] is the weight of ``kept`` (suffix[n] is 1)."""
+def _numerators(g: GroundProgram) -> tuple[list[tuple[int, int]], int]:
+    """Per choice point, the integer numerators of its (discarded, kept)
+    weights over that point's denominator; and D, the product of those
+    denominators, the denominator of every total choice's weight."""
+    numerators, d = [], 1
+    for cp in g.choice_points:
+        num, den = cp.prob.numerator, cp.prob.denominator
+        numerators.append((den - num, num))
+        d *= den
+    return numerators, d
+
+
+def _reweigh(numerators, kept, suffix, stop: int) -> None:
+    """Set suffix[i] = suffix[i + 1] * numerators[i][kept[i]] for i < stop,
+    so that suffix[0] / D is the weight of ``kept`` (suffix[n] is 1)."""
     for i in range(stop - 1, -1, -1):
-        suffix[i] = suffix[i + 1] * factors[i][kept[i]]
-
-
-def _factors(g: GroundProgram) -> list[tuple[Fraction, Fraction]]:
-    return [(1 - cp.prob, cp.prob) for cp in g.choice_points]
+        suffix[i] = suffix[i + 1] * numerators[i][kept[i]]
 
 
 def total_choice(g: GroundProgram, kept) -> TotalChoice:
     """The total choice keeping the choice points flagged in ``kept``
     (indexed by choice-point id)."""
-    suffix = [Fraction(1)] * (len(kept) + 1)
-    _reweigh(_factors(g), kept, suffix, len(kept))
-    return TotalChoice(tuple(kept), suffix[0])
+    numerators, d = _numerators(g)
+    suffix = [1] * (len(kept) + 1)
+    _reweigh(numerators, kept, suffix, len(kept))
+    return TotalChoice(tuple(kept), Fraction(suffix[0], d))
 
 
 def total_choices(
     g: GroundProgram, max_choices: int = DEFAULT_MAX_CHOICES
 ) -> Iterator[TotalChoice]:
     """All 2^n total choices in binary-counting order on choice-point ids
-    (id 0 is the least significant bit). Weights are kept as suffix products,
-    so a step recomputes only the factors of the bits it flips: about two
-    multiplications per choice."""
+    (id 0 is the least significant bit). Weight numerators are kept as
+    integer suffix products over the common denominator D, so a step
+    recomputes only the factors of the bits it flips, about two integer
+    multiplications per choice, and builds one ``Fraction``."""
     n = len(g.choice_points)
     if n > max_choices:
         raise ResourceGuardError(
             f"{n} choice points exceeds cap of {max_choices} (2^n total choices)"
         )
-    factors = _factors(g)
+    numerators, d = _numerators(g)
     kept = [False] * n
-    suffix = [Fraction(1)] * (n + 1)
+    suffix = [1] * (n + 1)
     for mask in range(1 << n):
         # counting up to ``mask`` changed the bits below ``stop`` only
         stop = (mask & -mask).bit_length() or n
         kept[:stop] = [bool((mask >> i) & 1) for i in range(stop)]
-        _reweigh(factors, kept, suffix, stop)
-        yield TotalChoice(tuple(kept), suffix[0])
+        _reweigh(numerators, kept, suffix, stop)
+        yield TotalChoice(tuple(kept), Fraction(suffix[0], d))
 
 
 def program_for_choice(g: GroundProgram, choice: TotalChoice) -> GroundProgram:
@@ -141,9 +151,12 @@ def _sweep(g: GroundProgram, project, semantics: str, max_choices, stats=None):
     """Map each set S of ``project`` images to the weight of the total choices
     whose models (all stable ones, or the well-founded one when ``semantics``
     is "wf") project onto exactly S. Aborts on the first choice without a
-    stable model; counts choices and models into ``stats``."""
+    stable model; counts choices and models into ``stats``. Weights add up
+    as integer numerators over D (see ``_numerators``), with one ``Fraction``
+    per set at the end."""
     k = Kernel(g)
-    mass: dict[frozenset, Fraction] = {}
+    d = _numerators(g)[1]
+    mass: dict[frozenset, int] = {}
     for choice in total_choices(g, max_choices):
         facts = k.kept_facts(choice.kept)
         if semantics == "wf":
@@ -156,8 +169,9 @@ def _sweep(g: GroundProgram, project, semantics: str, max_choices, stats=None):
             stats["choices"] = stats.get("choices", 0) + 1
             stats["models"] = stats.get("models", 0) + len(models)
         key = frozenset(map(project, models))
-        mass[key] = mass.get(key, 0) + choice.weight
-    return mass
+        weight = choice.weight
+        mass[key] = mass.get(key, 0) + weight.numerator * (d // weight.denominator)
+    return {key: Fraction(num, d) for key, num in mass.items()}
 
 
 def _fold(mass, test) -> tuple[Fraction, Fraction]:

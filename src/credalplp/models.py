@@ -106,7 +106,10 @@ class Kernel:
 
     It also caches the reduct least models of one set of facts, the total
     choice being solved (see ``_gamma``): ``facts`` and ``gammas``, replaced
-    when a call brings other facts.
+    when a call brings other facts. ``kept_facts`` returns a tuple, so the
+    facts of one total choice reach ``_gamma`` as the very object it holds.
+    ``atoms`` (all atom ids) starts the downward iterates of
+    ``well_founded_model``.
     """
 
     def __init__(self, g: GroundProgram):
@@ -128,16 +131,17 @@ class Kernel:
                 self.occurrences[a] += 1
         self.body_free = [ri for ri, count in enumerate(self.pos_count) if count == 0]
         self.negative = frozenset(a for a in range(n) if self.neg_watch[a])
+        self.atoms = frozenset(range(n))
         self.facts: tuple[int, ...] | None = None
         self.gammas: dict[frozenset[int], frozenset[int]] = {}
         # branching order: most body occurrences first, lowest id on ties
         self.order = sorted(range(n), key=lambda a: -self.occurrences[a])
         self.choice_atoms = [cp.ground_atom for cp in g.choice_points]
 
-    def kept_facts(self, kept) -> list[int]:
+    def kept_facts(self, kept) -> tuple[int, ...]:
         """Atoms of the choice points a total choice keeps (``kept`` is
         indexed by choice-point id)."""
-        return list(compress(self.choice_atoms, kept))
+        return tuple(compress(self.choice_atoms, kept))
 
 
 def _kernel(g) -> Kernel:
@@ -175,9 +179,11 @@ def _gamma(k: Kernel, facts, assumed) -> frozenset[int]:
     ``assumed``, cached in ``k``. The reduct depends on ``assumed`` only
     through its negatively occurring atoms, so they key the entry; the cache
     holds the entries of the last ``facts`` only."""
-    facts = tuple(facts)
-    if facts != k.facts:
-        k.facts, k.gammas = facts, {}
+    if facts is not k.facts:
+        facts = tuple(facts)
+        if facts != k.facts:
+            k.gammas = {}
+        k.facts = facts
     key = k.negative.intersection(assumed)
     true = k.gammas.get(key)
     if true is None:
@@ -222,7 +228,7 @@ def is_stable(g: GroundProgram | Kernel, interp: Interpretation, facts=()) -> bo
 
 
 def alternating_iterates(
-    g: GroundProgram | Kernel, start: set[int], facts=()
+    g: GroundProgram | Kernel, start: frozenset[int] | set[int], facts=()
 ) -> list[frozenset[int]]:
     """Iterates of LFT∘LFT from ``start`` until stabilization (inclusive), as
     frozensets. LFT is the cached ``_gamma``: on a definite program every call
@@ -237,13 +243,19 @@ def alternating_iterates(
 
 
 def well_founded_model(g: GroundProgram | Kernel, facts=()) -> PartialInterpretation:
+    """The well-founded model (with ``facts`` added), a fresh list: the
+    fixpoint of the iterates up from no atoms is true, the rest of the
+    fixpoint of those down from all atoms (``Kernel.atoms``) undefined, and
+    every other atom false."""
     k = _kernel(g)
-    lfp = alternating_iterates(k, set(), facts)[-1]
-    gfp = alternating_iterates(k, set(range(k.n_atoms)), facts)[-1]
-    return [
-        True if aid in lfp else None if aid in gfp else False
-        for aid in range(k.n_atoms)
-    ]
+    lfp = alternating_iterates(k, frozenset(), facts)[-1]
+    gfp = alternating_iterates(k, k.atoms, facts)[-1]
+    model: PartialInterpretation = [False] * k.n_atoms
+    for aid in gfp:
+        model[aid] = None
+    for aid in lfp:
+        model[aid] = True
+    return model
 
 
 # ---------------------------------------------------------------------------
@@ -291,6 +303,9 @@ def stable_models(g: GroundProgram | Kernel, facts=()) -> Iterator[Interpretatio
     inside its least model, so it is stable; ``is_stable`` still checks it by
     definition. The well-founded model itself is not propagated, so a total
     one is a leaf with a single ``is_stable`` call.
+
+    Every model is a fresh list of ``bool``: a total leaf, with no ``None``
+    left, is yielded as is, because no other assignment shares its list.
     """
     k = _kernel(g)
     wf = well_founded_model(k, facts)
@@ -301,12 +316,11 @@ def stable_models(g: GroundProgram | Kernel, facts=()) -> Iterator[Interpretatio
         # at the well-founded model (T, U), must = T and can = U: nothing to do
         if assign is not wf and not _propagate(k, facts, assign):
             continue
-        aid = next((a for a in k.order if assign[a] is None), None)
-        if aid is None:
-            model = [bool(v) for v in assign]
-            if is_stable(k, model, facts):
-                yield model
+        if None not in assign:
+            if is_stable(k, assign, facts):
+                yield assign
             continue
+        aid = next(a for a in k.order if assign[a] is None)
         for value in (True, False):
             branch = list(assign)
             branch[aid] = value

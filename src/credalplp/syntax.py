@@ -273,21 +273,27 @@ class _Parser:
             return Subgoal(self.parse_atom(), negated=True)
         return Subgoal(self.parse_atom())
 
+    def number(self, tok: _Token) -> Fraction:
+        """The value of an INT or DECIMAL token. The lexer takes any
+        ``str.isdigit`` character, such as "²", which no number reads."""
+        try:
+            return Fraction(tok.text)
+        except ValueError:
+            self.error(tok, f"expected a number, found {tok.text!r}")
+
     def parse_probability(self) -> Fraction:
         """The weight at the start of a clause: a DECIMAL, INT or INT/INT."""
         tok = self.next()
-        if tok.kind == "DECIMAL":
-            value = Fraction(tok.text)
-        elif self.peek().text == "/":
+        value = self.number(tok)
+        if tok.kind == "INT" and self.peek().text == "/":
             self.next()
             den = self.next()
             if den.kind != "INT":
                 self.error(den, "expected a denominator")
-            if int(den.text) == 0:
+            divisor = self.number(den)
+            if divisor == 0:
                 self.error(den, "zero denominator")
-            value = Fraction(int(tok.text), int(den.text))
-        else:
-            value = Fraction(int(tok.text))
+            value /= divisor
         if not 0 <= value <= 1:
             self.error(tok, f"probability {tok.text} outside [0, 1]")
         return value

@@ -50,6 +50,14 @@ def test_truncated_weight_is_one_error_line(plp, capsys):
     assert (code, out, err) == (1, "", f"ERROR {path}:1:3 expected a denominator\n")
 
 
+@pytest.mark.parametrize("text", ["²::p.", "² p."])
+def test_unreadable_digit_is_one_error_line(tmp_path, capsys, text):
+    path = tmp_path / "prog.plp"
+    path.write_text(text, encoding="utf-8")
+    code, out, err = invoke(capsys, "check", str(path))
+    assert (code, out, err) == (1, "", f"ERROR {path}:1:1 expected a number, found '²'\n")
+
+
 def test_missing_file_is_user_error(capsys):
     code, _, err = invoke(capsys, "check", "/nonexistent/x.plp")
     assert code == 1

@@ -502,3 +502,42 @@ def test_iterates_and_cached_least_models_are_immutable():
             start.add(-1)  # the caller's set is not an iterate
             assert -1 not in last
         assert all(type(true) is frozenset for true in k.gammas.values())
+
+
+def test_stable_models_are_fresh_bool_lists(monkeypatch):
+    """A total leaf is yielded as is, so no model may share its list with a
+    later model, with the well-founded model or with the kernel."""
+    texts = [*fx.ALL_PROGRAMS.values(), "a :- not b. b :- not a. c :- a. c :- b."]
+    for g in map(fx.grd, texts):
+        k = models.Kernel(g)
+        for choice in c.total_choices(g):
+            facts = k.kept_facts(choice.kept)
+            fresh = models.Kernel(g)
+            want = list(c.stable_models(fresh, facts))
+            wf = c.well_founded_model(fresh, facts)
+            got = []
+            for model in c.stable_models(k, facts):
+                assert type(model) is list
+                assert all(type(v) is bool for v in model)
+                got.append(list(model))
+                model[:] = [None] * len(model)
+            assert got == want
+            assert c.well_founded_model(k, facts) == wf
+
+    # answers stay the same when every yielded model is overwritten as soon
+    # as its copy is taken
+    real = c.inference.stable_models
+
+    def overwriting(k, facts):
+        for model in real(k, facts):
+            copy = list(model)
+            model[:] = [None] * len(model)
+            yield copy
+
+    programs = [fx.grd(text) for text in fx.ALL_PROGRAMS.values()]
+    for g in [g for g in programs if c.check_consistency(g).consistent]:
+        events = [c.Lit(atom) for atom in g.atoms]
+        want = c.event_bounds(g, events)
+        with monkeypatch.context() as patch:
+            patch.setattr(c.inference, "stable_models", overwriting)
+            assert c.event_bounds(g, events) == want

@@ -324,6 +324,48 @@ def test_total_choices_match_per_bit_products(n):
     assert [c.inference.total_choice(g, ch.kept) for ch in want] == want
 
 
+def mixed_weight_program(rng: random.Random) -> str:
+    """A random program plus probabilities 0 and 1 and two probabilistic
+    facts over one atom, with weights over the denominators 3, 7 and 9."""
+    twice = rng.choice(ATOMS[:4])
+    facts = [f"0::{rng.choice(ATOMS)}.", f"1::{rng.choice(ATOMS)}."]
+    facts += [f"{rng.choice(PROBS[2:])}::{atom}." for atom in (twice, twice)]
+    return "\n".join([random_program(rng), *facts])
+
+
+def test_sweep_mass_is_the_fraction_sum_of_choice_weights():
+    """The sweep adds integer numerators over one denominator; per projected
+    set that must be the plain ``Fraction`` sum of the choices' weights."""
+    rng = random.Random(20261022)
+    inconsistent = 0
+    for _ in range(80):
+        g = fx.grd(mixed_weight_program(rng))
+        choices = list(c.total_choices(g))
+        assert [c.inference.total_choice(g, ch.kept) for ch in choices] == choices
+        for semantics in ("stable", "wf"):
+            want = {}
+            for choice in choices:
+                gc = c.program_for_choice(g, choice)
+                if semantics == "wf":
+                    models = [c.well_founded_model(gc)]
+                else:
+                    models = list(c.stable_models(gc))
+                if not models:
+                    want = None
+                    break
+                key = frozenset(map(tuple, models))
+                want[key] = want.get(key, Fraction(0)) + choice.weight
+            if want is None:
+                inconsistent += 1
+                with pytest.raises(c.InconsistentProgramError):
+                    c.inference._sweep(g, tuple, semantics, 20)
+                continue
+            mass = c.inference._sweep(g, tuple, semantics, 20)
+            assert mass == want
+            assert all(type(weight) is Fraction for weight in mass.values())
+    assert 0 < inconsistent < 80
+
+
 # ---------------------------------------------------------------------------
 # the credal and well-founded entry points against a plain loop over total
 # choices with the exhaustive stable-model oracle

@@ -107,6 +107,28 @@ def test_clause_starting_with_a_number_is_a_probabilistic_fact(text, col, messag
     assert (diag.line, diag.col, diag.message) == (1, col, message)
 
 
+@pytest.mark.parametrize("text, col, found", [
+    ("²::p.", 1, "²"),
+    ("² p.", 1, "²"),
+    ("1/²::p.", 3, "²"),
+    ("0.²::p.", 1, "0.²"),
+])
+def test_digits_no_number_reads_are_syntax_errors(text, col, found):
+    # "²" passes str.isdigit, so it lexes as a number that int() cannot read
+    with pytest.raises(c.PlpSyntaxError) as exc:
+        c.parse_program(text)
+    diag = exc.value.diagnostics[0]
+    assert (diag.line, diag.col, diag.message) == (1, col, f"expected a number, found {found!r}")
+
+
+def test_unreadable_digits_stay_constants_in_a_term():
+    assert [t.kind for t in _tokenize("p(²).", "<string>")] == [
+        "NAME", "PUNCT", "INT", "PUNCT", "PUNCT", "EOF"
+    ]
+    (rule,) = c.parse_program("p(²).").rules
+    assert [t.name for t in rule.head.args] == ["²"]
+
+
 def test_variables_upper_vs_lower():
     p = c.parse_program("q(X) :- r(X, a).")
     head, sub = p.rules[0].head, p.rules[0].body[0].atom
