@@ -186,29 +186,29 @@ def _cmd_classify(args, started) -> int:
     return EXIT_OK
 
 
-def _parse_choice_bits(g, bits: str) -> inference.TotalChoice:
+def _parse_choice_bits(g, bits: str) -> list[bool]:
     n = len(g.choice_points)
     if len(bits) != n or any(c not in "01" for c in bits):
         raise ValueError(
             f"--choice needs {n} bits (one per choice point), got {bits!r}"
         )
-    return inference.total_choice(g, [c == "1" for c in bits])
+    return [c == "1" for c in bits]
 
 
 def _cmd_models(args, started) -> int:
     g = grounding.ground(_load(args.file), max_rules=args.max_ground_rules)
-    choice = _parse_choice_bits(g, args.choice)
+    kept = _parse_choice_bits(g, args.choice)
     kernel = models.Kernel(g)
-    facts = kernel.kept_facts(choice.kept)
+    facts = kernel.kept_facts(kept)
     if args.semantics == "wf":
         found = [models.well_founded_model(kernel, facts)]
     else:
         found = models.stable_models(kernel, facts)
     names = {value: name for name, value in syntax.TRUTH.items()}
     order = sorted(range(g.n_atoms), key=lambda a: g.atoms[a])
-    print("\n%%\n".join(
-        "\n".join(f"{g.atoms[a]}={names[m[a]]}" for a in order) for m in found
-    ))
+    blocks = ["\n".join(f"{g.atoms[a]}={names[m[a]]}" for a in order) for m in found]
+    if blocks:  # no model prints nothing; one model over no atoms an empty line
+        print("\n%%\n".join(blocks))
     return EXIT_OK
 
 

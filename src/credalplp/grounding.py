@@ -7,22 +7,26 @@ satisfiable. Atoms that are never possibly true are omitted from the atom
 table and are false in every stable/well-founded model of every total choice,
 so negative literals over them are simply dropped.
 
-Each rule is compiled once into a join plan: per positive subgoal, its
-predicate, arity and arguments, and the argument positions already bound
-when the join reaches it (constants and variables of earlier subgoals),
-plus the variables no positive subgoal binds, which range over the whole
-universe. A subgoal finds its candidates in a hash index on those positions,
-one index per (predicate, arity, bound positions) that some plan names,
-kept current as atoms are added. The fixpoint is semi-naive (Bancilhon &
-Ramakrishnan 1986): the heads of rules without positive subgoals are added
-once, and each later round joins a rule once per positive subgoal j, with
-subgoal j matching only atoms first added in the previous round, the
-subgoals before j only older atoms, and those after j any atom. A round's
-new heads are collected before any is added, so no index changes under a
-running join. Each substitution is found in exactly one round, the one that
-adds the highest-numbered of its positive atoms, so ground rules are emitted,
-in source order and each rule's substitutions sorted, from the substitutions
-the rounds found.
+Each rule is compiled once into a join plan over slots: a rule's values are
+those of its variables, in sorted name order, then its constants, and each
+argument of the head and of every subgoal is a slot, the index of its value.
+Per positive subgoal the plan holds its predicate, arity and the argument
+positions already bound when the join reaches it (constants and variables of
+earlier subgoals), plus the variables no positive subgoal binds, which range
+over the whole universe. A subgoal finds its candidates in a hash index on
+those positions, one index per (predicate, arity, bound positions) that some
+plan names, kept current as atoms are added. The join writes each value into
+one list by slot and yields a substitution as the tuple of that list. The
+fixpoint is semi-naive (Bancilhon & Ramakrishnan 1986): the heads of rules
+without positive subgoals are added once, and each later round joins a rule
+once per positive subgoal j, with subgoal j matching only atoms first added
+in the previous round, the subgoals before j only older atoms, and those
+after j any atom. A round's new heads are collected before any is added, so
+no index changes under a running join. Each substitution is found in exactly
+one round, the one that adds the highest-numbered of its positive atoms, so
+ground rules are emitted, in source order and each rule's value tuples
+sorted, by applying the slots to the tuples the rounds found. Probabilistic
+facts are ground through the same plans, as rules without a body.
 
 ``max_rules`` caps the emitted rules. It also fires during the fixpoint, as
 soon as the possibly-true atoms other than choice atoms outnumber it: each of
@@ -33,6 +37,7 @@ anyway, and a blown-up fixpoint stops early instead.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -69,7 +74,6 @@ class GroundProgram:
     index: dict[str, int] = field(default_factory=dict)  # text -> AtomId
     rules: list[GroundRule] = field(default_factory=list)
     choice_points: list[ChoicePoint] = field(default_factory=list)
-    fact_atoms: set[int] = field(default_factory=set)
 
     def atom_id(self, text: str) -> int | None:
         return self.index.get(text)
@@ -115,57 +119,68 @@ def program_constants(program: Program) -> list[str]:
     return sorted(consts) if consts else ["u0"]
 
 
-def _apply(atom, subst) -> GroundAtom:
-    return (
-        atom.predicate,
-        tuple(subst[t.name] if t.is_variable else t.name for t in atom.args),
-    )
+_Slots = tuple[str, tuple[int, ...]]  # (predicate, slot per argument)
+
+
+def _fill(atom: _Slots, values) -> GroundAtom:
+    pred, slots = atom
+    return pred, tuple([values[s] for s in slots])
 
 
 @dataclass(frozen=True)
 class _Step:
     """One positive subgoal, as the join reaches it after the earlier ones."""
 
-    predicate: str
-    arity: int
+    atom: _Slots
+    signature: tuple[str, int]  # (predicate, arity)
     bound: tuple[int, ...]  # positions known on arrival: constants, earlier variables
-    key: tuple[tuple[bool, str], ...]  # (is_variable, name) at those positions
-    binds: tuple[tuple[int, str], ...]  # (position, variable) first bound here
-    checks: tuple[tuple[int, str], ...]  # (position, variable) repeating a bind
+    key: tuple[int, ...]  # the slots at those positions
+    binds: tuple[tuple[int, int], ...]  # (position, slot) of a variable first bound here
+    checks: tuple[tuple[int, int], ...]  # (position, slot) repeating a bind
 
 
 @dataclass(frozen=True)
 class _Plan:
-    rule: Rule
+    """A rule compiled to slots: its values are those of its variables, in
+    sorted name order, then its constants, and each argument is a slot, the
+    index of its value."""
+
+    head: _Slots
     steps: tuple[_Step, ...]  # the positive subgoals in body order
-    free: tuple[str, ...]  # variables no positive subgoal binds, sorted
-    variables: tuple[str, ...]  # every variable of the rule, sorted
+    neg: tuple[_Slots, ...]  # the negative subgoals in body order
+    free: tuple[int, ...]  # slots of the variables no positive subgoal binds
+    blank: tuple[str | None, ...]  # before a join: None per variable, then the constants
 
 
 def _plan(rule: Rule) -> _Plan:
-    steps = []
-    known: set[str] = set()
-    for sg in rule.body:
-        if sg.negated:
-            continue
-        args = sg.atom.args
-        bound = tuple(
-            i for i, t in enumerate(args) if not t.is_variable or t.name in known
+    slot = {(True, v): i for i, v in enumerate(sorted(rule.variables()))}
+
+    def slots(atom) -> _Slots:
+        return atom.predicate, tuple(
+            slot.setdefault((t.is_variable, t.name), len(slot)) for t in atom.args
         )
+
+    head = slots(rule.head)
+    body = [(sg.negated, slots(sg.atom)) for sg in rule.body]
+    blank = tuple(None if is_var else name for is_var, name in slot)
+    known = {s for s, value in enumerate(blank) if value is not None}
+    steps = []
+    for negated, (pred, args) in body:
+        if negated:
+            continue
+        bound = tuple(p for p, s in enumerate(args) if s in known)
         binds, checks = [], []
-        for i, t in enumerate(args):
-            if t.is_variable and t.name not in known:
-                first = all(name != t.name for _, name in binds)
-                (binds if first else checks).append((i, t.name))
-        known.update(name for _, name in binds)
+        for p, s in enumerate(args):
+            if s not in known:
+                (checks if any(s == b for _, b in binds) else binds).append((p, s))
+        known.update(s for _, s in binds)
         steps.append(_Step(
-            sg.atom.predicate, len(args), bound,
-            tuple((args[i].is_variable, args[i].name) for i in bound),
+            (pred, args), (pred, len(args)), bound, tuple(args[p] for p in bound),
             tuple(binds), tuple(checks),
         ))
-    variables = tuple(sorted(rule.variables()))
-    free = tuple(v for v in variables if v not in known)
-    return _Plan(rule, tuple(steps), free, variables)
+    free = tuple(s for s in range(len(blank)) if s not in known)
+    neg = tuple(atom for negated, atom in body if negated)
+    return _Plan(head, tuple(steps), neg, free, blank)
 
 
 class _PossiblyTrue:
@@ -180,7 +195,7 @@ class _PossiblyTrue:
         # (predicate, arity) -> bound positions -> key -> atom numbers
         self.indexes: dict[tuple[str, int], dict[tuple[int, ...], dict]] = {}
         for step in (step for plan in plans for step in plan.steps):
-            self.indexes.setdefault((step.predicate, step.arity), {})[step.bound] = {}
+            self.indexes.setdefault(step.signature, {})[step.bound] = {}
 
     def add(self, ga: GroundAtom) -> None:
         if ga in self.members:
@@ -193,42 +208,49 @@ class _PossiblyTrue:
             table.setdefault(tuple(args[p] for p in bound), []).append(n)
 
     def lookup(self, step: _Step, key: tuple[str, ...]) -> list[int]:
-        return self.indexes[step.predicate, step.arity][step.bound].get(key, ())
+        return self.indexes[step.signature][step.bound].get(key, ())
+
+
+def _complete(plan: _Plan, values: list, universe):
+    """Yield ``values`` as a tuple once per assignment of the free variables
+    over the universe, in product order."""
+    for combo in itertools.product(universe, repeat=len(plan.free)):
+        for s, value in zip(plan.free, combo):
+            values[s] = value
+        yield tuple(values)
 
 
 def _match_positive(plan: _Plan, possible: _PossiblyTrue, universe, delta: int, lo: int):
-    """Yield the substitutions of one semi-naive round: subgoal ``delta``
+    """Yield the value tuples of one semi-naive round: subgoal ``delta``
     matches only atoms numbered ``lo`` or more, the subgoals before it only
     atoms numbered below ``lo``, and the subgoals after it any possibly-true
     atom; variables not bound by a positive subgoal range over the full
-    universe. A depth-first join over an explicit stack, one subgoal per
-    level, each looked up in the index on its bound positions. A rule without
-    positive subgoals looks at no atom and yields its whole grounding."""
+    universe. A depth-first join over an explicit stack of (i, n): the
+    subgoals before i matched, subgoal i - 1 by atom n. Each subgoal writes
+    the variables it binds into one list of values by slot, and is looked up
+    in the index on its bound positions, whose slots earlier subgoals wrote.
+    A rule without positive subgoals looks at no atom and yields its whole
+    grounding."""
     steps, atoms = plan.steps, possible.atoms
-    stack: list[tuple[int, dict[str, str]]] = [(0, {})]
+    values = list(plan.blank)
+    stack = [(0, -1)]
     while stack:
-        i, subst = stack.pop()
+        i, n = stack.pop()
+        if i:
+            step, args = steps[i - 1], atoms[n][1]
+            for p, s in step.binds:
+                values[s] = args[p]
+            if any(values[s] != args[p] for p, s in step.checks):
+                continue
         if i == len(steps):
-            for combo in itertools.product(universe, repeat=len(plan.free)):
-                yield {**subst, **dict(zip(plan.free, combo))}
+            yield from _complete(plan, values, universe)
             continue
         step = steps[i]
-        found = possible.lookup(
-            step, tuple(subst[name] if is_var else name for is_var, name in step.key)
-        )
-        if i < delta:
-            found = itertools.takewhile(lo.__gt__, found)
-        elif i == delta:
-            found = itertools.takewhile(lo.__le__, reversed(found))
-        children = []
-        for n in found:
-            args = atoms[n][1]
-            new = dict(subst)
-            for p, name in step.binds:
-                new[name] = args[p]
-            if all(new[name] == args[p] for p, name in step.checks):
-                children.append((i + 1, new))
-        stack.extend(reversed(children))
+        found = possible.lookup(step, tuple([values[s] for s in step.key]))
+        if i <= delta:
+            cut = bisect_left(found, lo)
+            found = found[:cut] if i < delta else found[cut:]
+        stack.extend((i + 1, m) for m in reversed(found))
 
 
 def _cap_exceeded(max_rules: int) -> ResourceGuardError:
@@ -244,9 +266,9 @@ def ground(program: Program, max_rules: int = DEFAULT_MAX_GROUND_RULES) -> Groun
     # order then substitution order; duplicates over one atom stay distinct
     possible = _PossiblyTrue(plans)
     for pf in program.prob_facts:
-        varnames = sorted(pf.atom.variables())
-        for combo in itertools.product(universe, repeat=len(varnames)):
-            ga = _apply(pf.atom, dict(zip(varnames, combo)))
+        plan = _plan(Rule(pf.atom))
+        for values in _complete(plan, list(plan.blank), universe):
+            ga = _fill(plan.head, values)
             aid = g.intern(atom_text(ga))
             g.choice_points.append(ChoicePoint(len(g.choice_points), aid, pf.prob))
             possible.add(ga)
@@ -255,12 +277,12 @@ def ground(program: Program, max_rules: int = DEFAULT_MAX_GROUND_RULES) -> Groun
     # possibly-true fixpoint, semi-naive: a round's new heads are collected
     # before any is added, so no index changes under a running join
     pending: dict[GroundAtom, None] = {}
-    # rule position -> its substitutions, values in ``plan.variables`` order
+    # rule position -> the value tuples of its substitutions
     found: dict[int, set[tuple[str, ...]]] = {i: set() for i in range(len(plans))}
 
-    def derive(i: int, plan: _Plan, subst: dict[str, str]) -> None:
-        found[i].add(tuple(subst[v] for v in plan.variables))
-        ga = _apply(plan.rule.head, subst)
+    def derive(i: int, plan: _Plan, values: tuple[str, ...]) -> None:
+        found[i].add(values)
+        ga = _fill(plan.head, values)
         if ga in possible.members or ga in pending:
             return
         pending[ga] = None
@@ -270,8 +292,8 @@ def ground(program: Program, max_rules: int = DEFAULT_MAX_GROUND_RULES) -> Groun
 
     for i, plan in enumerate(plans):
         if not plan.steps:
-            for subst in _match_positive(plan, possible, universe, 0, 0):
-                derive(i, plan, subst)
+            for values in _match_positive(plan, possible, universe, 0, 0):
+                derive(i, plan, values)
     lo = 0  # atoms numbered lo or more were first added in the previous round
     while pending or lo < len(possible.atoms):
         for ga in pending:
@@ -281,31 +303,22 @@ def ground(program: Program, max_rules: int = DEFAULT_MAX_GROUND_RULES) -> Groun
         hi = len(possible.atoms)
         for i, plan in enumerate(plans):
             for j, step in enumerate(plan.steps):
-                if (step.predicate, step.arity) in fresh:
-                    for subst in _match_positive(plan, possible, universe, j, lo):
-                        derive(i, plan, subst)
+                if step.signature in fresh:
+                    for values in _match_positive(plan, possible, universe, j, lo):
+                        derive(i, plan, values)
         lo = hi
 
-    # emit ground rules: source order, then substitution lexicographic; each
+    # emit ground rules: source order, then value tuples lexicographic; each
     # rule's set is released once emitted, so the peak memory does not grow
     seen: set[GroundRule] = set()
     for i, plan in enumerate(plans):
-        rule = plan.rule
-        for combo in sorted(found.pop(i)):
-            subst = dict(zip(plan.variables, combo))
-            head = _apply(rule.head, subst)
-            pos = [_apply(sg.atom, subst) for sg in rule.body if not sg.negated]
-            neg = [
-                ga
-                for sg in rule.body
-                if sg.negated
-                for ga in [_apply(sg.atom, subst)]
-                if ga in possible.members  # impossible atoms are false: literal holds
-            ]
+        for values in sorted(found.pop(i)):
+            # impossible atoms are false, so their negative literals hold
+            neg = [ga for a in plan.neg if (ga := _fill(a, values)) in possible.members]
             gr = GroundRule(
-                g.intern(atom_text(head)),
-                tuple(g.intern(atom_text(a)) for a in pos),
-                tuple(g.intern(atom_text(a)) for a in neg),
+                g.intern(atom_text(_fill(plan.head, values))),
+                tuple(g.intern(atom_text(_fill(st.atom, values))) for st in plan.steps),
+                tuple(g.intern(atom_text(ga)) for ga in neg),
             )
             if gr in seen:
                 continue
@@ -313,8 +326,6 @@ def ground(program: Program, max_rules: int = DEFAULT_MAX_GROUND_RULES) -> Groun
             g.rules.append(gr)
             if len(g.rules) > max_rules:
                 raise _cap_exceeded(max_rules)
-            if not rule.body:
-                g.fact_atoms.add(gr.head)
     return g
 
 

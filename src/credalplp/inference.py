@@ -89,22 +89,6 @@ def _numerators(g: GroundProgram) -> tuple[list[tuple[int, int]], int]:
     return numerators, d
 
 
-def _reweigh(numerators, kept, suffix, stop: int) -> None:
-    """Set suffix[i] = suffix[i + 1] * numerators[i][kept[i]] for i < stop,
-    so that suffix[0] / D is the weight of ``kept`` (suffix[n] is 1)."""
-    for i in range(stop - 1, -1, -1):
-        suffix[i] = suffix[i + 1] * numerators[i][kept[i]]
-
-
-def total_choice(g: GroundProgram, kept) -> TotalChoice:
-    """The total choice keeping the choice points flagged in ``kept``
-    (indexed by choice-point id)."""
-    numerators, d = _numerators(g)
-    suffix = [1] * (len(kept) + 1)
-    _reweigh(numerators, kept, suffix, len(kept))
-    return TotalChoice(tuple(kept), Fraction(suffix[0], d))
-
-
 def total_choices(
     g: GroundProgram, max_choices: int = DEFAULT_MAX_CHOICES
 ) -> Iterator[TotalChoice]:
@@ -124,8 +108,9 @@ def total_choices(
     for mask in range(1 << n):
         # counting up to ``mask`` changed the bits below ``stop`` only
         stop = (mask & -mask).bit_length() or n
-        kept[:stop] = [bool((mask >> i) & 1) for i in range(stop)]
-        _reweigh(numerators, kept, suffix, stop)
+        for i in range(stop - 1, -1, -1):
+            kept[i] = bool((mask >> i) & 1)
+            suffix[i] = suffix[i + 1] * numerators[i][kept[i]]
         yield TotalChoice(tuple(kept), Fraction(suffix[0], d))
 
 
@@ -137,12 +122,10 @@ def program_for_choice(g: GroundProgram, choice: TotalChoice) -> GroundProgram:
         atoms=list(g.atoms),
         index=dict(g.index),
         choice_points=list(g.choice_points),
-        fact_atoms=set(g.fact_atoms),
     )
     for cp, kept in zip(g.choice_points, choice.kept):
         if kept:
             out.rules.append(GroundRule(cp.ground_atom, (), ()))
-            out.fact_atoms.add(cp.ground_atom)
     out.rules.extend(g.rules)
     return out
 

@@ -207,7 +207,6 @@ def reduct(g: GroundProgram, interp: Interpretation) -> GroundProgram:
         atoms=list(g.atoms),
         index=dict(g.index),
         choice_points=list(g.choice_points),
-        fact_atoms=set(g.fact_atoms),
     )
     for rule in g.rules:
         if any(interp[n] for n in rule.neg):

@@ -106,6 +106,14 @@ def test_models_bad_choice_bits(plp, capsys):
     assert code == 1 and "--choice needs 1 bits" in err
 
 
+def test_models_without_a_model_print_nothing(plp, capsys):
+    # no stable model is no output; one model over no atoms is an empty line
+    code, out, err = invoke(capsys, "models", plp("p :- not p."), "--choice", "")
+    assert (code, out, err) == (0, "", "")
+    code, out, err = invoke(capsys, "models", plp(""), "--choice", "")
+    assert (code, out, err) == (0, "\n", "")
+
+
 def test_query_auto_point(plp, capsys):
     code, out, _ = invoke(
         capsys, "--no-timing", "query", plp(fx.ALARM), "--q", "calls(a)"

@@ -321,7 +321,6 @@ def test_total_choices_match_per_bit_products(n):
             weight *= p if k else 1 - p
         want.append(c.TotalChoice(kept, weight))
     assert list(c.total_choices(g)) == want
-    assert [c.inference.total_choice(g, ch.kept) for ch in want] == want
 
 
 def mixed_weight_program(rng: random.Random) -> str:
@@ -341,7 +340,6 @@ def test_sweep_mass_is_the_fraction_sum_of_choice_weights():
     for _ in range(80):
         g = fx.grd(mixed_weight_program(rng))
         choices = list(c.total_choices(g))
-        assert [c.inference.total_choice(g, ch.kept) for ch in choices] == choices
         for semantics in ("stable", "wf"):
             want = {}
             for choice in choices:
