@@ -20,10 +20,6 @@ from .syntax import TRUTH
 DEFAULT_MAX_PARENTS = 16
 
 
-def _choice_node_name(cp_id: int) -> str:
-    return f"choice#{cp_id}"
-
-
 def eval_formula(e: Event, env: dict[str, bool]) -> bool:
     if isinstance(e, Lit):
         return env.get(e.atom, False) == e.value
@@ -46,23 +42,17 @@ def clark_completion(g: GroundProgram) -> dict[int, Event]:
     """
     if classify(dependency_graph(g)).kind != "acyclic":
         raise NotAcyclicError("program's grounded dependency graph has a cycle")
-    rules_by_head: dict[int, list] = {}
+    bodies: dict[int, list[Event]] = {}
     for rule in g.rules:
-        rules_by_head.setdefault(rule.head, []).append(rule)
-    pure_choice = {
-        cp.ground_atom for cp in g.choice_points if cp.ground_atom not in rules_by_head
+        lits = [Lit(g.atoms[p], True) for p in rule.pos]
+        lits += [Lit(g.atoms[n], False) for n in rule.neg]
+        bodies.setdefault(rule.head, []).append(And(tuple(lits)))
+    choice_atoms = {cp.ground_atom for cp in g.choice_points}
+    return {
+        aid: Or(tuple(bodies.get(aid, ())))
+        for aid in range(g.n_atoms)
+        if aid in bodies or aid not in choice_atoms
     }
-    out: dict[int, Event] = {}
-    for aid in range(g.n_atoms):
-        if aid in pure_choice:
-            continue
-        disjuncts = []
-        for rule in rules_by_head.get(aid, ()):
-            lits = [Lit(g.atoms[p], True) for p in rule.pos]
-            lits += [Lit(g.atoms[n], False) for n in rule.neg]
-            disjuncts.append(And(tuple(lits)))
-        out[aid] = Or(tuple(disjuncts))
-    return out
 
 
 @dataclass(frozen=True)
@@ -92,60 +82,48 @@ def compile_bn(
     g: GroundProgram, max_parents: int = DEFAULT_MAX_PARENTS
 ) -> BayesNet:
     completion = clark_completion(g)  # raises NotAcyclicError on a cycle
-    rules_by_head: dict[int, list] = {}
-    for rule in g.rules:
-        rules_by_head.setdefault(rule.head, []).append(rule)
     cps_by_atom: dict[int, list] = {}
     for cp in g.choice_points:
         cps_by_atom.setdefault(cp.ground_atom, []).append(cp)
 
-    nodes: dict[str, BnNode] = {}
-    order: list[str] = []  # creation order, used as the Kahn tie-break
-
-    def add(node: BnNode):
-        nodes[node.name] = node
-        order.append(node.name)
-
-    for aid in range(g.n_atoms):
-        name = g.atoms[aid]
+    created: list[BnNode] = []
+    for aid, name in enumerate(g.atoms):
         cps = cps_by_atom.get(aid, [])
-        has_rules = aid in rules_by_head
-        if len(cps) == 1 and not has_rules:
-            add(BnNode(name, (), prob=cps[0].prob))
+        if len(cps) == 1 and aid not in completion:
+            created.append(BnNode(name, (), prob=cps[0].prob))
             continue
         # several choice points over one atom, or choice points mixed with
         # rules: each selection becomes its own root and the atom is derived
-        choice_lits = []
-        for cp in cps:
-            cname = _choice_node_name(cp.id)
-            add(BnNode(cname, (), prob=cp.prob))
-            choice_lits.append(Lit(cname, True))
-        formula = completion.get(aid, Or(()))
-        if choice_lits:
-            formula = Or(tuple(choice_lits) + formula.parts)
-        parents: list[str] = [lit.atom for lit in choice_lits]
-        for rule in rules_by_head.get(aid, ()):
-            for b in rule.pos + rule.neg:
-                if g.atoms[b] not in parents:
-                    parents.append(g.atoms[b])
+        roots = [BnNode(f"choice#{cp.id}", (), prob=cp.prob) for cp in cps]
+        formula = Or(
+            tuple(Lit(root.name, True) for root in roots)
+            + completion.get(aid, Or(())).parts
+        )
+        parents = tuple(dict.fromkeys(
+            lit.atom
+            for part in formula.parts
+            for lit in (part.parts if isinstance(part, And) else (part,))
+        ))
         if len(parents) > max_parents:
             raise ResourceGuardError(
                 f"node {name} has {len(parents)} parents (cap {max_parents})"
             )
-        add(BnNode(name, tuple(parents), formula=formula))
+        created += roots
+        created.append(BnNode(name, parents, formula=formula))
 
-    # Kahn's algorithm; ready nodes picked in creation order
-    remaining = {name: set(nodes[name].parents) for name in order}
+    # Kahn's algorithm in waves: each wave is every node whose parents are all
+    # placed, in creation order, which fixes the order export_bn writes
     topo: list[BnNode] = []
-    done: set[str] = set()
-    while remaining:
-        ready = [n for n in order if n in remaining and remaining[n] <= done]
-        if not ready:
+    placed: set[str] = set()
+    while len(topo) < len(created):
+        wave = [
+            n for n in created
+            if n.name not in placed and placed.issuperset(n.parents)
+        ]
+        if not wave:
             raise NotAcyclicError("cycle among network nodes")
-        for name in ready:
-            topo.append(nodes[name])
-            done.add(name)
-            del remaining[name]
+        topo += wave
+        placed.update(n.name for n in wave)
     return BayesNet(topo)
 
 

@@ -130,8 +130,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load(path: str) -> syntax.Program:
-    with open(path, encoding="utf-8") as handle:
+    with open(path, encoding="utf-8-sig") as handle:
         return syntax.parse_program(handle.read(), filename=path)
+
+
+def _write(out: str | None, text: str) -> None:
+    """Write ``text`` to the file ``out``, or to stdout when it is unset."""
+    if out:
+        with open(out, "w", encoding="utf-8", newline="") as handle:
+            handle.write(text)
+    else:
+        sys.stdout.write(text)
 
 
 def _emit(args, record: dict, text_lines: list[str], started: float):
@@ -164,12 +173,7 @@ def _cmd_check(args, started) -> int:
 
 def _cmd_ground(args, started) -> int:
     g = grounding.ground(_load(args.file), max_rules=args.max_ground_rules)
-    dump = grounding.dump_ground(g)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(dump)
-    else:
-        sys.stdout.write(dump)
+    _write(args.out, grounding.dump_ground(g))
     return EXIT_OK
 
 
@@ -368,12 +372,7 @@ def _cmd_consistency(args, started) -> int:
 
 def _cmd_export_bn(args, started) -> int:
     g = grounding.ground(_load(args.file), max_rules=args.max_ground_rules)
-    data = bayesnet.export_bn(bayesnet.compile_bn(g))
-    if args.out:
-        with open(args.out, "wb") as handle:
-            handle.write(data)
-    else:
-        sys.stdout.buffer.write(data)
+    _write(args.out, bayesnet.export_bn(bayesnet.compile_bn(g)).decode("utf-8"))
     return EXIT_OK
 
 

@@ -135,9 +135,6 @@ class Diagnostic:
 # ---------------------------------------------------------------------------
 # Lexer
 
-_PUNCT = {"::", ":-", ",", "(", ")", ".", "/", "="}
-
-
 @dataclass
 class _Token:
     kind: str  # NAME VAR INT DECIMAL PUNCT EOF

@@ -1,3 +1,5 @@
+import hashlib
+import random
 from fractions import Fraction
 
 import pytest
@@ -244,3 +246,49 @@ def test_bn_query_rejects_undefined_assignments():
     for q, e in (("v=undefined", None), ("v", "r=undefined")):
         with pytest.raises(ValueError, match="two-valued"):
             c.bn_query(bn, fx.qassign(q), e and fx.qassign(e))
+
+
+# ---------------------------------------------------------------------------
+# golden export digest
+
+
+def random_ground_program(rng: random.Random) -> c.GroundProgram:
+    """A hand-built ground program with what the parser rarely or never
+    yields: atoms that head no rule and carry no choice point, several choice
+    points over one atom, choice atoms that head rules, probabilities 0 and 1,
+    and (when a body may reach past its head) cycles."""
+    g = c.GroundProgram()
+    n = rng.randint(1, 7)
+    for i in range(n):
+        g.intern(f"a{i}")
+    for cp in range(rng.randint(0, 5)):
+        prob = F(rng.randint(0, 4), 4)
+        g.choice_points.append(c.ChoicePoint(cp, rng.randrange(n), prob))
+    for _ in range(rng.randint(0, 8)):
+        head = rng.randrange(n)
+        pool = range(n) if rng.random() < 0.15 else range(head)
+        body = rng.sample(pool, rng.randint(0, min(4, len(pool))))
+        split = rng.randint(0, len(body))
+        g.rules.append(c.GroundRule(head, tuple(body[:split]), tuple(body[split:])))
+    return g
+
+
+def test_export_bn_golden_digest():
+    """One sha256 over the export (or the error's type and message) of the
+    fixtures and 400 seeded random ground programs at `max_parents` 16 and 2.
+    It was recorded from the per-rule compiler, so any change to node order,
+    parent order, table rows or error texts shows here."""
+    rng = random.Random(20261018)
+    programs = [fx.grd(text) for text in fx.ALL_PROGRAMS.values()]
+    programs += [random_ground_program(rng) for _ in range(400)]
+    digest = hashlib.sha256()
+    for g in programs:
+        for cap in (16, 2):
+            try:
+                data = c.export_bn(c.compile_bn(g, cap))
+            except (c.NotAcyclicError, c.ResourceGuardError) as exc:
+                data = f"{type(exc).__name__}: {exc}".encode()
+            digest.update(len(data).to_bytes(8, "big") + data)
+    assert digest.hexdigest() == (
+        "1114b1af5cb25dcdd47366328f4fd1f1169c5468fef520b48e3ad1c59854cda3"
+    )

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 
 from fractions import Fraction as F
@@ -261,6 +263,32 @@ def test_export_bn(plp, capsys, tmp_path):
 def test_export_bn_rejects_cyclic(plp, capsys):
     code, _, err = invoke(capsys, "export-bn", plp(fx.SMOKERS))
     assert code == 1 and "cycle" in err
+
+
+@pytest.mark.parametrize("command", ["ground", "export-bn"])
+def test_dump_to_a_redirected_stdout(plp, tmp_path, command):
+    """Library callers capture output with `contextlib.redirect_stdout`, whose
+    target need not have a binary `buffer`."""
+    path = plp(fx.ALARM)
+    target = tmp_path / "dump.txt"
+    assert run([command, path, "--out", str(target)]) == 0
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        code = run([command, path])
+    assert code == 0 and out.getvalue().encode() == target.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "text,argv",
+    [("0.5::v. v :- r. r.", ["check"]), (fx.ALARM, ["query", "--q", "calls(a)"])],
+    ids=["check", "query"],
+)
+def test_byte_order_mark_is_skipped(tmp_path, capsys, text, argv):
+    path = tmp_path / "prog.plp"
+    outputs = []
+    for bom in (b"", b"\xef\xbb\xbf"):
+        path.write_bytes(bom + text.encode())
+        outputs.append(invoke(capsys, "--no-timing", argv[0], str(path), *argv[1:]))
+    assert outputs[0][0] == 0 and outputs[1] == outputs[0]
 
 
 def test_resource_guard_exit_code(plp, capsys):
