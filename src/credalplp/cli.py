@@ -260,6 +260,31 @@ def _cross_check(g, args):
             )
 
 
+def _answer(g, query, semantics: str, args, stats: dict):
+    """The answer as (lower, upper), or UNDEFINED; a well-founded answer is
+    the point (p, p)."""
+    if semantics == "wf":
+        p = inference.wf_query(
+            g, query.q_assignments, query.e_assignments or None,
+            max_choices=args.max_choices, stats=stats,
+        )
+        return p if p is UNDEFINED else (p, p)
+    assignments = query.q_assignments + query.e_assignments
+    if any(value == "undefined" for _, value in assignments):
+        raise ValueError("undefined assignments are only valid with --semantics wf")
+    q_event = models.event_from_assignments(query.q_assignments)
+    if query.e_assignments:
+        e_event = models.event_from_assignments(query.e_assignments)
+        result = inference.credal_conditional(
+            g, q_event, e_event, max_choices=args.max_choices, stats=stats
+        )
+    else:
+        result = inference.credal_unconditional(
+            g, q_event, max_choices=args.max_choices, stats=stats
+        )
+    return result if result is UNDEFINED else (result.lower, result.upper)
+
+
 def _cmd_query(args, started) -> int:
     gamma = None if args.gamma is None else _parse_rational(args.gamma)
     g = grounding.ground(_load(args.file), max_rules=args.max_ground_rules)
@@ -269,86 +294,49 @@ def _cmd_query(args, started) -> int:
     _warn_missing(g, query)
     if args.cross_check:
         _cross_check(g, args)
-
     stats: dict = {}
+    answer = _answer(g, query, semantics, args, stats)
+
+    if answer is UNDEFINED:
+        result, line = {"type": "undefined"}, "result: undefined"
+    elif semantics == "credal":
+        lower, upper = answer
+        result = {
+            "type": "interval",
+            "lower": _rat(lower),
+            "upper": _rat(upper),
+            "lower_decimal": _dec(lower),
+            "upper_decimal": _dec(upper),
+        }
+        line = f"P in [{_rat(lower)}, {_rat(upper)}] ({_dec(lower)}, {_dec(upper)})"
+    else:
+        lower, upper = answer
+        if lower != upper:
+            raise ValueError(
+                f"{klass.kind} program gave the interval [{_rat(lower)}, "
+                f"{_rat(upper)}] where its semantics has a point probability"
+            )
+        result = {"type": "point", "value": _rat(lower), "value_decimal": _dec(lower)}
+        line = f"P = {_rat(lower)} ({_dec(lower)})"
     record = {
         "command": "query",
         "semantics": semantics,
         "classification": klass.kind,
         "total_choices": 1 << len(g.choice_points),
+        "result": result,
+        "choices_visited": stats.get("choices", 0),
+        "models_visited": stats.get("models", 0),
     }
-    lines = [f"classification: {klass.kind}", f"semantics: {semantics}"]
-
-    if semantics == "wf":
-        result = inference.wf_query(
-            g, query.q_assignments, query.e_assignments or None,
-            max_choices=args.max_choices, stats=stats,
-        )
-        decision_value = result
-    else:
-        for _, value in query.q_assignments + query.e_assignments:
-            if value == "undefined":
-                raise ValueError(
-                    "undefined assignments are only valid with --semantics wf"
-                )
-        q_event = models.event_from_assignments(query.q_assignments)
-        if query.e_assignments:
-            e_event = models.event_from_assignments(query.e_assignments)
-            result = inference.credal_conditional(
-                g, q_event, e_event, max_choices=args.max_choices, stats=stats
-            )
-        else:
-            result = inference.credal_unconditional(
-                g, q_event, max_choices=args.max_choices, stats=stats
-            )
-        if semantics == "point" and result is not UNDEFINED:
-            if result.lower != result.upper:
-                raise ValueError(
-                    f"{klass.kind} program gave the interval "
-                    f"[{_rat(result.lower)}, {_rat(result.upper)}] where its "
-                    "semantics has a point probability"
-                )
-            result = result.lower
-        decision_value = result.lower if isinstance(result, inference.CredalInterval) \
-            else result
-
-    if result is UNDEFINED:
-        record["result"] = {"type": "undefined"}
-        lines.append("result: undefined")
-    elif isinstance(result, inference.CredalInterval):
-        record["result"] = {
-            "type": "interval",
-            "lower": _rat(result.lower),
-            "upper": _rat(result.upper),
-            "lower_decimal": _dec(result.lower),
-            "upper_decimal": _dec(result.upper),
-        }
-        lines.append(
-            f"P in [{_rat(result.lower)}, {_rat(result.upper)}] "
-            f"({_dec(result.lower)}, {_dec(result.upper)})"
-        )
-    else:
-        record["result"] = {
-            "type": "point",
-            "value": _rat(result),
-            "value_decimal": _dec(result),
-        }
-        lines.append(f"P = {_rat(result)} ({_dec(result)})")
-
-    record["choices_visited"] = stats.get("choices", 0)
-    record["models_visited"] = stats.get("models", 0)
-    lines.append(f"choices_visited: {record['choices_visited']}")
-    lines.append(f"models_visited: {record['models_visited']}")
-
+    lines = [f"classification: {klass.kind}", f"semantics: {semantics}", line,
+             f"choices_visited: {record['choices_visited']}",
+             f"models_visited: {record['models_visited']}"]
     if gamma is not None:
-        # the P(E)=0 convention: an undefined conditional decides NO
-        decision = "NO" if decision_value is UNDEFINED else (
-            "YES" if decision_value > gamma else "NO"
-        )
+        # YES iff P > gamma: the lower bound of an interval, and NO on an
+        # undefined conditional (the P(E)=0 convention)
         record["gamma"] = args.gamma
-        record["decision"] = decision
-        lines.append(f"decision: {decision}")
-
+        yes = answer is not UNDEFINED and answer[0] > gamma
+        record["decision"] = "YES" if yes else "NO"
+        lines.append(f"decision: {record['decision']}")
     _emit(args, record, lines, started)
     return EXIT_OK
 
@@ -356,18 +344,13 @@ def _cmd_query(args, started) -> int:
 def _cmd_consistency(args, started) -> int:
     g = grounding.ground(_load(args.file), max_rules=args.max_ground_rules)
     report = inference.check_consistency(g, max_choices=args.max_choices)
-    if report.consistent:
-        _emit(args, {"command": "consistency", "consistent": True},
-              ["consistent: yes"], started)
-        return EXIT_OK
-    witness = report.witness.describe(g)
-    _emit(
-        args,
-        {"command": "consistency", "consistent": False, "witness": witness},
-        ["consistent: no", f"witness: {witness}"],
-        started,
-    )
-    return EXIT_INCONSISTENT
+    record = {"command": "consistency", "consistent": report.consistent}
+    lines = [f"consistent: {'yes' if report.consistent else 'no'}"]
+    if not report.consistent:
+        record["witness"] = report.witness.describe(g)
+        lines.append(f"witness: {record['witness']}")
+    _emit(args, record, lines, started)
+    return EXIT_OK if report.consistent else EXIT_INCONSISTENT
 
 
 def _cmd_export_bn(args, started) -> int:

@@ -42,7 +42,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import ResourceGuardError
-from .syntax import Program, Rule
+from .syntax import ANONYMOUS, Program, Rule
 
 DEFAULT_MAX_GROUND_RULES = 10**6
 
@@ -153,15 +153,22 @@ class _Plan:
 
 
 def _plan(rule: Rule) -> _Plan:
-    slot = {(True, v): i for i, v in enumerate(sorted(rule.variables()))}
+    # each `_` is a variable of its own, named "_ i": no source variable can
+    # have that name, and it sorts where a variable named "_" would
+    anonymous = itertools.count()
+    terms = [
+        [(t.is_variable, f"_ {next(anonymous)}" if t == ANONYMOUS else t.name)
+         for t in atom.args]
+        for atom in [rule.head] + [sg.atom for sg in rule.body]
+    ]
+    variables = sorted({term for atom in terms for term in atom if term[0]})
+    slot = {term: i for i, term in enumerate(variables)}
 
-    def slots(atom) -> _Slots:
-        return atom.predicate, tuple(
-            slot.setdefault((t.is_variable, t.name), len(slot)) for t in atom.args
-        )
+    def slots(atom, args) -> _Slots:
+        return atom.predicate, tuple(slot.setdefault(term, len(slot)) for term in args)
 
-    head = slots(rule.head)
-    body = [(sg.negated, slots(sg.atom)) for sg in rule.body]
+    head = slots(rule.head, terms[0])
+    body = [(sg.negated, slots(sg.atom, args)) for sg, args in zip(rule.body, terms[1:])]
     blank = tuple(None if is_var else name for is_var, name in slot)
     known = {s for s, value in enumerate(blank) if value is not None}
     steps = []

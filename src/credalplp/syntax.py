@@ -38,6 +38,10 @@ class Term:
         return self.name
 
 
+# `_` is anonymous: each of its occurrences in a clause is a variable of its own
+ANONYMOUS = Term("var", "_")
+
+
 @dataclass(frozen=True)
 class Atom:
     predicate: str
@@ -420,6 +424,8 @@ def _unifies(a: Atom, b: Atom) -> bool:
         return side, t
 
     for ta, tb in zip(a.args, b.args):
+        if ANONYMOUS in (ta, tb):  # it binds nothing, so it matches any term
+            continue
         sa, ta = resolve("l", ta)
         sb, tb = resolve("r", tb)
         if ta.is_variable:

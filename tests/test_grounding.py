@@ -64,6 +64,26 @@ def test_unsafe_rule_grounds_head_variable_over_universe():
     assert g.atom_id("smokes(b)") is not None
 
 
+def test_each_anonymous_variable_is_a_variable_of_its_own():
+    g = fx.grd("e(a,b). q :- e(_, _).")
+    assert fx.cred(g, "q") == c.CredalInterval(Fraction(1), Fraction(1))
+    g = fx.grd("0.5::p(_, _). c(a). c(b).")
+    texts = [g.atoms[cp.ground_atom] for cp in g.choice_points]
+    assert texts == ["p(a, a)", "p(a, b)", "p(b, a)", "p(b, b)"]
+
+
+@pytest.mark.parametrize("text", [
+    "e(a,b). e(b,c). q(X) :- e(X, _), e(_, _), not e(_, X).",
+    "0.5::e(a,b). 0.5::e(b,_). r(_, Y) :- e(_, Y), e(Y, _).",
+    "e(a,b). e(b,c). q(X) :- e(X, _), not f(_B, X). 0.5::f(c, _).",
+])
+def test_anonymous_variables_ground_as_fresh_named_ones(text):
+    # "_A<i>" sorts where "_" does, since no other variable starts with "_"
+    parts = text.split("_")
+    named = parts[0] + "".join(f"_A{i}{part}" for i, part in enumerate(parts[1:]))
+    assert c.dump_ground(fx.grd(text)) == c.dump_ground(fx.grd(named))
+
+
 def test_resource_guard():
     with pytest.raises(c.ResourceGuardError):
         c.ground(c.parse_program(fx.COLORING), max_rules=5)

@@ -232,6 +232,15 @@ def test_disjointness_warning_with_variables():
     assert c.lint_program(p)
 
 
+def test_disjointness_warning_with_anonymous_variables():
+    text = "0.5::p(a,b). p(_,_) :- q."
+    program = c.parse_program(text)
+    assert c.lint_program(program)
+    assert c.lint_program(c.parse_program("0.5::p(a,b). p(X,X) :- q.")) == []
+    assert c.format_program(program) == "0.5::p(a, b).\np(_, _) :- q.\n"
+    assert c.parse_program(c.format_program(program)) == program
+
+
 def test_no_warning_when_disjoint():
     p = c.parse_program(fx.EXPR3)
     assert c.lint_program(p) == []
