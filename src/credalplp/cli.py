@@ -7,6 +7,7 @@ interrupted, 3 inconsistent program (credal query aborted).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -71,15 +72,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="output style; machine emits one JSON object",
     )
     parser.add_argument(
-        "--max-choices",
-        default=_env_int("CREDALPLP_MAX_CHOICES", inference.DEFAULT_MAX_CHOICES),
+        "--max-choices", default=inference.DEFAULT_MAX_CHOICES,
         help="cap on choice points (2^n total choices)",
     )
     parser.add_argument(
-        "--max-ground-rules",
-        default=_env_int(
-            "CREDALPLP_MAX_GROUND_RULES", grounding.DEFAULT_MAX_GROUND_RULES
-        ),
+        "--max-ground-rules", default=grounding.DEFAULT_MAX_GROUND_RULES,
         help="cap on emitted ground rules",
     )
     parser.add_argument(
@@ -127,6 +124,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("--out", help="write the export to a file instead of stdout")
     return parser
+
+
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of this process, built by the first ``run``; each run sets
+    its cap defaults from the environment before parsing."""
+    return build_parser()
 
 
 def _load(path: str) -> syntax.Program:
@@ -372,10 +376,19 @@ _COMMANDS = {
 
 def run(argv: list[str]) -> int:
     try:
-        parser = build_parser()
+        defaults = {
+            "max_choices": _env_int(
+                "CREDALPLP_MAX_CHOICES", inference.DEFAULT_MAX_CHOICES
+            ),
+            "max_ground_rules": _env_int(
+                "CREDALPLP_MAX_GROUND_RULES", grounding.DEFAULT_MAX_GROUND_RULES
+            ),
+        }
     except ValueError as exc:  # a malformed CREDALPLP_* setting
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USER
+    parser = _parser()
+    parser.set_defaults(**defaults)  # an explicit flag still wins
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -316,21 +316,30 @@ def ground(program: Program, max_rules: int = DEFAULT_MAX_GROUND_RULES) -> Groun
         lo = hi
 
     # emit ground rules: source order, then value tuples lexicographic; each
-    # rule's set is released once emitted, so the peak memory does not grow
-    seen: set[GroundRule] = set()
+    # rule's set is released once emitted, so the peak memory does not grow;
+    # ids number the atoms in order of first mention, choice atoms first
+    ids: dict[GroundAtom, int] = {}
+
+    def atom_id(ga: GroundAtom) -> int:  # its text is built and interned once
+        aid = ids.get(ga)
+        if aid is None:
+            aid = ids[ga] = g.intern(atom_text(ga))
+        return aid
+
+    seen: set[tuple[int, tuple[int, ...], tuple[int, ...]]] = set()
     for i, plan in enumerate(plans):
         for values in sorted(found.pop(i)):
             # impossible atoms are false, so their negative literals hold
             neg = [ga for a in plan.neg if (ga := _fill(a, values)) in possible.members]
-            gr = GroundRule(
-                g.intern(atom_text(_fill(plan.head, values))),
-                tuple(g.intern(atom_text(_fill(st.atom, values))) for st in plan.steps),
-                tuple(g.intern(atom_text(ga)) for ga in neg),
+            rule = (
+                atom_id(_fill(plan.head, values)),
+                tuple([atom_id(_fill(st.atom, values)) for st in plan.steps]),
+                tuple([atom_id(ga) for ga in neg]),
             )
-            if gr in seen:
+            if rule in seen:
                 continue
-            seen.add(gr)
-            g.rules.append(gr)
+            seen.add(rule)
+            g.rules.append(GroundRule(*rule))
             if len(g.rules) > max_rules:
                 raise _cap_exceeded(max_rules)
     return g

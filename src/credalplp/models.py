@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import compress
-from typing import Iterator
+from typing import Callable, Iterator
 
 from .errors import ResourceGuardError
 from .grounding import GroundProgram, GroundRule
@@ -75,19 +75,36 @@ def truth_in(g: GroundProgram, model: PartialInterpretation, atom: str):
 truth3_in = truth_in
 
 
-def eval_event(e: Event, g: GroundProgram, model: PartialInterpretation) -> bool:
-    """Truth of ``e`` in a two- or three-valued model: a literal holds when
-    its atom has exactly the literal's value, so an undefined atom matches
-    only an undefined literal."""
+def compile_event(e: Event, g: GroundProgram) -> Callable[[PartialInterpretation], bool]:
+    """``e`` as a test on the models of ``g``: each literal's atom text is
+    looked up once, here, and the test reads the model by atom id. A literal
+    holds when its atom has exactly the literal's value, so an undefined atom
+    matches only an undefined literal, and an atom absent from ``g`` is false
+    in every model. A conjunction or disjunction of one part is that part's
+    test."""
     if isinstance(e, Lit):
-        return truth_in(g, model, e.atom) == e.value
+        aid, value = g.atom_id(e.atom), e.value
+        if aid is None:  # false in every model
+            holds = False == value
+            return lambda model: holds
+        return lambda model: model[aid] == value
     if isinstance(e, Not):
-        return not eval_event(e.sub, g, model)
-    if isinstance(e, And):
-        return all(eval_event(p, g, model) for p in e.parts)
-    if isinstance(e, Or):
-        return any(eval_event(p, g, model) for p in e.parts)
+        sub = compile_event(e.sub, g)
+        return lambda model: not sub(model)
+    if isinstance(e, (And, Or)):
+        tests = [compile_event(p, g) for p in e.parts]
+        fold = all if isinstance(e, And) else any
+        if len(tests) == 1:
+            return tests[0]
+        return lambda model: fold(test(model) for test in tests)
     raise TypeError(f"not an event: {e!r}")
+
+
+def eval_event(e: Event, g: GroundProgram, model: PartialInterpretation) -> bool:
+    """Truth of ``e`` in a two- or three-valued model: ``compile_event``
+    applied once. A sweep compiles its events once and applies the tests to
+    every model."""
+    return compile_event(e, g)(model)
 
 
 # ---------------------------------------------------------------------------
@@ -106,10 +123,12 @@ class Kernel:
 
     It also caches the reduct least models of one set of facts, the total
     choice being solved (see ``_gamma``): ``facts`` and ``gammas``, replaced
-    when a call brings other facts. ``kept_facts`` returns a tuple, so the
-    facts of one total choice reach ``_gamma`` as the very object it holds.
-    ``atoms`` (all atom ids) starts the downward iterates of
-    ``well_founded_model``.
+    when a call brings other facts, with ``gammas`` keyed by the negatively
+    occurring atoms each model assumed true, a subset of ``negative``.
+    ``alternating_iterates`` compares those keys to skip the calls whose
+    answer it already holds. ``kept_facts`` returns a tuple, so the facts of
+    one total choice reach ``_gamma`` as the very object it holds. ``atoms``
+    (all atom ids) starts the downward iterates of ``well_founded_model``.
     """
 
     def __init__(self, g: GroundProgram):
@@ -176,9 +195,11 @@ def _lfp(k: Kernel, facts, assumed=()) -> set[int]:
 
 def _gamma(k: Kernel, facts, assumed) -> frozenset[int]:
     """``_lfp(k, facts, assumed)``, the least model of the reduct by
-    ``assumed``, cached in ``k``. The reduct depends on ``assumed`` only
-    through its negatively occurring atoms, so they key the entry; the cache
-    holds the entries of the last ``facts`` only."""
+    ``assumed`` (Van Gelder's Γ), cached in ``k``. The reduct reads
+    ``assumed`` only through its negatively occurring atoms,
+    ``k.negative ∩ assumed``, so they key the entry, and two sets with one
+    key have one answer; the cache holds the entries of the last ``facts``
+    only."""
     if facts is not k.facts:
         facts = tuple(facts)
         if facts != k.facts:
@@ -229,16 +250,31 @@ def is_stable(g: GroundProgram | Kernel, interp: Interpretation, facts=()) -> bo
 def alternating_iterates(
     g: GroundProgram | Kernel, start: frozenset[int] | set[int], facts=()
 ) -> list[frozenset[int]]:
-    """Iterates of LFT∘LFT from ``start`` until stabilization (inclusive), as
-    frozensets. LFT is the cached ``_gamma``: on a definite program every call
-    of one total choice is the same least model, computed once."""
+    """Iterates of Γ∘Γ from ``start`` until stabilization (inclusive), as
+    frozensets, where Γ is the cached ``_gamma``.
+
+    Γ reads a set only through its key, its negatively occurring atoms, so a
+    call whose answer the keys already fix is skipped: when Γ(S) has the key
+    of S, the next iterate Γ(Γ(S)) = Γ(S); and when a new iterate has the
+    key of the one before it, the iterate after it equals it, so the list is
+    complete. The lists are those of the plain loop. On a definite program
+    every key is empty, so a call costs one ``_gamma`` call."""
     k = _kernel(g)
-    out = [frozenset(start)]
+    negative = k.negative
+    s = frozenset(start)
+    key = negative.intersection(s)
+    out = [s]
     while True:
-        nxt = _gamma(k, facts, _gamma(k, facts, out[-1]))
-        if nxt == out[-1]:
+        half = _gamma(k, facts, key)
+        half_key = negative.intersection(half)
+        nxt = half if half_key == key else _gamma(k, facts, half_key)
+        if nxt == s:
             return out
         out.append(nxt)
+        nxt_key = negative.intersection(nxt)
+        if nxt_key == key:
+            return out
+        s, key = nxt, nxt_key
 
 
 def well_founded_model(g: GroundProgram | Kernel, facts=()) -> PartialInterpretation:
@@ -250,8 +286,9 @@ def well_founded_model(g: GroundProgram | Kernel, facts=()) -> PartialInterpreta
     lfp = alternating_iterates(k, frozenset(), facts)[-1]
     gfp = alternating_iterates(k, k.atoms, facts)[-1]
     model: PartialInterpretation = [False] * k.n_atoms
-    for aid in gfp:
-        model[aid] = None
+    if len(lfp) != len(gfp):  # lfp ⊆ gfp: equal sizes leave nothing undefined
+        for aid in gfp:
+            model[aid] = None
     for aid in lfp:
         model[aid] = True
     return model

@@ -373,6 +373,41 @@ def test_negative_env_var_caps_are_user_errors(plp, capsys, monkeypatch, name):
     assert code == 2 and err.startswith("resource guard:")
 
 
+def test_parser_is_built_once_and_each_run_reads_its_environment(
+    plp, capsys, monkeypatch
+):
+    builds = []
+    real = cli.build_parser
+
+    def counting():
+        builds.append(1)
+        return real()
+
+    monkeypatch.setattr(cli, "build_parser", counting)
+    cli._parser.cache_clear()
+    monkeypatch.delenv("CREDALPLP_MAX_CHOICES", raising=False)
+    monkeypatch.delenv("CREDALPLP_MAX_GROUND_RULES", raising=False)
+    query = ("query", plp(fx.ALARM), "--q", "calls(a)", "--semantics", "credal")
+    try:
+        assert invoke(capsys, "--no-timing", *query)[0] == 0
+        monkeypatch.setenv("CREDALPLP_MAX_CHOICES", "3")
+        assert invoke(capsys, *query)[0] == 2
+        assert invoke(capsys, "--no-timing", "--max-choices", "5", *query)[0] == 0
+        monkeypatch.setenv("CREDALPLP_MAX_CHOICES", "x")
+        assert invoke(capsys, "--max-choices", "5", *query) == (
+            1, "", "error: CREDALPLP_MAX_CHOICES must be an integer, got 'x'\n"
+        )
+        monkeypatch.delenv("CREDALPLP_MAX_CHOICES")
+        monkeypatch.setenv("CREDALPLP_MAX_GROUND_RULES", "2")
+        assert invoke(capsys, "ground", plp(fx.ALARM))[0] == 2
+        monkeypatch.delenv("CREDALPLP_MAX_GROUND_RULES")
+        assert invoke(capsys, "--no-timing", *query)[0] == 0
+        assert invoke(capsys, "ground", plp(fx.ALARM))[0] == 0
+    finally:
+        cli._parser.cache_clear()
+    assert len(builds) == 1
+
+
 def test_point_semantics_rejects_an_interval(plp, capsys, monkeypatch):
     monkeypatch.setattr(
         inference, "credal_unconditional",

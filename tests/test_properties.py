@@ -304,6 +304,107 @@ def test_cached_reduct_least_models_match_fresh_ones(monkeypatch):
     assert kinds == {"acyclic", "stratified", "general"} and empty > 0
 
 
+def reference_iterates(k, start, facts):
+    """Iterates of Γ∘Γ from ``start`` by the definition: each Γ a fresh
+    ``_lfp`` of the whole set, with no cache and no skipped call."""
+    lfp = c.models._lfp
+    out = [frozenset(start)]
+    while True:
+        nxt = frozenset(lfp(k, facts, lfp(k, facts, out[-1])))
+        if nxt == out[-1]:
+            return out
+        out.append(nxt)
+
+
+def test_alternating_iterates_match_the_plain_loop(monkeypatch):
+    """The skipped ``_gamma`` calls change no iterate, and a definite
+    program costs one ``_gamma`` call per ``alternating_iterates`` call."""
+    calls = [0]
+    real = c.models._gamma
+
+    def counting(*args):
+        calls[0] += 1
+        return real(*args)
+
+    monkeypatch.setattr(c.models, "_gamma", counting)
+    rng = random.Random(20261021)
+    makers = (
+        lambda rng: random_program(rng).replace("not ", ""),  # definite
+        stratified_program, odd_loop_program, random_program,
+    )
+    kinds, definite, lengths = set(), 0, set()
+    for i in range(200):
+        g = fx.grd(makers[i % 4](rng))
+        k = c.Kernel(g)
+        kinds.add(c.classify(c.dependency_graph(g)).kind)
+        definite += not k.negative
+        for choice in c.total_choices(g):
+            facts = k.kept_facts(choice.kept)
+            for start in (frozenset(), k.atoms):
+                want = reference_iterates(k, start, facts)
+                calls[0] = 0
+                assert c.models.alternating_iterates(k, start, facts) == want
+                if not k.negative:
+                    assert calls[0] == 1
+                lengths.add(len(want))
+    assert kinds == {"acyclic", "stratified", "general"} and definite >= 50
+    assert {1, 2, 3} <= lengths
+
+
+def random_tree(rng: random.Random, atoms, depth: int):
+    """A random event over ``atoms``: literals asserting true, false or
+    undefined, negations, and conjunctions and disjunctions of 0-3 parts."""
+    kind = rng.choice("LL" if depth == 0 else "LNAO")
+    if kind == "L":
+        return c.Lit(rng.choice(atoms), rng.choice((True, False, None)))
+    if kind == "N":
+        return c.Not(random_tree(rng, atoms, depth - 1))
+    parts = tuple(random_tree(rng, atoms, depth - 1) for _ in range(rng.randint(0, 3)))
+    return c.And(parts) if kind == "A" else c.Or(parts)
+
+
+def reference_eval(e, g, model) -> bool:
+    """Truth of ``e`` by recursion on the event, looking each atom up by its
+    text: a literal holds when its atom has exactly its value, and an atom
+    absent from ``g`` is false."""
+    if isinstance(e, c.Lit):
+        aid = g.atom_id(e.atom)
+        return (False if aid is None else model[aid]) == e.value
+    if isinstance(e, c.Not):
+        return not reference_eval(e.sub, g, model)
+    holds = [reference_eval(p, g, model) for p in e.parts]
+    return all(holds) if isinstance(e, c.And) else any(holds)
+
+
+def test_compiled_events_match_a_recursive_reference():
+    rng = random.Random(20261022)
+    seen = set()
+    for _ in range(200):
+        g = fx.grd(random_program(rng))
+        atoms = [*g.atoms, "absent", "absent(x)"]
+        e = random_tree(rng, atoms, rng.randint(0, 3))
+        test = c.models.compile_event(e, g)
+        for _ in range(6):
+            model = [rng.choice((True, False, None)) for _ in range(g.n_atoms)]
+            want = reference_eval(e, g, model)
+            assert test(model) is want
+            assert c.eval_event(e, g, model) is want
+            seen.add(want)
+        stack = [e]
+        while stack:
+            x = stack.pop()
+            if isinstance(x, c.Lit):
+                seen.add(("absent" if g.atom_id(x.atom) is None else "lit", x.value))
+            elif isinstance(x, c.Not):
+                stack.append(x.sub)
+            else:
+                seen.add((type(x).__name__, len(x.parts)))
+                stack.extend(x.parts)
+    assert {True, False, ("And", 0), ("Or", 0), ("And", 1), ("Or", 3)} <= seen
+    assert {(kind, value) for kind in ("lit", "absent")
+            for value in (True, False, None)} <= seen
+
+
 PROBS = [Fraction(0), Fraction(1), Fraction(1, 3), Fraction(5, 7), Fraction(1, 2),
          Fraction(2, 9)]
 
