@@ -25,6 +25,8 @@ from .grounding import GroundProgram, GroundRule
 from .models import (
     Event,
     Kernel,
+    _base,
+    _extend,
     compile_event,
     event_from_assignments,
     stable_models,
@@ -38,10 +40,35 @@ from .models import eval_event, truth3_in  # noqa: F401
 DEFAULT_MAX_CHOICES = 20
 
 
-@dataclass(frozen=True)
 class TotalChoice:
-    kept: tuple[bool, ...]  # indexed by ChoicePoint id
-    weight: Fraction
+    """Which choice points a total choice keeps (``kept``, indexed by
+    ChoicePoint id) and its weight, ``weight / denominator``: an exact
+    weight (``int`` or ``Fraction``), or an integer numerator over a common
+    denominator, as ``total_choices`` gives it so that a sweep adds
+    numerators with no ``Fraction`` per choice. ``weight`` is the exact
+    ``Fraction``."""
+
+    __slots__ = ("kept", "numerator", "denominator")
+
+    def __init__(self, kept: tuple[bool, ...], weight, denominator: int = 1):
+        self.kept = kept
+        self.numerator = weight.numerator
+        self.denominator = weight.denominator * denominator
+
+    @property
+    def weight(self) -> Fraction:
+        return Fraction(self.numerator, self.denominator)
+
+    def __eq__(self, other):
+        if not isinstance(other, TotalChoice):
+            return NotImplemented
+        return (self.kept, self.weight) == (other.kept, other.weight)
+
+    def __hash__(self):
+        return hash((self.kept, self.weight))
+
+    def __repr__(self) -> str:
+        return f"TotalChoice(kept={self.kept!r}, weight={self.weight!r})"
 
     def __str__(self) -> str:
         return "{" + "".join("1" if k else "0" for k in self.kept) + "}"
@@ -99,7 +126,8 @@ def total_choices(
     (id 0 is the least significant bit). Weight numerators are kept as
     integer suffix products over the common denominator D, so a step
     recomputes only the factors of the bits it flips, about two integer
-    multiplications per choice, and builds one ``Fraction``."""
+    multiplications per choice; each choice holds its numerator over D, and
+    no ``Fraction`` is built until its ``weight`` is read."""
     n = len(g.choice_points)
     if n > max_choices:
         raise ResourceGuardError(
@@ -114,7 +142,7 @@ def total_choices(
         for i in range(stop - 1, -1, -1):
             kept[i] = bool((mask >> i) & 1)
             suffix[i] = suffix[i + 1] * numerators[i][kept[i]]
-        yield TotalChoice(tuple(kept), Fraction(suffix[0], d))
+        yield TotalChoice(tuple(kept), suffix[0], d)
 
 
 def program_for_choice(g: GroundProgram, choice: TotalChoice) -> GroundProgram:
@@ -133,20 +161,53 @@ def program_for_choice(g: GroundProgram, choice: TotalChoice) -> GroundProgram:
     return out
 
 
+def _carried(g: GroundProgram, k: Kernel, max_choices):
+    """Each total choice of ``total_choices`` with its kept atoms, once
+    ``k``'s cache holds that choice's first two reduct least models, those
+    of the well-founded model: Γ(∅) and Γ(``k.negative``), keyed ∅ and
+    ``k.negative``.
+
+    For one key, adding a fact only grows the least model. In
+    binary-counting order the choice whose lowest kept bit is b keeps the
+    atoms of the choice before it at the bits above b, plus atom b; so each
+    key has a stack whose ``state[j]`` is the counters and true set of the
+    kept atoms at bits >= j (the base state, with no kept atoms, at
+    ``state[n]``). A choice copies ``state[b + 1]``, extends the copy by atom
+    b and points ``state[0..b]`` at the result. That is one least model per
+    key for the first choice and one extension per key for each later one;
+    a stack holds at most n + 1 states."""
+    n = len(g.choice_points)
+    stacks = dict.fromkeys((frozenset(), k.negative))  # one key if no negation
+    for key in stacks:
+        missing, queue = _base(k, key)
+        stacks[key] = [(missing, frozenset(_extend(k, missing, set(), queue)))] * (n + 1)
+    for mask, choice in enumerate(total_choices(g, max_choices)):
+        if mask:
+            b = (mask & -mask).bit_length() - 1
+            atom = k.choice_atoms[b]
+            for state in stacks.values():
+                missing, true = state[b + 1]
+                missing, true = missing.copy(), set(true)
+                _extend(k, missing, true, [atom])
+                state[: b + 1] = [(missing, frozenset(true))] * (b + 1)
+        k.facts = facts = k.kept_facts(choice.kept)
+        k.gammas = {key: state[0][1] for key, state in stacks.items()}
+        yield choice, facts
+
+
 def _sweep(g: GroundProgram, project, semantics: str, max_choices, stats=None):
     """Map each set S of ``project`` images to the weight of the total choices
     whose models (all stable ones, or the well-founded one when ``semantics``
     is "wf") project onto exactly S. Aborts on the first choice without a
     stable model; counts choices and models into ``stats``. Weights add up
-    as integer numerators over D (see ``_numerators``), with one ``Fraction``
-    per set at the end."""
+    as the choices' integer numerators over D (see ``_numerators``), with
+    one ``Fraction`` per set at the end."""
     k = Kernel(g)
     d = _numerators(g)[1]
     mass: dict[frozenset, int] = {}
     choices = found = 0
     try:
-        for choice in total_choices(g, max_choices):
-            facts = k.kept_facts(choice.kept)
+        for choice, facts in _carried(g, k, max_choices):
             if semantics == "wf":
                 models = [well_founded_model(k, facts)]
             else:
@@ -156,8 +217,7 @@ def _sweep(g: GroundProgram, project, semantics: str, max_choices, stats=None):
             choices += 1
             found += len(models)
             key = frozenset(map(project, models))
-            weight = choice.weight
-            mass[key] = mass.get(key, 0) + weight.numerator * (d // weight.denominator)
+            mass[key] = mass.get(key, 0) + choice.numerator
     finally:  # an aborted sweep still reports the choices it solved
         if stats is not None:
             stats["choices"] = stats.get("choices", 0) + choices
@@ -250,8 +310,8 @@ def check_consistency(
     """Its own loop rather than a sweep: it stops at the first stable model of
     each choice, where a sweep would enumerate them all."""
     k = Kernel(g)
-    for choice in total_choices(g, max_choices):
-        if next(iter(stable_models(k, k.kept_facts(choice.kept))), None) is None:
+    for choice, facts in _carried(g, k, max_choices):
+        if next(iter(stable_models(k, facts)), None) is None:
             return ConsistencyReport(False, choice)
     return ConsistencyReport(True)
 

@@ -129,6 +129,13 @@ class Kernel:
     answer it already holds. ``kept_facts`` returns a tuple, so the facts of
     one total choice reach ``_gamma`` as the very object it holds. ``atoms``
     (all atom ids) starts the downward iterates of ``well_founded_model``.
+
+    The sweeps over total choices (``inference._carried``) set ``facts`` and
+    seed ``gammas`` themselves, with the two least models every
+    well-founded model starts from, keyed ∅ and ``negative``: each is
+    carried from an earlier total choice and extended by one kept atom
+    (``_extend``), so a definite program costs one base least model per
+    query and then one extension per total choice.
     """
 
     def __init__(self, g: GroundProgram):
@@ -167,20 +174,27 @@ def _kernel(g) -> Kernel:
     return g if isinstance(g, Kernel) else Kernel(g)
 
 
-def _lfp(k: Kernel, facts, assumed=()) -> set[int]:
-    """Least model of ``facts`` plus the rules whose negative body misses
-    ``assumed``, negative literals stripped: the least model of the reduct
-    when ``assumed`` is the true set of an interpretation. Linear in total
-    body size."""
+def _base(k: Kernel, assumed) -> tuple[list[int], list[int]]:
+    """The start of a least model with the rules whose negative body meets
+    ``assumed`` blocked: per rule, the positive body atoms still missing (-1
+    when blocked: it never counts down to 0), and the queue of the heads of
+    the unblocked rules without a positive body."""
     missing = k.pos_count.copy()
     neg_watch = k.neg_watch
     for a in assumed:
         for ri in neg_watch[a]:
-            missing[ri] = -1  # blocked: never counts down to 0
+            missing[ri] = -1
+    heads = k.heads
+    return missing, [heads[ri] for ri in k.body_free if missing[ri] == 0]
+
+
+def _extend(k: Kernel, missing: list[int], true: set[int], queue: list[int]) -> set[int]:
+    """Dowling-Gallier propagation: add the ``queue`` atoms to ``true`` and
+    fire every rule whose last missing positive body atom they make true,
+    updating ``missing`` and ``true`` in place. Adding facts is monotone, so
+    the counters and true set of a least model extend to those of the least
+    model with more facts. Linear in the body size of the rules it fires."""
     heads, pos_watch = k.heads, k.pos_watch
-    queue = [heads[ri] for ri in k.body_free if missing[ri] == 0]
-    queue += facts
-    true: set[int] = set()
     while queue:
         aid = queue.pop()
         if aid in true:
@@ -193,13 +207,26 @@ def _lfp(k: Kernel, facts, assumed=()) -> set[int]:
     return true
 
 
+def _lfp(k: Kernel, facts, assumed=()) -> set[int]:
+    """Least model of ``facts`` plus the rules whose negative body misses
+    ``assumed``, negative literals stripped: the least model of the reduct
+    when ``assumed`` is the true set of an interpretation. Linear in total
+    body size."""
+    missing, queue = _base(k, assumed)
+    queue += facts
+    return _extend(k, missing, set(), queue)
+
+
 def _gamma(k: Kernel, facts, assumed) -> frozenset[int]:
     """``_lfp(k, facts, assumed)``, the least model of the reduct by
     ``assumed`` (Van Gelder's Γ), cached in ``k``. The reduct reads
     ``assumed`` only through its negatively occurring atoms,
     ``k.negative ∩ assumed``, so they key the entry, and two sets with one
     key have one answer; the cache holds the entries of the last ``facts``
-    only."""
+    only. In a sweep, the keys ∅ and ``k.negative`` are already there,
+    carried from an earlier total choice, and only the other keys (of later
+    alternating iterates, stability checks and the ``can`` bound of
+    ``_propagate``) run a fresh ``_lfp``."""
     if facts is not k.facts:
         facts = tuple(facts)
         if facts != k.facts:

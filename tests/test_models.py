@@ -372,8 +372,9 @@ def test_search_yields_the_oracle_models_in_order_checking_each_once(monkeypatch
 
 
 # ---------------------------------------------------------------------------
-# the per-choice cache of reduct least models: one least model per total
-# choice on a definite program, bounded to one choice, immutable
+# the per-choice cache of reduct least models: on a definite program one base
+# least model per query and one extension per later total choice, bounded to
+# one choice, immutable
 
 
 def reach_program(rng: random.Random, nodes=8, edges=10) -> str:
@@ -388,38 +389,51 @@ def reach_program(rng: random.Random, nodes=8, edges=10) -> str:
     return "\n".join(lines)
 
 
-def counting_lfp(monkeypatch):
-    """Replace ``models._lfp`` with a wrapper; returns its call counter."""
-    calls = [0]
-    real = models._lfp
+def counting(monkeypatch, module, name, record=None):
+    """Replace ``module.name`` with a wrapper; returns its call list, one
+    ``record(*args)`` entry per call."""
+    calls = []
+    real = getattr(module, name)
 
-    def counting(*args):
-        calls[0] += 1
+    def wrapper(*args):
+        calls.append(record(*args) if record else None)
         return real(*args)
 
-    monkeypatch.setattr(models, "_lfp", counting)
+    monkeypatch.setattr(module, name, wrapper)
     return calls
 
 
-def test_definite_programs_run_one_least_model_per_total_choice(monkeypatch):
-    calls = counting_lfp(monkeypatch)
+def test_definite_programs_carry_one_least_model_across_total_choices(monkeypatch):
+    """The sweep's carry starts each seed key from one base state, and on a
+    definite program (one seed key: no atom occurs negatively) each later
+    total choice costs one extension by one atom, its lowest kept bit's;
+    nothing else runs a least model."""
+    lfp = counting(monkeypatch, models, "_lfp")
+    bases = counting(monkeypatch, c.inference, "_base", lambda k, key: key)
+    extends = counting(
+        monkeypatch, c.inference, "_extend", lambda k, missing, true, queue: list(queue)
+    )
     texts = [*fx.ALL_PROGRAMS.values(), reach_program(random.Random(8))]
     programs = [fx.grd(text) for text in texts]
     programs = [g for g in programs if not any(rule.neg for rule in g.rules)]
     assert len(programs[-1].choice_points) == 10 and len(programs) >= 6
     for g in programs:
-        # consecutive total choices with equal facts (two choice points over
-        # one atom) share their least model
-        kept = [models.Kernel(g).kept_facts(ch.kept) for ch in c.total_choices(g)]
-        distinct = sum(i == 0 or facts != kept[i - 1] for i, facts in enumerate(kept))
+        n = len(g.choice_points)
+        atoms = [cp.ground_atom for cp in g.choice_points]
+        # the atom each later choice adds, in binary-counting order
+        added = [[atoms[(m & -m).bit_length() - 1]] for m in range(1, 1 << n)]
         atom = g.atoms[-1]
         for query in (
             lambda: c.credal_unconditional(g, c.Lit(atom)),
             lambda: c.wf_query(g, [(atom, "true")]),
+            lambda: c.check_consistency(g),
         ):
-            calls[0] = 0
+            del lfp[:], bases[:], extends[:]
             query()
-            assert calls[0] == distinct
+            assert bases == [frozenset()]
+            # the base state's own queue, then one atom per later choice
+            assert len(extends) == 1 << n and extends[1:] == added
+            assert lfp == []
 
 
 def recorded_kernels(monkeypatch):

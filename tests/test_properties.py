@@ -251,6 +251,10 @@ def stratified_program(rng: random.Random) -> str:
     return "\n".join(lines)
 
 
+def definite_program(rng: random.Random) -> str:
+    return random_program(rng).replace("not ", "")
+
+
 def odd_loop_program(rng: random.Random) -> str:
     x, y, z = rng.sample(ATOMS, 3)
     return f"{random_program(rng)}\n{x} :- not {y}. {y} :- not {z}. {z} :- not {x}."
@@ -328,10 +332,7 @@ def test_alternating_iterates_match_the_plain_loop(monkeypatch):
 
     monkeypatch.setattr(c.models, "_gamma", counting)
     rng = random.Random(20261021)
-    makers = (
-        lambda rng: random_program(rng).replace("not ", ""),  # definite
-        stratified_program, odd_loop_program, random_program,
-    )
+    makers = (definite_program, stratified_program, odd_loop_program, random_program)
     kinds, definite, lengths = set(), 0, set()
     for i in range(200):
         g = fx.grd(makers[i % 4](rng))
@@ -590,3 +591,73 @@ def test_folded_entry_points_match_a_plain_reference_loop():
         "inconsistent", "undefined", "zero", "one", "ratio", "wf evidence",
         "wf undefined",
     }
+
+
+# ---------------------------------------------------------------------------
+# the least models the sweeps carry from one total choice to the next, against
+# fresh least models and a plain loop over program copies
+
+
+def shared_choice_program(rng: random.Random, make) -> str:
+    """``make``'s program plus two choice points over one atom, which also
+    heads a rule."""
+    x, y = rng.sample(ATOMS, 2)
+    return f"{make(rng)}\n1/3::{x}.\n2/5::{x}.\n{x} :- {y}."
+
+
+def test_carried_least_models_match_fresh_ones_and_a_plain_reference_loop():
+    rng = random.Random(20261023)
+    makers = (definite_program, stratified_program, odd_loop_program, random_program)
+    kinds, negation, inconsistent, headed = set(), set(), 0, 0
+    for i in range(200):
+        g = fx.grd(shared_choice_program(rng, makers[i % 4]))
+        kinds.add(c.classify(c.dependency_graph(g)).kind)
+        atoms = {cp.ground_atom for cp in g.choice_points}
+        headed += any(rule.head in atoms for rule in g.rules)
+        choices = list(c.total_choices(g))
+        copies = [c.program_for_choice(g, choice) for choice in choices]
+
+        # at every total choice the carry seeds Γ(∅) and Γ(negative), checked
+        # here before the next choice re-seeds the cache
+        k = c.Kernel(g)
+        negation.add(bool(k.negative))
+        seen = []
+        for choice, facts in c.inference._carried(g, k, 20):
+            assert facts is k.facts and facts == k.kept_facts(choice.kept)
+            assert set(k.gammas) == {frozenset(), k.negative}
+            for key, true in k.gammas.items():
+                assert true == frozenset(c.models._lfp(k, facts, key))
+            seen.append(choice)
+        assert seen == choices
+
+        events = [random_event(rng), random_event(rng), c.Not(random_event(rng))]
+        want = reference_credal(g, events)
+        witness = next(
+            (ch for ch, gc in zip(choices, copies) if not c.exhaustive_stable_models(gc)),
+            None,
+        )
+        report = c.check_consistency(g)
+        assert report.consistent == (witness is None) and report.witness == witness
+        if isinstance(want, str):
+            inconsistent += 1
+            assert want == witness.describe(g) == report.witness.describe(g)
+            with pytest.raises(c.InconsistentProgramError) as exc:
+                c.event_bounds(g, events)
+            assert exc.value.witness == witness and exc.value.description == want
+        else:
+            sums, ref_stats = want
+            stats = {}
+            got = c.event_bounds(g, events, stats=stats)
+            assert got == [c.CredalInterval(lo, up) for lo, up in sums]
+            assert stats == ref_stats
+
+        atom = rng.choice([*g.atoms, "missing"])
+        aid = g.atom_id(atom)
+        dist = {True: Fraction(0), False: Fraction(0), None: Fraction(0)}
+        for choice, gc in zip(choices, copies):
+            dist[False if aid is None else c.well_founded_model(gc)[aid]] += choice.weight
+        assert c.wf_atom_distribution(g, atom) == c.WfDistribution(
+            dist[True], dist[False], dist[None]
+        )
+    assert kinds == {"acyclic", "stratified", "general"}
+    assert negation == {False, True} and 0 < inconsistent < 200 and headed >= 100
