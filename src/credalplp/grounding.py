@@ -23,9 +23,10 @@ once per positive subgoal j, with subgoal j matching only atoms first added
 in the previous round, the subgoals before j only older atoms, and those
 after j any atom. A round's new heads are collected before any is added, so
 no index changes under a running join. Each substitution is found in exactly
-one round, the one that adds the highest-numbered of its positive atoms, so
-ground rules are emitted, in source order and each rule's value tuples
-sorted, by applying the slots to the tuples the rounds found. Probabilistic
+one round, the one that adds the highest-numbered of its positive atoms, and
+kept with the numbers of the atoms it matched and of its head: ground rules
+are emitted from those, in source order and each rule's value tuples sorted,
+and only negative subgoals are built from the slots again. Probabilistic
 facts are ground through the same plans, as rules without a body.
 
 ``max_rules`` caps the emitted rules. It also fires during the fixpoint, as
@@ -191,14 +192,15 @@ def _plan(rule: Rule) -> _Plan:
 
 
 class _PossiblyTrue:
-    """The possibly-true atoms, numbered in the order they were added, with
-    one hash index per (predicate, arity, bound positions) that a step of
-    ``plans`` names. An index maps the values at its positions to the numbers
-    of the matching atoms, in ascending order; ``add`` keeps it current."""
+    """The possibly-true atoms, numbered in the order they were added (the
+    ``members`` dict), with one hash index per (predicate, arity, bound
+    positions) that a step of ``plans`` names. An index maps the values at its
+    positions to the numbers of the matching atoms, ascending; ``add`` keeps
+    it current."""
 
     def __init__(self, plans: list[_Plan]):
         self.atoms: list[GroundAtom] = []
-        self.members: set[GroundAtom] = set()
+        self.members: dict[GroundAtom, int] = {}
         # (predicate, arity) -> bound positions -> key -> atom numbers
         self.indexes: dict[tuple[str, int], dict[tuple[int, ...], dict]] = {}
         for step in (step for plan in plans for step in plan.steps):
@@ -207,10 +209,9 @@ class _PossiblyTrue:
     def add(self, ga: GroundAtom) -> None:
         if ga in self.members:
             return
-        self.members.add(ga)
+        n = self.members[ga] = len(self.atoms)
         self.atoms.append(ga)
         pred, args = ga
-        n = len(self.atoms) - 1
         for bound, table in self.indexes.get((pred, len(args)), {}).items():
             table.setdefault(tuple(args[p] for p in bound), []).append(n)
 
@@ -218,17 +219,18 @@ class _PossiblyTrue:
         return self.indexes[step.signature][step.bound].get(key, ())
 
 
-def _complete(plan: _Plan, values: list, universe):
-    """Yield ``values`` as a tuple once per assignment of the free variables
-    over the universe, in product order."""
+def _complete(plan: _Plan, values: list, universe, numbers=()):
+    """Yield ``values`` as a tuple, then ``numbers``, once per assignment of
+    the free variables over the universe, in product order."""
     for combo in itertools.product(universe, repeat=len(plan.free)):
         for s, value in zip(plan.free, combo):
             values[s] = value
-        yield tuple(values)
+        yield (*values, *numbers)
 
 
 def _match_positive(plan: _Plan, possible: _PossiblyTrue, universe, delta: int, lo: int):
-    """Yield the value tuples of one semi-naive round: subgoal ``delta``
+    """Yield the value tuples of one semi-naive round, each followed by the
+    numbers of the atoms its positive subgoals matched: subgoal ``delta``
     matches only atoms numbered ``lo`` or more, the subgoals before it only
     atoms numbered below ``lo``, and the subgoals after it any possibly-true
     atom; variables not bound by a positive subgoal range over the full
@@ -239,18 +241,19 @@ def _match_positive(plan: _Plan, possible: _PossiblyTrue, universe, delta: int, 
     A rule without positive subgoals looks at no atom and yields its whole
     grounding."""
     steps, atoms = plan.steps, possible.atoms
-    values = list(plan.blank)
+    values, matched = list(plan.blank), [0] * len(steps)
     stack = [(0, -1)]
     while stack:
         i, n = stack.pop()
         if i:
             step, args = steps[i - 1], atoms[n][1]
+            matched[i - 1] = n
             for p, s in step.binds:
                 values[s] = args[p]
             if any(values[s] != args[p] for p, s in step.checks):
                 continue
         if i == len(steps):
-            yield from _complete(plan, values, universe)
+            yield from _complete(plan, values, universe, matched)
             continue
         step = steps[i]
         found = possible.lookup(step, tuple([values[s] for s in step.key]))
@@ -283,24 +286,24 @@ def ground(program: Program, max_rules: int = DEFAULT_MAX_GROUND_RULES) -> Groun
 
     # possibly-true fixpoint, semi-naive: a round's new heads are collected
     # before any is added, so no index changes under a running join
-    pending: dict[GroundAtom, None] = {}
-    # rule position -> the value tuples of its substitutions
-    found: dict[int, set[tuple[str, ...]]] = {i: set() for i in range(len(plans))}
+    pending: dict[GroundAtom, int] = {}  # atom -> the number it is added as
+    # rule position -> its substitutions: values, matched atom numbers, head number
+    found: dict[int, set[tuple]] = {i: set() for i in range(len(plans))}
 
-    def derive(i: int, plan: _Plan, values: tuple[str, ...]) -> None:
-        found[i].add(values)
-        ga = _fill(plan.head, values)
-        if ga in possible.members or ga in pending:
-            return
-        pending[ga] = None
-        # each possibly-true atom that is not a choice atom heads an emitted rule
-        if len(possible.atoms) + len(pending) - n_choice > max_rules:
-            raise _cap_exceeded(max_rules)
+    def derive(i: int, plan: _Plan, entry: tuple) -> None:
+        ga = _fill(plan.head, entry)
+        head = possible.members.get(ga)
+        if head is None:
+            head = pending.setdefault(ga, len(possible.atoms) + len(pending))
+            # each possibly-true atom that is not a choice atom heads an emitted rule
+            if len(possible.atoms) + len(pending) - n_choice > max_rules:
+                raise _cap_exceeded(max_rules)
+        found[i].add(entry + (head,))
 
     for i, plan in enumerate(plans):
         if not plan.steps:
-            for values in _match_positive(plan, possible, universe, 0, 0):
-                derive(i, plan, values)
+            for entry in _match_positive(plan, possible, universe, 0, 0):
+                derive(i, plan, entry)
     lo = 0  # atoms numbered lo or more were first added in the previous round
     while pending or lo < len(possible.atoms):
         for ga in pending:
@@ -311,30 +314,32 @@ def ground(program: Program, max_rules: int = DEFAULT_MAX_GROUND_RULES) -> Groun
         for i, plan in enumerate(plans):
             for j, step in enumerate(plan.steps):
                 if step.signature in fresh:
-                    for values in _match_positive(plan, possible, universe, j, lo):
-                        derive(i, plan, values)
+                    for entry in _match_positive(plan, possible, universe, j, lo):
+                        derive(i, plan, entry)
         lo = hi
 
     # emit ground rules: source order, then value tuples lexicographic; each
     # rule's set is released once emitted, so the peak memory does not grow;
     # ids number the atoms in order of first mention, choice atoms first
-    ids: dict[GroundAtom, int] = {}
+    ids: list[int | None] = [None] * len(possible.atoms)  # by atom number
 
-    def atom_id(ga: GroundAtom) -> int:  # its text is built and interned once
-        aid = ids.get(ga)
+    def atom_id(n: int) -> int:  # its text is built and interned once
+        aid = ids[n]
         if aid is None:
-            aid = ids[ga] = g.intern(atom_text(ga))
+            aid = ids[n] = g.intern(atom_text(possible.atoms[n]))
         return aid
 
+    members = possible.members
     seen: set[tuple[int, tuple[int, ...], tuple[int, ...]]] = set()
     for i, plan in enumerate(plans):
-        for values in sorted(found.pop(i)):
+        width = len(plan.blank)  # the values come first, so they set the order
+        for entry in sorted(found.pop(i)):
             # impossible atoms are false, so their negative literals hold
-            neg = [ga for a in plan.neg if (ga := _fill(a, values)) in possible.members]
+            neg = [n for a in plan.neg if (n := members.get(_fill(a, entry))) is not None]
             rule = (
-                atom_id(_fill(plan.head, values)),
-                tuple([atom_id(_fill(st.atom, values)) for st in plan.steps]),
-                tuple([atom_id(ga) for ga in neg]),
+                atom_id(entry[-1]),
+                tuple([atom_id(n) for n in entry[width:-1]]),
+                tuple([atom_id(n) for n in neg]),
             )
             if rule in seen:
                 continue

@@ -114,12 +114,12 @@ def eval_event(e: Event, g: GroundProgram, model: PartialInterpretation) -> bool
 class Kernel:
     """A ground program compiled once and shared by all its total choices.
 
-    Holds the Dowling-Gallier index (per-rule heads and positive-body counts,
-    positive and negative watch lists by atom, the rules without a positive
-    body), the atoms with a negative watch list (``negative``) and the
-    occurrence counts and branching order of the stable-model search. Kept
-    choice atoms reach every routine below as extra facts, so no total choice
-    copies the program.
+    Holds the Dowling-Gallier index (per-rule heads and counts of distinct
+    positive and negative body atoms, positive and negative watch lists by
+    atom, the rules without a positive body), the atoms with a negative watch
+    list (``negative``) and the occurrence counts and branching order of the
+    stable-model search. Kept choice atoms reach every routine below as extra
+    facts, so no total choice copies the program.
 
     It also caches the reduct least models of one set of facts, the total
     choice being solved (see ``_gamma``): ``facts`` and ``gammas``, replaced
@@ -142,16 +142,17 @@ class Kernel:
         n = g.n_atoms
         self.n_atoms = n
         self.heads = [rule.head for rule in g.rules]
-        self.pos_count = []
+        self.pos_count, self.neg_count = [], []
         self.pos_watch: list[list[int]] = [[] for _ in range(n)]
         self.neg_watch: list[list[int]] = [[] for _ in range(n)]
         self.occurrences = [0] * n
         for ri, rule in enumerate(g.rules):
-            pos = set(rule.pos)
+            pos, neg = set(rule.pos), set(rule.neg)
             self.pos_count.append(len(pos))
+            self.neg_count.append(len(neg))
             for a in pos:
                 self.pos_watch[a].append(ri)
-            for a in rule.neg:
+            for a in neg:
                 self.neg_watch[a].append(ri)
             for a in rule.pos + rule.neg:
                 self.occurrences[a] += 1
@@ -188,17 +189,20 @@ def _base(k: Kernel, assumed) -> tuple[list[int], list[int]]:
     return missing, [heads[ri] for ri in k.body_free if missing[ri] == 0]
 
 
-def _extend(k: Kernel, missing: list[int], true: set[int], queue: list[int]) -> set[int]:
+def _extend(k: Kernel, missing, true: set[int], queue, assign=None) -> set[int] | None:
     """Dowling-Gallier propagation: add the ``queue`` atoms to ``true`` and
     fire every rule whose last missing positive body atom they make true,
     updating ``missing`` and ``true`` in place. Adding facts is monotone, so
     the counters and true set of a least model extend to those of the least
-    model with more facts. Linear in the body size of the rules it fires."""
+    model with more facts. Linear in the body size of the rules it fires.
+    Given ``assign``, returns None as soon as an atom false in it would enter."""
     heads, pos_watch = k.heads, k.pos_watch
     while queue:
         aid = queue.pop()
         if aid in true:
             continue
+        if assign is not None and assign[aid] is False:
+            return None
         true.add(aid)
         for ri in pos_watch[aid]:
             missing[ri] -= 1
@@ -325,34 +329,57 @@ def well_founded_model(g: GroundProgram | Kernel, facts=()) -> PartialInterpreta
 # Stable-model enumeration
 
 
-def _propagate(k: Kernel, facts, assign) -> bool:
-    """Narrow ``assign`` to what every stable model extending it agrees on,
-    with two least models per round (the smodels atleast/atmost pair):
+def _count_false(k: Kernel, missing: list[int], atoms) -> list[int]:
+    """Count ``atoms`` false in ``missing``; returns the heads of the rules this fires."""
+    heads, neg_watch, queue = k.heads, k.neg_watch, []
+    for a in atoms:
+        for ri in neg_watch[a]:
+            missing[ri] -= 1
+            if missing[ri] == 0:
+                queue.append(heads[ri])
+    return queue
+
+
+def _start(k: Kernel, wf: PartialInterpretation) -> tuple[list[int], set[int]]:
+    """Counters and ``must`` at the well-founded model (T, U): per rule, its
+    positive body atoms outside T plus its negative ones in U; ``must`` = T."""
+    missing = [p + n for p, n in zip(k.pos_count, k.neg_count)]
+    queue = _count_false(k, missing, [a for a, v in enumerate(wf) if v is False])
+    return missing, _extend(k, missing, set(), queue + [a for a, v in enumerate(wf) if v])
+
+
+def _propagate(k: Kernel, facts, assign, missing, must, aid) -> bool:
+    """Narrow ``assign``, just decided on ``aid``, to what every stable model
+    extending it agrees on, with two least models per round (the smodels
+    atleast/atmost pair):
 
     - ``must``, the least model of the facts and true atoms under the rules
-      whose negative body is all false: every such stable model contains it;
+      whose negative body is all false: every such stable model contains it.
+      It comes down the search tree with its counters ``missing`` (``_start``),
+      updated in place: an atom set true enters ``must``, one set false counts
+      down the rules it blocked, and a rule at 0 puts its head into ``must``.
     - ``can``, the least model of the reduct by the true atoms: every such
-      stable model is contained in it. It comes from the cache of ``_gamma``;
-      ``must`` has other facts, so it does not.
+      stable model is contained in it. It comes from the cache of ``_gamma``.
 
     Undecided atoms in ``must`` become true and those outside ``can`` false,
-    until nothing changes. Returns False when ``must`` has a false atom or
-    leaves ``can``: no stable model extends ``assign``.
+    until nothing changes. Returns False as soon as a false atom enters
+    ``must`` or ``must`` leaves ``can``: no stable model extends ``assign``.
     """
+    queue = [aid] if assign[aid] else _count_false(k, missing, [aid])
     while True:
-        true = [a for a, v in enumerate(assign) if v]
-        not_false = [a for a, v in enumerate(assign) if v is not False]
-        must = _lfp(k, [*facts, *true], not_false)
-        can = _gamma(k, facts, true)
-        if not must <= can or any(assign[a] is False for a in must):
+        if _extend(k, missing, must, queue, assign) is None:
             return False
-        changed = False
-        for a, v in enumerate(assign):
-            if v is None and (a in must or a not in can):
-                assign[a] = a in must
-                changed = True
+        can = _gamma(k, facts, [a for a, v in enumerate(assign) if v])
+        if not must <= can:
+            return False
+        changed = [
+            a for a, v in enumerate(assign) if v is None and (a in must or a not in can)
+        ]
         if not changed:
             return True
+        for a in changed:
+            assign[a] = a in must
+        queue = _count_false(k, missing, [a for a in changed if not assign[a]])
 
 
 def stable_models(g: GroundProgram | Kernel, facts=()) -> Iterator[Interpretation]:
@@ -362,6 +389,9 @@ def stable_models(g: GroundProgram | Kernel, facts=()) -> Iterator[Interpretatio
     Strategy: fix the well-founded literals, branch on the first undecided
     atom of ``Kernel.order`` (false before true) and ``_propagate`` after
     each decision, so models come in lexicographic order on ``Kernel.order``.
+    Propagation's lower bound is seeded at a well-founded model that is not
+    total (``_start``) and carried down: the false branch copies its parent's
+    counters and ``must``, the true branch, searched after it, takes them.
     A total leaf that survives propagation is closed under its reduct and
     inside its least model, so it is stable; ``is_stable`` still checks it by
     definition. The well-founded model itself is not propagated, so a total
@@ -373,21 +403,25 @@ def stable_models(g: GroundProgram | Kernel, facts=()) -> Iterator[Interpretatio
     k = _kernel(g)
     wf = well_founded_model(k, facts)
     # explicit stack, not recursion: pushing True first explores False first
-    stack = [wf]
+    stack = [(wf, None, None, None)]
     while stack:
-        assign = stack.pop()
+        assign, missing, must, aid = stack.pop()
         # at the well-founded model (T, U), must = T and can = U: nothing to do
-        if assign is not wf and not _propagate(k, facts, assign):
+        if assign is not wf and not _propagate(k, facts, assign, missing, must, aid):
             continue
         if None not in assign:
             if is_stable(k, assign, facts):
                 yield assign
             continue
+        if assign is wf:
+            missing, must = _start(k, wf)
         aid = next(a for a in k.order if assign[a] is None)
         for value in (True, False):
             branch = list(assign)
             branch[aid] = value
-            stack.append(branch)
+            if not value:
+                missing, must = missing.copy(), set(must)
+            stack.append((branch, missing, must, aid))
 
 
 def exhaustive_stable_models(

@@ -1,6 +1,9 @@
 """Shared program texts and small helpers for the test suite."""
 
+import functools
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import credalplp as c
 
@@ -148,3 +151,17 @@ def wfq(g, qtext, etext=None, **kw):
 
 def frac(text) -> Fraction:
     return Fraction(text)
+
+
+PLPBENCH = Path(__file__).resolve().parent.parent / "plpbench"
+
+
+@functools.cache
+def pool(workload: str, seed: int) -> tuple[str, ...]:
+    """The program texts of one benchmark pool, as ``plpbench/workloads.py``
+    generates them (game-wf asks other queries of the game-credal programs)."""
+    if str(PLPBENCH) not in sys.path:
+        sys.path.append(str(PLPBENCH))
+    import workloads
+
+    return tuple(case.render() for case in workloads.cases(workload, seed))

@@ -584,3 +584,27 @@ def test_ground_matches_naive_reference_on_random_relational_programs():
         "duplicate facts",
     }
     assert rules > 1000
+
+
+# ---------------------------------------------------------------------------
+# emission reads each head and positive body atom by the number its join
+# found: the dumps are those of building every atom again from the slots
+
+DUMP_DIGEST = "376af80c760783c2a9f237d0fbb9e815ffd3648b989a98ff7e9ceedfe4cd1513"
+
+
+def dump_digest() -> str:
+    """One digest over the ``dump_ground`` bytes of the fixtures and of the
+    benchmark pools at seeds 1-3 (game-wf's programs are game-credal's)."""
+    texts = list(fx.ALL_PROGRAMS.values())
+    for workload in ("reach-point", "game-credal", "grid-ground"):
+        for seed in (1, 2, 3):
+            texts += fx.pool(workload, seed)
+    digest = hashlib.sha256()
+    for text in texts:
+        digest.update(c.dump_ground(fx.grd(text)).encode())
+    return digest.hexdigest()
+
+
+def test_dumps_of_fixtures_and_benchmark_pools_are_pinned():
+    assert dump_digest() == DUMP_DIGEST

@@ -486,6 +486,7 @@ def test_propagate_caches_only_its_can_bound(monkeypatch):
     g = fx.grd(fx.GAME)
     k = models.Kernel(g)
     wf = c.well_founded_model(k)
+    missing, must = models._start(k, wf)
     before = dict(k.gammas)
     assumed = []
     real = models._gamma
@@ -495,14 +496,58 @@ def test_propagate_caches_only_its_can_bound(monkeypatch):
         return real(kernel, facts, true)
 
     monkeypatch.setattr(models, "_gamma", recording)
+    lfp = counting(monkeypatch, models, "_lfp")
     assign = list(wf)
-    assign[g.atom_id("wins(a)")] = True
-    assert models._propagate(k, (), assign)
+    aid = g.atom_id("wins(a)")
+    assign[aid] = True
+    assert models._propagate(k, (), assign, missing, must, aid)
     assert assign[g.atom_id("wins(b)")] is False
-    # ``must`` has the true atoms as extra facts: had it gone through the
-    # cache, the entries of the choice's own facts would be gone
-    assert k.facts == () and before.items() <= k.gammas.items()
+    # ``can`` goes through the cache: every new entry is the key of one of its
+    # calls, and the only least models run are those entries' misses
     assert set(k.gammas) == set(before) | {k.negative.intersection(a) for a in assumed}
+    assert len(lfp) == len(set(k.gammas) - set(before)) > 0
+    # ``must`` is carried, never cached: the entries of the choice's own facts
+    # are all still there, and it ends as the true atoms
+    assert k.facts == () and before.items() <= k.gammas.items()
+    assert must == {a for a, v in enumerate(assign) if v}
+
+
+def general_programs():
+    """The fixtures with negation through a cycle, then the benchmark's game
+    programs (the game-credal pool at seed 1)."""
+    for text in fx.ALL_PROGRAMS.values():
+        g = fx.grd(text)
+        if c.classify(c.dependency_graph(g)).kind == "general":
+            yield g
+    yield from map(fx.grd, fx.pool("game-credal", 1))
+
+
+def test_credal_sweeps_run_least_models_only_on_cache_misses(monkeypatch):
+    """The stable-model search carries its lower bound, so a credal sweep
+    runs a fresh ``_lfp`` only inside a ``_gamma`` call that misses the
+    cache: the search issues none of its own."""
+    misses = 0
+    real = models._gamma
+
+    def recording(k, facts, assumed):
+        nonlocal misses
+        misses += tuple(facts) != k.facts or k.negative.intersection(assumed) not in k.gammas
+        return real(k, facts, assumed)
+
+    lfp = counting(monkeypatch, models, "_lfp")
+    searched = counting(monkeypatch, models, "_propagate")
+    monkeypatch.setattr(models, "_gamma", recording)
+    programs = list(general_programs())
+    assert len(programs) >= 12
+    for g in programs:
+        misses = 0
+        del lfp[:]
+        try:
+            c.inference._sweep(g, tuple, "stable", 20)
+        except c.InconsistentProgramError:
+            pass
+        assert len(lfp) == misses
+    assert len(searched) > 1000
 
 
 def test_iterates_and_cached_least_models_are_immutable():

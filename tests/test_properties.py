@@ -661,3 +661,128 @@ def test_carried_least_models_match_fresh_ones_and_a_plain_reference_loop():
         )
     assert kinds == {"acyclic", "stratified", "general"}
     assert negation == {False, True} and 0 < inconsistent < 200 and headed >= 100
+
+
+# ---------------------------------------------------------------------------
+# the stable-model search with its lower bound carried down the tree, against
+# the search that computed the bound afresh in every propagation round
+
+
+def reference_must(k, facts, assign):
+    """``must`` by its definition: the least model of the facts and true atoms
+    under the rules whose negative body is all false."""
+    true = [a for a, v in enumerate(assign) if v]
+    not_false = [a for a, v in enumerate(assign) if v is not False]
+    return c.models._lfp(k, [*facts, *true], not_false)
+
+
+def reference_counters(g, assign, must):
+    """Per rule of ``g``, its positive body atoms outside ``must`` plus its
+    negative body atoms not false."""
+    return [
+        len({a for a in rule.pos if a not in must})
+        + len({a for a in rule.neg if assign[a] is not False})
+        for rule in g.rules
+    ]
+
+
+def fresh_must_search(k, facts, nodes):
+    """The stable-model search with a fresh ``must`` in every round of
+    propagation; appends (assignment on arrival, assignment after propagation
+    or None when it fails) to ``nodes`` at every node below the root."""
+
+    def propagate(assign):
+        while True:
+            must = reference_must(k, facts, assign)
+            can = c.models._gamma(k, facts, [a for a, v in enumerate(assign) if v])
+            if not must <= can or any(assign[a] is False for a in must):
+                return False
+            changed = False
+            for a, v in enumerate(assign):
+                if v is None and (a in must or a not in can):
+                    assign[a] = a in must
+                    changed = True
+            if not changed:
+                return True
+
+    wf = c.well_founded_model(k, facts)
+    stack = [wf]
+    while stack:
+        assign = stack.pop()
+        if assign is not wf:
+            arrival = list(assign)
+            ok = propagate(assign)
+            nodes.append((arrival, list(assign) if ok else None))
+            if not ok:
+                continue
+        if None not in assign:
+            if c.is_stable(k, assign, facts):
+                yield assign
+            continue
+        aid = next(a for a in k.order if assign[a] is None)
+        for value in (True, False):
+            branch = list(assign)
+            branch[aid] = value
+            stack.append(branch)
+
+
+def repeated_literal_program(rng: random.Random) -> str:
+    """``random_program`` plus rules whose bodies repeat literals, such as
+    ``p :- q, q, not r, not r.``"""
+    lines = [random_program(rng)]
+    for _ in range(rng.randint(1, 3)):
+        head, *body = rng.choices(ATOMS, k=4)
+        lits = [("not " if rng.random() < 0.5 else "") + a for a in body]
+        lines.append(f"{head} :- {', '.join(rng.choices(lits, k=rng.randint(2, 5)))}.")
+    return "\n".join(lines)
+
+
+def test_carried_search_bound_matches_a_fresh_one_node_by_node(monkeypatch):
+    """At every node the carried ``must`` and its counters are those of the
+    definition, on arrival (the parent's) and after propagation; the search
+    visits the nodes of the fresh-``must`` search, with the same outcome, and
+    yields its models in its order."""
+    real = c.models._propagate
+    nodes, program = [], []
+
+    def checked(k, facts, assign, missing, must, aid):
+        parent = list(assign)
+        parent[aid] = None
+        assert must == reference_must(k, facts, parent)
+        assert missing == reference_counters(program[0], parent, must)
+        arrival = list(assign)
+        ok = real(k, facts, assign, missing, must, aid)
+        if ok:
+            assert must == reference_must(k, facts, assign)
+            assert missing == reference_counters(program[0], assign, must)
+        nodes.append((arrival, list(assign) if ok else None))
+        return ok
+
+    monkeypatch.setattr(c.models, "_propagate", checked)
+    rng = random.Random(20261019)
+    makers = (random_program, odd_loop_program, repeated_literal_program)
+    texts = [KEPT_HEAD_IN_LOOP, *fx.ALL_PROGRAMS.values()]
+    for i in range(240):
+        make = makers[i % 3]
+        # every other program gets two choice points over one atom that heads a rule
+        texts.append(shared_choice_program(rng, make) if i % 2 else make(rng))
+    searched = failed = empty = repeated = 0
+    for text in texts:
+        g = fx.grd(text)
+        program[:] = [g]
+        repeated += any(
+            len(set(rule.pos)) < len(rule.pos) or len(set(rule.neg)) < len(rule.neg)
+            for rule in g.rules
+        )
+        k, fresh = c.Kernel(g), c.Kernel(g)
+        for choice in c.total_choices(g):
+            facts = k.kept_facts(choice.kept)
+            want_nodes = []
+            want = list(fresh_must_search(fresh, facts, want_nodes))
+            del nodes[:]
+            assert list(c.stable_models(k, facts)) == want
+            assert nodes == want_nodes
+            searched += bool(nodes)
+            failed += sum(after is None for _, after in nodes)
+            empty += not want
+    assert searched > 500 and failed > 100 and empty > 0 and repeated > 30
