@@ -241,10 +241,12 @@ def _warn_missing(g, query):
 
 
 def _cross_check(g, args):
-    """Compare the kernel's stable models of each total choice with the
+    """Compare the kernel's stable models of each total choice, searched from
+    the least models the sweeps carry (``models.carried``), with the
     brute-force oracle on a program copy, as far as ``--oracle-limit`` lets it."""
     kernel = models.Kernel(g)
-    for choice in inference.total_choices(g, args.max_choices):
+    choices = inference.total_choices(g, args.max_choices)
+    for choice, facts in models.carried(kernel, choices):
         try:
             brute = models.exhaustive_stable_models(
                 inference.program_for_choice(g, choice), args.oracle_limit
@@ -256,7 +258,7 @@ def _cross_check(g, args):
                 file=sys.stderr,
             )
             return
-        found = models.stable_models(kernel, kernel.kept_facts(choice.kept))
+        found = models.stable_models(kernel, facts)
         if sorted(map(tuple, found)) != sorted(map(tuple, brute)):
             raise ValueError(
                 "cross-check: the stable models of total choice "

@@ -25,8 +25,7 @@ from .grounding import GroundProgram, GroundRule
 from .models import (
     Event,
     Kernel,
-    _base,
-    _extend,
+    carried,
     compile_event,
     event_from_assignments,
     stable_models,
@@ -161,40 +160,6 @@ def program_for_choice(g: GroundProgram, choice: TotalChoice) -> GroundProgram:
     return out
 
 
-def _carried(g: GroundProgram, k: Kernel, max_choices):
-    """Each total choice of ``total_choices`` with its kept atoms, once
-    ``k``'s cache holds that choice's first two reduct least models, those
-    of the well-founded model: Γ(∅) and Γ(``k.negative``), keyed ∅ and
-    ``k.negative``.
-
-    For one key, adding a fact only grows the least model. In
-    binary-counting order the choice whose lowest kept bit is b keeps the
-    atoms of the choice before it at the bits above b, plus atom b; so each
-    key has a stack whose ``state[j]`` is the counters and true set of the
-    kept atoms at bits >= j (the base state, with no kept atoms, at
-    ``state[n]``). A choice copies ``state[b + 1]``, extends the copy by atom
-    b and points ``state[0..b]`` at the result. That is one least model per
-    key for the first choice and one extension per key for each later one;
-    a stack holds at most n + 1 states."""
-    n = len(g.choice_points)
-    stacks = dict.fromkeys((frozenset(), k.negative))  # one key if no negation
-    for key in stacks:
-        missing, queue = _base(k, key)
-        stacks[key] = [(missing, frozenset(_extend(k, missing, set(), queue)))] * (n + 1)
-    for mask, choice in enumerate(total_choices(g, max_choices)):
-        if mask:
-            b = (mask & -mask).bit_length() - 1
-            atom = k.choice_atoms[b]
-            for state in stacks.values():
-                missing, true = state[b + 1]
-                missing, true = missing.copy(), set(true)
-                _extend(k, missing, true, [atom])
-                state[: b + 1] = [(missing, frozenset(true))] * (b + 1)
-        k.facts = facts = k.kept_facts(choice.kept)
-        k.gammas = {key: state[0][1] for key, state in stacks.items()}
-        yield choice, facts
-
-
 def _sweep(g: GroundProgram, project, semantics: str, max_choices, stats=None):
     """Map each set S of ``project`` images to the weight of the total choices
     whose models (all stable ones, or the well-founded one when ``semantics``
@@ -207,7 +172,7 @@ def _sweep(g: GroundProgram, project, semantics: str, max_choices, stats=None):
     mass: dict[frozenset, int] = {}
     choices = found = 0
     try:
-        for choice, facts in _carried(g, k, max_choices):
+        for choice, facts in carried(k, total_choices(g, max_choices)):
             if semantics == "wf":
                 models = [well_founded_model(k, facts)]
             else:
@@ -310,7 +275,7 @@ def check_consistency(
     """Its own loop rather than a sweep: it stops at the first stable model of
     each choice, where a sweep would enumerate them all."""
     k = Kernel(g)
-    for choice, facts in _carried(g, k, max_choices):
+    for choice, facts in carried(k, total_choices(g, max_choices)):
         if next(iter(stable_models(k, facts)), None) is None:
             return ConsistencyReport(False, choice)
     return ConsistencyReport(True)

@@ -115,11 +115,11 @@ class Kernel:
     """A ground program compiled once and shared by all its total choices.
 
     Holds the Dowling-Gallier index (per-rule heads and counts of distinct
-    positive and negative body atoms, positive and negative watch lists by
-    atom, the rules without a positive body), the atoms with a negative watch
-    list (``negative``) and the occurrence counts and branching order of the
-    stable-model search. Kept choice atoms reach every routine below as extra
-    facts, so no total choice copies the program.
+    positive body atoms, positive and negative watch lists by atom, each
+    distinct body atom once, and the rules without a positive body), the atoms
+    with a negative watch list (``negative``) and the occurrence counts and
+    branching order of the stable-model search. Kept choice atoms reach every
+    routine below as extra facts, so no total choice copies the program.
 
     It also caches the reduct least models of one set of facts, the total
     choice being solved (see ``_gamma``): ``facts`` and ``gammas``, replaced
@@ -129,27 +129,21 @@ class Kernel:
     answer it already holds. ``kept_facts`` returns a tuple, so the facts of
     one total choice reach ``_gamma`` as the very object it holds. ``atoms``
     (all atom ids) starts the downward iterates of ``well_founded_model``.
-
-    The sweeps over total choices (``inference._carried``) set ``facts`` and
-    seed ``gammas`` themselves, with the two least models every
-    well-founded model starts from, keyed ∅ and ``negative``: each is
-    carried from an earlier total choice and extended by one kept atom
-    (``_extend``), so a definite program costs one base least model per
-    query and then one extension per total choice.
+    A sweep over total choices seeds the cache of each choice with the two
+    least models every well-founded model starts from (``carried``).
     """
 
     def __init__(self, g: GroundProgram):
         n = g.n_atoms
         self.n_atoms = n
         self.heads = [rule.head for rule in g.rules]
-        self.pos_count, self.neg_count = [], []
+        self.pos_count = []
         self.pos_watch: list[list[int]] = [[] for _ in range(n)]
         self.neg_watch: list[list[int]] = [[] for _ in range(n)]
         self.occurrences = [0] * n
         for ri, rule in enumerate(g.rules):
             pos, neg = set(rule.pos), set(rule.neg)
             self.pos_count.append(len(pos))
-            self.neg_count.append(len(neg))
             for a in pos:
                 self.pos_watch[a].append(ri)
             for a in neg:
@@ -176,26 +170,28 @@ def _kernel(g) -> Kernel:
 
 
 def _base(k: Kernel, assumed) -> tuple[list[int], list[int]]:
-    """The start of a least model with the rules whose negative body meets
-    ``assumed`` blocked: per rule, the positive body atoms still missing (-1
-    when blocked: it never counts down to 0), and the queue of the heads of
-    the unblocked rules without a positive body."""
+    """The counters every least model here starts from, and the queue of the
+    heads of the rules at 0: per rule, its positive body atoms not yet true
+    plus its negative body atoms not yet false, where only the atoms of the
+    set ``assumed`` are not false, so a rule whose negative body meets it
+    never fires by positive atoms alone."""
     missing = k.pos_count.copy()
     neg_watch = k.neg_watch
     for a in assumed:
         for ri in neg_watch[a]:
-            missing[ri] = -1
+            missing[ri] += 1
     heads = k.heads
     return missing, [heads[ri] for ri in k.body_free if missing[ri] == 0]
 
 
 def _extend(k: Kernel, missing, true: set[int], queue, assign=None) -> set[int] | None:
-    """Dowling-Gallier propagation: add the ``queue`` atoms to ``true`` and
-    fire every rule whose last missing positive body atom they make true,
-    updating ``missing`` and ``true`` in place. Adding facts is monotone, so
-    the counters and true set of a least model extend to those of the least
-    model with more facts. Linear in the body size of the rules it fires.
-    Given ``assign``, returns None as soon as an atom false in it would enter."""
+    """Dowling-Gallier propagation: add the ``queue`` atoms to ``true``, count
+    them down in the rules whose positive body holds them and fire each rule
+    at 0, updating ``missing`` and ``true`` in place. Adding facts is
+    monotone, so the counters and true set of a least model extend to those
+    of the least model with more facts. Linear in the body size of the rules
+    it fires. Given ``assign``, returns None as soon as an atom false in it
+    would enter."""
     heads, pos_watch = k.heads, k.pos_watch
     while queue:
         aid = queue.pop()
@@ -227,10 +223,10 @@ def _gamma(k: Kernel, facts, assumed) -> frozenset[int]:
     ``assumed`` only through its negatively occurring atoms,
     ``k.negative ∩ assumed``, so they key the entry, and two sets with one
     key have one answer; the cache holds the entries of the last ``facts``
-    only. In a sweep, the keys ∅ and ``k.negative`` are already there,
-    carried from an earlier total choice, and only the other keys (of later
-    alternating iterates, stability checks and the ``can`` bound of
-    ``_propagate``) run a fresh ``_lfp``."""
+    only. In a sweep, ``carried`` has already put the keys ∅ and
+    ``k.negative`` there, and only the other keys (of later alternating
+    iterates, stability checks and the ``can`` bound of ``_propagate``) run
+    a fresh ``_lfp``."""
     if facts is not k.facts:
         facts = tuple(facts)
         if facts != k.facts:
@@ -241,6 +237,40 @@ def _gamma(k: Kernel, facts, assumed) -> frozenset[int]:
     if true is None:
         true = k.gammas[key] = frozenset(_lfp(k, facts, key))
     return true
+
+
+def carried(k: Kernel, choices) -> Iterator[tuple]:
+    """Each total choice of ``choices`` (``inference.total_choices``, in its
+    binary-counting order) with its kept atoms, once ``k``'s cache holds that
+    choice's first two reduct least models, those of the well-founded model:
+    Γ(∅) and Γ(``k.negative``), keyed ∅ and ``k.negative``.
+
+    For one key, adding a fact only grows the least model. In
+    binary-counting order the choice whose lowest kept bit is b keeps the
+    atoms of the choice before it at the bits above b, plus atom b; so each
+    key has a stack whose ``state[j]`` is the counters and true set of the
+    kept atoms at bits >= j (the base state, with no kept atoms, at
+    ``state[n]``). A choice copies ``state[b + 1]``, extends the copy by atom
+    b and points ``state[0..b]`` at the result. That is one least model per
+    key for the first choice and one extension per key for each later one;
+    a stack holds at most n + 1 states."""
+    n = len(k.choice_atoms)
+    stacks = dict.fromkeys((frozenset(), k.negative))  # one key if no negation
+    for key in stacks:
+        missing, queue = _base(k, key)
+        stacks[key] = [(missing, frozenset(_extend(k, missing, set(), queue)))] * (n + 1)
+    for mask, choice in enumerate(choices):
+        if mask:
+            b = (mask & -mask).bit_length() - 1
+            atom = k.choice_atoms[b]
+            for state in stacks.values():
+                missing, true = state[b + 1]
+                missing, true = missing.copy(), set(true)
+                _extend(k, missing, true, [atom])
+                state[: b + 1] = [(missing, frozenset(true))] * (b + 1)
+        k.facts = facts = k.kept_facts(choice.kept)
+        k.gammas = {key: state[0][1] for key, state in stacks.items()}
+        yield choice, facts
 
 
 def least_model(g: GroundProgram) -> Interpretation:
@@ -330,7 +360,8 @@ def well_founded_model(g: GroundProgram | Kernel, facts=()) -> PartialInterpreta
 
 
 def _count_false(k: Kernel, missing: list[int], atoms) -> list[int]:
-    """Count ``atoms`` false in ``missing``; returns the heads of the rules this fires."""
+    """Count ``atoms`` false in ``_base``'s counters ``missing``, down in the
+    rules whose negative body holds them; returns the heads of the rules at 0."""
     heads, neg_watch, queue = k.heads, k.neg_watch, []
     for a in atoms:
         for ri in neg_watch[a]:
@@ -340,14 +371,6 @@ def _count_false(k: Kernel, missing: list[int], atoms) -> list[int]:
     return queue
 
 
-def _start(k: Kernel, wf: PartialInterpretation) -> tuple[list[int], set[int]]:
-    """Counters and ``must`` at the well-founded model (T, U): per rule, its
-    positive body atoms outside T plus its negative ones in U; ``must`` = T."""
-    missing = [p + n for p, n in zip(k.pos_count, k.neg_count)]
-    queue = _count_false(k, missing, [a for a, v in enumerate(wf) if v is False])
-    return missing, _extend(k, missing, set(), queue + [a for a, v in enumerate(wf) if v])
-
-
 def _propagate(k: Kernel, facts, assign, missing, must, aid) -> bool:
     """Narrow ``assign``, just decided on ``aid``, to what every stable model
     extending it agrees on, with two least models per round (the smodels
@@ -355,11 +378,13 @@ def _propagate(k: Kernel, facts, assign, missing, must, aid) -> bool:
 
     - ``must``, the least model of the facts and true atoms under the rules
       whose negative body is all false: every such stable model contains it.
-      It comes down the search tree with its counters ``missing`` (``_start``),
-      updated in place: an atom set true enters ``must``, one set false counts
-      down the rules it blocked, and a rule at 0 puts its head into ``must``.
-    - ``can``, the least model of the reduct by the true atoms: every such
-      stable model is contained in it. It comes from the cache of ``_gamma``.
+      It comes down the search tree with its ``_base`` counters ``missing``,
+      updated in place: an atom set true enters ``must``, one set false is
+      counted false (``_count_false``), and a rule at 0 puts its head into
+      ``must``.
+    - ``can``, the least model of the reduct by ``must``, which the round
+      makes the true atoms: every such stable model is contained in it. It
+      comes from the cache of ``_gamma``.
 
     Undecided atoms in ``must`` become true and those outside ``can`` false,
     until nothing changes. Returns False as soon as a false atom enters
@@ -369,7 +394,7 @@ def _propagate(k: Kernel, facts, assign, missing, must, aid) -> bool:
     while True:
         if _extend(k, missing, must, queue, assign) is None:
             return False
-        can = _gamma(k, facts, [a for a, v in enumerate(assign) if v])
+        can = _gamma(k, facts, must)
         if not must <= can:
             return False
         changed = [
@@ -389,13 +414,14 @@ def stable_models(g: GroundProgram | Kernel, facts=()) -> Iterator[Interpretatio
     Strategy: fix the well-founded literals, branch on the first undecided
     atom of ``Kernel.order`` (false before true) and ``_propagate`` after
     each decision, so models come in lexicographic order on ``Kernel.order``.
-    Propagation's lower bound is seeded at a well-founded model that is not
-    total (``_start``) and carried down: the false branch copies its parent's
-    counters and ``must``, the true branch, searched after it, takes them.
-    A total leaf that survives propagation is closed under its reduct and
-    inside its least model, so it is stable; ``is_stable`` still checks it by
-    definition. The well-founded model itself is not propagated, so a total
-    one is a leaf with a single ``is_stable`` call.
+    Propagation's lower bound is seeded at a well-founded model (T, U) that
+    is not total, as ``_base`` with U assumed, extended by T, and carried
+    down: the false branch copies its parent's counters and ``must``, the
+    true branch, searched after it, takes them. A total leaf that survives
+    propagation is closed under its reduct and inside its least model, so it
+    is stable; ``is_stable`` still checks it by definition. The well-founded
+    model itself is not propagated, so a total one is a leaf with a single
+    ``is_stable`` call.
 
     Every model is a fresh list of ``bool``: a total leaf, with no ``None``
     left, is yielded as is, because no other assignment shares its list.
@@ -414,7 +440,8 @@ def stable_models(g: GroundProgram | Kernel, facts=()) -> Iterator[Interpretatio
                 yield assign
             continue
         if assign is wf:
-            missing, must = _start(k, wf)
+            missing, queue = _base(k, [a for a in k.negative if wf[a] is not False])
+            must = _extend(k, missing, set(), queue + [a for a, v in enumerate(wf) if v])
         aid = next(a for a in k.order if assign[a] is None)
         for value in (True, False):
             branch = list(assign)

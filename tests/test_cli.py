@@ -469,6 +469,27 @@ def test_cross_check_mismatch_is_a_user_error(plp, capsys, monkeypatch):
     assert err.startswith("error: cross-check") and err.count("\n") == 1
 
 
+def test_cross_check_searches_from_the_carried_least_models(plp, capsys, monkeypatch):
+    """The cross-check checks the search the answers come from, seeded by
+    ``models.carried``: an empty Γ(∅) seeded for the first total choice is
+    seen."""
+    real = models.carried
+
+    def corrupted(k, choices):
+        for i, (choice, facts) in enumerate(real(k, choices)):
+            if i == 0:
+                k.gammas[frozenset()] = frozenset()
+            yield choice, facts
+
+    monkeypatch.setattr(models, "carried", corrupted)
+    code, out, err = invoke(
+        capsys, "query", plp(fx.WINS), "--q", "wins(b)",
+        "--semantics", "credal", "--cross-check",
+    )
+    assert code == 1 and out == ""
+    assert err.startswith("error: cross-check: ") and err.count("\n") == 1
+
+
 # win-move with 10 probabilistic moves: 18 atoms, 8 of them under negation
 GAME10 = """wins(X) :- move(X,Y), not wins(Y).
 1/10::move(p0,p4).

@@ -409,9 +409,9 @@ def test_definite_programs_carry_one_least_model_across_total_choices(monkeypatc
     total choice costs one extension by one atom, its lowest kept bit's;
     nothing else runs a least model."""
     lfp = counting(monkeypatch, models, "_lfp")
-    bases = counting(monkeypatch, c.inference, "_base", lambda k, key: key)
+    bases = counting(monkeypatch, models, "_base", lambda k, key: key)
     extends = counting(
-        monkeypatch, c.inference, "_extend", lambda k, missing, true, queue: list(queue)
+        monkeypatch, models, "_extend", lambda k, missing, true, queue: list(queue)
     )
     texts = [*fx.ALL_PROGRAMS.values(), reach_program(random.Random(8))]
     programs = [fx.grd(text) for text in texts]
@@ -486,7 +486,8 @@ def test_propagate_caches_only_its_can_bound(monkeypatch):
     g = fx.grd(fx.GAME)
     k = models.Kernel(g)
     wf = c.well_founded_model(k)
-    missing, must = models._start(k, wf)
+    missing, queue = models._base(k, [a for a in k.negative if wf[a] is not False])
+    must = models._extend(k, missing, set(), queue + [a for a, v in enumerate(wf) if v])
     before = dict(k.gammas)
     assumed = []
     real = models._gamma

@@ -605,6 +605,26 @@ def shared_choice_program(rng: random.Random, make) -> str:
     return f"{make(rng)}\n1/3::{x}.\n2/5::{x}.\n{x} :- {y}."
 
 
+def test_base_counts_positive_atoms_and_assumed_negative_ones_per_rule():
+    """Every least model starts from ``_base``: per rule, its distinct
+    positive body atoms plus its distinct negative body atoms assumed true,
+    with the heads of the rules at 0 queued in rule order."""
+    rng = random.Random(20261105)
+    makers = (random_program, repeated_literal_program)
+    texts = [*fx.ALL_PROGRAMS.values(), *(makers[i % 2](rng) for i in range(200))]
+    blocked = 0
+    for g in map(fx.grd, texts):
+        k = c.Kernel(g)
+        some = {a for a in range(g.n_atoms) if rng.random() < 0.5}
+        for assumed in (set(), set(k.negative), some):
+            missing, queue = c.models._base(k, assumed)
+            want = [len(set(r.pos)) + len(set(r.neg) & assumed) for r in g.rules]
+            assert missing == want
+            assert queue == [r.head for r, count in zip(g.rules, want) if count == 0]
+            blocked += any(set(r.neg) & assumed for r in g.rules)
+    assert blocked > 200
+
+
 def test_carried_least_models_match_fresh_ones_and_a_plain_reference_loop():
     rng = random.Random(20261023)
     makers = (definite_program, stratified_program, odd_loop_program, random_program)
@@ -622,7 +642,7 @@ def test_carried_least_models_match_fresh_ones_and_a_plain_reference_loop():
         k = c.Kernel(g)
         negation.add(bool(k.negative))
         seen = []
-        for choice, facts in c.inference._carried(g, k, 20):
+        for choice, facts in c.models.carried(k, c.total_choices(g, 20)):
             assert facts is k.facts and facts == k.kept_facts(choice.kept)
             assert set(k.gammas) == {frozenset(), k.negative}
             for key, true in k.gammas.items():
