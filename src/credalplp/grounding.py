@@ -16,18 +16,26 @@ earlier subgoals), plus the variables no positive subgoal binds, which range
 over the whole universe. A subgoal finds its candidates in a hash index on
 those positions, one index per (predicate, arity, bound positions) that some
 plan names, kept current as atoms are added. The join writes each value into
-one list by slot and yields a substitution as the tuple of that list. The
-fixpoint is semi-naive (Bancilhon & Ramakrishnan 1986): the heads of rules
-without positive subgoals are added once, and each later round joins a rule
-once per positive subgoal j, with subgoal j matching only atoms first added
-in the previous round, the subgoals before j only older atoms, and those
-after j any atom. A round's new heads are collected before any is added, so
-no index changes under a running join. Each substitution is found in exactly
-one round, the one that adds the highest-numbered of its positive atoms, and
+one list by slot, checks repeated variables only at the subgoals that repeat
+one, and yields a substitution as the tuple of that list, with no per-match
+generator unless some variable is left to range over the universe. The
+fixpoint is semi-naive (Bancilhon & Ramakrishnan 1986): round 0 joins the
+rules without positive subgoals, and each later round joins a rule once per
+positive subgoal j, with subgoal j matching only atoms first added in the
+previous round, the subgoals before j only older atoms, and those after j
+any atom. A round's new heads are collected before any is added, so no index
+changes under a running join. Each substitution is found in exactly one
+round, the one that adds the highest-numbered of its positive atoms, and
 kept with the numbers of the atoms it matched and of its head: ground rules
 are emitted from those, in source order and each rule's value tuples sorted,
-and only negative subgoals are built from the slots again. Probabilistic
-facts are ground through the same plans, as rules without a body.
+and only negative subgoals are built from the slots again. A ground rule is
+a named tuple, and the set that skips duplicate rules holds the rules
+themselves. Probabilistic facts are ground through the same plans, as rules
+without a body.
+
+Classification decides acyclicity by a topological order (Kahn's
+algorithm); strongly connected components and a witness cycle are computed
+only for a cyclic graph.
 
 ``max_rules`` caps the emitted rules. It also fires during the fixpoint, as
 soon as the possibly-true atoms other than choice atoms outnumber it: each of
@@ -41,6 +49,7 @@ import itertools
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import ResourceGuardError
 from .syntax import ANONYMOUS, Program, Rule
@@ -62,11 +71,17 @@ class ChoicePoint:
     prob: Fraction
 
 
-@dataclass(frozen=True)
-class GroundRule:
+class GroundRule(NamedTuple):
+    """One ground rule ``head :- pos, not neg``, by atom id. A plain tuple of
+    its three fields: it is immutable, hashable and equal to ``(head, pos,
+    neg)``."""
+
     head: int
     pos: tuple[int, ...]
     neg: tuple[int, ...]
+
+
+_rule = tuple.__new__  # GroundRule from a tuple of its fields, without __new__'s call
 
 
 @dataclass
@@ -128,8 +143,7 @@ def _fill(atom: _Slots, values) -> GroundAtom:
     return pred, tuple([values[s] for s in slots])
 
 
-@dataclass(frozen=True)
-class _Step:
+class _Step(NamedTuple):
     """One positive subgoal, as the join reaches it after the earlier ones."""
 
     atom: _Slots
@@ -140,8 +154,7 @@ class _Step:
     checks: tuple[tuple[int, int], ...]  # (position, slot) repeating a bind
 
 
-@dataclass(frozen=True)
-class _Plan:
+class _Plan(NamedTuple):
     """A rule compiled to slots: its values are those of its variables, in
     sorted name order, then its constants, and each argument is a slot, the
     index of its value."""
@@ -166,12 +179,12 @@ def _plan(rule: Rule) -> _Plan:
     slot = {term: i for i, term in enumerate(variables)}
 
     def slots(atom, args) -> _Slots:
-        return atom.predicate, tuple(slot.setdefault(term, len(slot)) for term in args)
+        return atom.predicate, tuple([slot.setdefault(term, len(slot)) for term in args])
 
     head = slots(rule.head, terms[0])
     body = [(sg.negated, slots(sg.atom, args)) for sg, args in zip(rule.body, terms[1:])]
-    blank = tuple(None if is_var else name for is_var, name in slot)
-    known = {s for s, value in enumerate(blank) if value is not None}
+    blank = tuple([None if is_var else name for is_var, name in slot])
+    known = set(range(len(variables), len(blank)))  # the constants
     steps = []
     for negated, (pred, args) in body:
         if negated:
@@ -186,8 +199,8 @@ def _plan(rule: Rule) -> _Plan:
             (pred, args), (pred, len(args)), bound, tuple(args[p] for p in bound),
             tuple(binds), tuple(checks),
         ))
-    free = tuple(s for s in range(len(blank)) if s not in known)
-    neg = tuple(atom for negated, atom in body if negated)
+    free = tuple([s for s in range(len(variables)) if s not in known])
+    neg = tuple([atom for negated, atom in body if negated])
     return _Plan(head, tuple(steps), neg, free, blank)
 
 
@@ -206,17 +219,15 @@ class _PossiblyTrue:
         for step in (step for plan in plans for step in plan.steps):
             self.indexes.setdefault(step.signature, {})[step.bound] = {}
 
-    def add(self, ga: GroundAtom) -> None:
-        if ga in self.members:
-            return
-        n = self.members[ga] = len(self.atoms)
-        self.atoms.append(ga)
-        pred, args = ga
-        for bound, table in self.indexes.get((pred, len(args)), {}).items():
-            table.setdefault(tuple(args[p] for p in bound), []).append(n)
-
-    def lookup(self, step: _Step, key: tuple[str, ...]) -> list[int]:
-        return self.indexes[step.signature][step.bound].get(key, ())
+    def add(self, new: dict[GroundAtom, int]) -> None:
+        """Add the atoms of ``new``, none of them possibly true yet, each
+        mapped to its number: the next ones, in order."""
+        self.members.update(new)
+        self.atoms += new
+        for ga, n in new.items():
+            pred, args = ga
+            for bound, table in self.indexes.get((pred, len(args)), {}).items():
+                table.setdefault(tuple([args[p] for p in bound]), []).append(n)
 
 
 def _complete(plan: _Plan, values: list, universe, numbers=()):
@@ -234,33 +245,55 @@ def _match_positive(plan: _Plan, possible: _PossiblyTrue, universe, delta: int, 
     matches only atoms numbered ``lo`` or more, the subgoals before it only
     atoms numbered below ``lo``, and the subgoals after it any possibly-true
     atom; variables not bound by a positive subgoal range over the full
-    universe. A depth-first join over an explicit stack of (i, n): the
-    subgoals before i matched, subgoal i - 1 by atom n. Each subgoal writes
-    the variables it binds into one list of values by slot, and is looked up
-    in the index on its bound positions, whose slots earlier subgoals wrote.
-    A rule without positive subgoals looks at no atom and yields its whole
+    universe. A depth-first join that keeps, per subgoal reached, an iterator
+    over its remaining candidates: a match looks the next subgoal up and
+    descends when it has candidates, and an exhausted iterator resumes the
+    one above, so the last subgoal's candidates are read in one loop. Each
+    subgoal writes the variables it binds into one list of values by slot,
+    checks the variables it repeats, if any, and is looked up in the index
+    on its bound positions, whose slots earlier subgoals wrote. A rule
+    without positive subgoals looks at no atom and yields its whole
     grounding."""
-    steps, atoms = plan.steps, possible.atoms
+    steps, atoms, free = plan.steps, possible.atoms, plan.free
     values, matched = list(plan.blank), [0] * len(steps)
-    stack = [(0, -1)]
-    while stack:
-        i, n = stack.pop()
-        if i:
-            step, args = steps[i - 1], atoms[n][1]
-            matched[i - 1] = n
-            for p, s in step.binds:
-                values[s] = args[p]
-            if any(values[s] != args[p] for p, s in step.checks):
-                continue
-        if i == len(steps):
-            yield from _complete(plan, values, universe, matched)
-            continue
-        step = steps[i]
-        found = possible.lookup(step, tuple([values[s] for s in step.key]))
+    if not steps:
+        yield from _complete(plan, values, universe)
+        return
+    last = len(steps) - 1
+    tables = [possible.indexes[step.signature][step.bound] for step in steps]
+
+    def candidates(i: int):
+        found = tables[i].get(tuple([values[s] for s in steps[i].key]), ())
         if i <= delta:
             cut = bisect_left(found, lo)
             found = found[:cut] if i < delta else found[cut:]
-        stack.extend((i + 1, m) for m in reversed(found))
+        return found
+
+    levels = [iter(candidates(0))]  # per subgoal reached: an iterator over its candidates
+    i = 0
+    while i >= 0:
+        step = steps[i]
+        binds, checks = step.binds, step.checks
+        for n in levels[i]:
+            args = atoms[n][1]
+            for p, s in binds:
+                values[s] = args[p]
+            if checks and any(values[s] != args[p] for p, s in checks):
+                continue
+            matched[i] = n
+            if i < last:
+                found = candidates(i + 1)
+                if found:
+                    levels.append(iter(found))
+                    i += 1
+                    break
+            elif free:
+                yield from _complete(plan, values, universe, matched)
+            else:
+                yield (*values, *matched)
+        else:
+            levels.pop()
+            i -= 1
 
 
 def _cap_exceeded(max_rules: int) -> ResourceGuardError:
@@ -271,82 +304,87 @@ def ground(program: Program, max_rules: int = DEFAULT_MAX_GROUND_RULES) -> Groun
     universe = program_constants(program)
     plans = [_plan(rule) for rule in program.rules]
     g = GroundProgram()
+    possible = _PossiblyTrue(plans)
+    atoms, members = possible.atoms, possible.members
+    pending: dict[GroundAtom, int] = {}  # atom -> the number it is added as
 
     # choice points: one per grounding of each probabilistic fact, in source
     # order then substitution order; duplicates over one atom stay distinct
-    possible = _PossiblyTrue(plans)
     for pf in program.prob_facts:
         plan = _plan(Rule(pf.atom))
         for values in _complete(plan, list(plan.blank), universe):
             ga = _fill(plan.head, values)
             aid = g.intern(atom_text(ga))
             g.choice_points.append(ChoicePoint(len(g.choice_points), aid, pf.prob))
-            possible.add(ga)
-    n_choice = len(possible.atoms)
+            pending.setdefault(ga, len(pending))
+    n_choice = len(pending)
 
-    # possibly-true fixpoint, semi-naive: a round's new heads are collected
-    # before any is added, so no index changes under a running join
-    pending: dict[GroundAtom, int] = {}  # atom -> the number it is added as
+    # possibly-true fixpoint, semi-naive. Round 0 joins the rules without
+    # positive subgoals; each later round joins a rule once per positive
+    # subgoal over a (predicate, arity) that gained atoms in the round
+    # before. A round's new heads are collected before any is added, so no
+    # index changes under a running join.
     # rule position -> its substitutions: values, matched atom numbers, head number
-    found: dict[int, set[tuple]] = {i: set() for i in range(len(plans))}
-
-    def derive(i: int, plan: _Plan, entry: tuple) -> None:
-        ga = _fill(plan.head, entry)
-        head = possible.members.get(ga)
-        if head is None:
-            head = pending.setdefault(ga, len(possible.atoms) + len(pending))
-            # each possibly-true atom that is not a choice atom heads an emitted rule
-            if len(possible.atoms) + len(pending) - n_choice > max_rules:
-                raise _cap_exceeded(max_rules)
-        found[i].add(entry + (head,))
-
-    for i, plan in enumerate(plans):
-        if not plan.steps:
-            for entry in _match_positive(plan, possible, universe, 0, 0):
-                derive(i, plan, entry)
+    found: list[list[tuple]] = [[] for _ in plans]
+    joins = [(i, 0) for i, plan in enumerate(plans) if not plan.steps]
     lo = 0  # atoms numbered lo or more were first added in the previous round
-    while pending or lo < len(possible.atoms):
-        for ga in pending:
-            possible.add(ga)
+    while True:
+        hi = len(atoms)
+        for i, j in joins:
+            plan, out = plans[i], found[i]
+            pred, slots = plan.head
+            for entry in _match_positive(plan, possible, universe, j, lo):
+                ga = (pred, tuple([entry[s] for s in slots]))
+                head = members.get(ga)
+                if head is None:
+                    head = pending.setdefault(ga, hi + len(pending))
+                    # each possibly-true atom that is not a choice atom
+                    # heads an emitted rule
+                    if hi + len(pending) - n_choice > max_rules:
+                        raise _cap_exceeded(max_rules)
+                out.append(entry + (head,))
+        if not pending:
+            break
+        possible.add(pending)
         pending.clear()
-        fresh = {(pred, len(args)) for pred, args in possible.atoms[lo:]}
-        hi = len(possible.atoms)
-        for i, plan in enumerate(plans):
-            for j, step in enumerate(plan.steps):
-                if step.signature in fresh:
-                    for entry in _match_positive(plan, possible, universe, j, lo):
-                        derive(i, plan, entry)
         lo = hi
+        fresh = {(pred, len(args)) for pred, args in atoms[lo:]}
+        joins = [
+            (i, j) for i, plan in enumerate(plans)
+            for j, step in enumerate(plan.steps) if step.signature in fresh
+        ]
 
     # emit ground rules: source order, then value tuples lexicographic; each
-    # rule's set is released once emitted, so the peak memory does not grow;
+    # rule's list is released once emitted, so the peak memory does not grow;
     # ids number the atoms in order of first mention, choice atoms first
-    ids: list[int | None] = [None] * len(possible.atoms)  # by atom number
+    ids: list[int | None] = [None] * len(atoms)  # by atom number
 
     def atom_id(n: int) -> int:  # its text is built and interned once
         aid = ids[n]
         if aid is None:
-            aid = ids[n] = g.intern(atom_text(possible.atoms[n]))
+            aid = ids[n] = g.intern(atom_text(atoms[n]))
         return aid
 
-    members = possible.members
-    seen: set[tuple[int, tuple[int, ...], tuple[int, ...]]] = set()
+    seen: set[GroundRule] = set()  # g.rules as a set: a rule is kept once
     for i, plan in enumerate(plans):
-        width = len(plan.blank)  # the values come first, so they set the order
-        for entry in sorted(found.pop(i)):
+        entries, found[i] = found[i], []
+        entries.sort()  # the values come first, so they set the order
+        width = len(plan.blank)
+        for entry in entries:
             # impossible atoms are false, so their negative literals hold
-            neg = [n for a in plan.neg if (n := members.get(_fill(a, entry))) is not None]
-            rule = (
+            neg = plan.neg and [
+                n for a in plan.neg if (n := members.get(_fill(a, entry))) is not None
+            ]
+            rule = _rule(GroundRule, (
                 atom_id(entry[-1]),
                 tuple([atom_id(n) for n in entry[width:-1]]),
-                tuple([atom_id(n) for n in neg]),
-            )
-            if rule in seen:
-                continue
+                tuple([atom_id(n) for n in neg]) if neg else (),
+            ))
             seen.add(rule)
-            g.rules.append(GroundRule(*rule))
-            if len(g.rules) > max_rules:
-                raise _cap_exceeded(max_rules)
+            if len(seen) > len(g.rules):
+                if len(seen) > max_rules:
+                    raise _cap_exceeded(max_rules)
+                g.rules.append(rule)
     return g
 
 
@@ -356,11 +394,11 @@ def ground(program: Program, max_rules: int = DEFAULT_MAX_GROUND_RULES) -> Groun
 
 def dependency_graph(g: GroundProgram) -> DependencyGraph:
     edges: set[tuple[int, int, str]] = set()
-    for rule in g.rules:
-        for b in rule.pos:
-            edges.add((b, rule.head, "positive"))
-        for b in rule.neg:
-            edges.add((b, rule.head, "negative"))
+    for head, pos, neg in g.rules:
+        for b in pos:
+            edges.add((b, head, "positive"))
+        for b in neg:
+            edges.add((b, head, "negative"))
     return DependencyGraph(set(range(g.n_atoms)), edges)
 
 
@@ -427,20 +465,35 @@ def _cycle_witness(u: int, v: int, succ: dict[int, list[int]]) -> list[int]:
 
 
 def classify(dg: DependencyGraph) -> ProgramClass:
-    """Acyclic when no edge lies on a cycle, that is, inside one strongly
-    connected component; else general when such an edge is negative and
-    stratified when none is. The witness cycle runs through the first such
-    edge in sorted order, negative edges first."""
-    edges = sorted(dg.edges)
+    """Acyclic when the graph has a topological order, that is, when one
+    pass of Kahn's algorithm, taking nodes without incoming edges left,
+    removes every edge. Otherwise the edges left are those reachable from a
+    cycle, and only they are sorted and split into strongly connected
+    components: an edge lies on a cycle when both its ends lie in one, and
+    the program is general when such an edge is negative and stratified when
+    none is. The witness cycle runs through the first such edge in sorted
+    order, negative edges first. So SCCs and the witness are computed only
+    for cyclic graphs."""
     succ: dict[int, list[int]] = {}
-    pred: dict[int, list[int]] = {}
-    for src, dst, _sign in edges:
+    indegree: dict[int, int] = {}
+    for src, dst, _sign in dg.edges:
+        succ.setdefault(src, []).append(dst)
+        indegree[dst] = indegree.get(dst, 0) + 1
+    ready = [node for node in succ if node not in indegree]
+    while ready:
+        for dst in succ.get(ready.pop(), ()):
+            indegree[dst] -= 1
+            if not indegree[dst]:
+                ready.append(dst)
+    if not any(indegree.values()):
+        return ProgramClass("acyclic")
+    left = sorted(edge for edge in dg.edges if indegree.get(edge[0]))
+    succ, pred = {}, {}
+    for src, dst, _sign in left:
         succ.setdefault(src, []).append(dst)
         pred.setdefault(dst, []).append(src)
-    rep = _components(dg.nodes, succ, pred)
-    on_cycle = [(src, dst, sign) for src, dst, sign in edges if rep[src] == rep[dst]]
-    if not on_cycle:
-        return ProgramClass("acyclic")
+    rep = _components(succ, succ, pred)
+    on_cycle = [(src, dst, sign) for src, dst, sign in left if rep[src] == rep[dst]]
     negative = [edge for edge in on_cycle if edge[2] == "negative"]
     u, v, sign = (negative or on_cycle)[0]
     kind = "general" if sign == "negative" else "stratified"

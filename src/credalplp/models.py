@@ -117,9 +117,10 @@ class Kernel:
     Holds the Dowling-Gallier index (per-rule heads and counts of distinct
     positive body atoms, positive and negative watch lists by atom, each
     distinct body atom once, and the rules without a positive body), the atoms
-    with a negative watch list (``negative``) and the occurrence counts and
-    branching order of the stable-model search. Kept choice atoms reach every
-    routine below as extra facts, so no total choice copies the program.
+    with a negative watch list (``negative``) and, built from ``rules`` on
+    first use, the occurrence counts and branching order of the stable-model
+    search. Kept choice atoms reach every routine below as extra facts, so no
+    total choice copies the program.
 
     It also caches the reduct least models of one set of facts, the total
     choice being solved (see ``_gamma``): ``facts`` and ``gammas``, replaced
@@ -136,28 +137,50 @@ class Kernel:
     def __init__(self, g: GroundProgram):
         n = g.n_atoms
         self.n_atoms = n
-        self.heads = [rule.head for rule in g.rules]
-        self.pos_count = []
+        self.rules = tuple(g.rules)
+        self.heads = [head for head, _, _ in g.rules]
+        self.pos_count: list[int] = []
         self.pos_watch: list[list[int]] = [[] for _ in range(n)]
         self.neg_watch: list[list[int]] = [[] for _ in range(n)]
-        self.occurrences = [0] * n
-        for ri, rule in enumerate(g.rules):
-            pos, neg = set(rule.pos), set(rule.neg)
-            self.pos_count.append(len(pos))
+        pos_count, pos_watch, neg_watch = self.pos_count, self.pos_watch, self.neg_watch
+        for ri, (_, pos, neg) in enumerate(g.rules):
+            if len(pos) > 1:  # each distinct atom once
+                pos = set(pos)
+            pos_count.append(len(pos))
             for a in pos:
-                self.pos_watch[a].append(ri)
-            for a in neg:
-                self.neg_watch[a].append(ri)
-            for a in rule.pos + rule.neg:
-                self.occurrences[a] += 1
-        self.body_free = [ri for ri, count in enumerate(self.pos_count) if count == 0]
-        self.negative = frozenset(a for a in range(n) if self.neg_watch[a])
+                pos_watch[a].append(ri)
+            for a in set(neg) if neg else ():
+                neg_watch[a].append(ri)
+        self.body_free = [ri for ri, count in enumerate(pos_count) if count == 0]
+        self.negative = frozenset(compress(range(n), neg_watch))
         self.atoms = frozenset(range(n))
         self.facts: tuple[int, ...] | None = None
         self.gammas: dict[frozenset[int], frozenset[int]] = {}
-        # branching order: most body occurrences first, lowest id on ties
-        self.order = sorted(range(n), key=lambda a: -self.occurrences[a])
         self.choice_atoms = [cp.ground_atom for cp in g.choice_points]
+        self._order: list[int] | None = None
+
+    @property
+    def occurrences(self) -> list[int]:
+        """Per atom, its occurrences in rule bodies, repeats counted."""
+        occurrences = [0] * self.n_atoms
+        for _, pos, neg in self.rules:
+            for a in pos + neg:
+                occurrences[a] += 1
+        return occurrences
+
+    @property
+    def order(self) -> list[int]:
+        """The branching order of the stable-model search: most body
+        occurrences first, lowest id on ties (the sort is stable, also
+        reversed), sorted on the first branch. Kept in ``_order``, which
+        ``__init__`` sets: ``functools.cached_property`` would write through
+        the instance ``__dict__``, and a materialised ``__dict__`` slows every
+        attribute read of the kernel in the least-model loops."""
+        if self._order is None:
+            self._order = sorted(
+                range(self.n_atoms), key=self.occurrences.__getitem__, reverse=True
+            )
+        return self._order
 
     def kept_facts(self, kept) -> tuple[int, ...]:
         """Atoms of the choice points a total choice keeps (``kept`` is

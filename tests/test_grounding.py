@@ -133,6 +133,19 @@ def test_dump_ground_golden(text, size, digest):
     assert hashlib.sha256(c.dump_ground(g).encode()).hexdigest() == digest
 
 
+def test_ground_rule_is_an_immutable_named_tuple():
+    rule = c.GroundRule(1, (2,), ())
+    assert repr(rule) == "GroundRule(head=1, pos=(2,), neg=())"
+    assert rule == c.GroundRule(head=1, pos=(2,), neg=()) == (1, (2,), ())
+    assert {rule: 0}[c.GroundRule(neg=(), pos=(2,), head=1)] == 0
+    assert hash(rule) == hash((1, (2,), ()))
+    with pytest.raises(AttributeError):
+        rule.head = 3
+    head, pos, neg = rule
+    assert (head, pos, neg) == (rule.head, rule.pos, rule.neg) == (1, (2,), ())
+    assert all(type(r) is c.GroundRule for r in fx.grd(fx.PQR).rules)
+
+
 def test_dump_format():
     dump = c.dump_ground(fx.grd(fx.EXPR3))
     lines = dump.splitlines()
@@ -266,6 +279,54 @@ def test_classify_matches_reachability_reference_on_random_graphs():
         assert (klass.kind, klass.witness) == _reference_class(edges)
         kinds.add(klass.kind)
     assert kinds == {"acyclic", "stratified", "general"}
+
+
+def random_dag(rng: random.Random, n: int) -> set[tuple[int, int, str]]:
+    """About 2n signed edges, each from an earlier to a later node of a
+    random topological order, so the node numbers do not give the order."""
+    order = list(range(n))
+    rng.shuffle(order)
+    edges = set()
+    for _ in range(2 * n):
+        i, j = sorted(rng.sample(range(n), 2))
+        edges.add((order[i], order[j], rng.choice(("positive", "negative"))))
+    return edges
+
+
+def test_classify_matches_reachability_reference_on_large_dags():
+    # the topological-order exit on graphs of 50-400 nodes, and the cyclic
+    # path once one back edge closes a path of the graph into a cycle
+    rng = random.Random(18)
+    kinds = collections.Counter()
+    for _ in range(16):
+        n = rng.randint(50, 400)
+        edges = random_dag(rng, n)
+        succ = collections.defaultdict(list)
+        for src, dst, _sign in sorted(edges):
+            succ[src].append(dst)
+        u = rng.choice(sorted(succ))
+        w = u
+        for _ in range(rng.randint(1, 12)):  # a random walk u ~> w
+            if not succ[w]:
+                break
+            w = rng.choice(succ[w])
+        back = {(w, u, rng.choice(("positive", "negative")))}
+        for graph in (edges, edges | back):
+            klass = c.classify(c.DependencyGraph(set(range(n)), graph))
+            assert (klass.kind, klass.witness) == _reference_class(graph)
+            kinds[klass.kind] += 1
+    assert kinds["acyclic"] == 16
+    assert kinds["stratified"] + kinds["general"] == 16
+    assert kinds["stratified"] and kinds["general"]
+
+
+@pytest.mark.parametrize("workload, kind", [
+    ("grid-ground", "acyclic"), ("reach-point", "stratified"), ("game-credal", "general"),
+])
+def test_benchmark_pool_programs_keep_their_classes(workload, kind):
+    for seed in (1, 2, 3):
+        for text in fx.pool(workload, seed):
+            assert c.classify(c.dependency_graph(fx.grd(text))).kind == kind
 
 
 def test_classify_long_cycle_and_chain_without_recursion():
@@ -563,10 +624,10 @@ STAGGERED = " ".join(
 )
 
 
-@pytest.mark.parametrize("name", sorted(fx.ALL_PROGRAMS) + ["staggered"])
+@pytest.mark.parametrize("name", sorted(fx.ALL_PROGRAMS) + ["staggered", "grid5"])
 def test_ground_matches_naive_reference_on_fixtures(name):
-    text = STAGGERED if name == "staggered" else fx.ALL_PROGRAMS[name]
-    _check_against_naive(c.parse_program(text))
+    text = {"staggered": STAGGERED, "grid5": grid_program(5)}.get(name)
+    _check_against_naive(c.parse_program(text or fx.ALL_PROGRAMS[name]))
 
 
 def test_ground_matches_naive_reference_on_random_relational_programs():
