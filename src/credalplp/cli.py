@@ -240,24 +240,48 @@ def _warn_missing(g, query):
         )
 
 
+def _well_founded_by_definition(g) -> list:
+    """The well-founded model of ``g`` by Van Gelder's alternating fixpoint,
+    each Γ the least model of a reduct: T is the least fixpoint of Γ∘Γ, the
+    atoms of Γ(T) outside T are undefined and the rest false."""
+    true = [False] * g.n_atoms
+    while True:
+        can = models.least_model(models.reduct(g, true))
+        nxt = models.least_model(models.reduct(g, can))
+        if nxt == true:
+            return [t or (None if u else False) for t, u in zip(true, can)]
+        true = nxt
+
+
 def _cross_check(g, args):
-    """Compare the kernel's stable models of each total choice, searched from
-    the least models the sweeps carry (``models.carried``), with the
-    brute-force oracle on a program copy, as far as ``--oracle-limit`` lets it."""
+    """Compare the kernel's well-founded model and stable models of each
+    total choice, computed from the least models the sweeps carry
+    (``models.carried``), with their definitions on a program copy: the
+    alternating fixpoint of reduct least models, and the brute-force oracle
+    as far as ``--oracle-limit`` lets it."""
     kernel = models.Kernel(g)
     choices = inference.total_choices(g, args.max_choices)
+    oracle = True
     for choice, facts in models.carried(kernel, choices):
-        try:
-            brute = models.exhaustive_stable_models(
-                inference.program_for_choice(g, choice), args.oracle_limit
+        copy = inference.program_for_choice(g, choice)
+        wf = models.well_founded_model(kernel, facts)
+        if wf != _well_founded_by_definition(copy):
+            raise ValueError(
+                "cross-check: the well-founded model of total choice "
+                f"{choice.describe(g)} differs from the alternating fixpoint"
             )
+        if not oracle:
+            continue
+        try:
+            brute = models.exhaustive_stable_models(copy, args.oracle_limit)
         except ResourceGuardError:
             print(
                 f"WARNING cross-check skipped: {len(kernel.negative)} negatively "
                 f"occurring atoms exceeds --oracle-limit {args.oracle_limit}",
                 file=sys.stderr,
             )
-            return
+            oracle = False
+            continue
         found = models.stable_models(kernel, facts)
         if sorted(map(tuple, found)) != sorted(map(tuple, brute)):
             raise ValueError(

@@ -123,15 +123,18 @@ class Kernel:
     total choice copies the program.
 
     It also caches the reduct least models of one set of facts, the total
-    choice being solved (see ``_gamma``): ``facts`` and ``gammas``, replaced
-    when a call brings other facts, with ``gammas`` keyed by the negatively
-    occurring atoms each model assumed true, a subset of ``negative``.
-    ``alternating_iterates`` compares those keys to skip the calls whose
-    answer it already holds. ``kept_facts`` returns a tuple, so the facts of
-    one total choice reach ``_gamma`` as the very object it holds. ``atoms``
-    (all atom ids) starts the downward iterates of ``well_founded_model``.
-    A sweep over total choices seeds the cache of each choice with the two
-    least models every well-founded model starts from (``carried``).
+    choice being solved (see ``_gamma``): ``facts``, ``gammas`` and
+    ``base``, replaced together when a call brings other facts. ``gammas``
+    is keyed by the negatively occurring atoms each model assumed true, a
+    subset of ``negative``; ``base`` is the counters and true set of the
+    least model that assumed them all true, Γ(``negative``), which every
+    other entry extends. ``alternating_iterates`` compares the keys to skip
+    the calls whose answer it already holds. ``kept_facts`` returns a tuple,
+    so the facts of one total choice reach ``_gamma`` as the very object it
+    holds. ``atoms`` (all atom ids) starts the downward iterates of
+    ``well_founded_model``. A sweep over total choices seeds the cache of
+    each choice with the two least models every well-founded model starts
+    from, and ``base`` with the second (``carried``).
     """
 
     def __init__(self, g: GroundProgram):
@@ -156,6 +159,7 @@ class Kernel:
         self.atoms = frozenset(range(n))
         self.facts: tuple[int, ...] | None = None
         self.gammas: dict[frozenset[int], frozenset[int]] = {}
+        self.base: tuple[list[int], frozenset[int]] | None = None
         self.choice_atoms = [cp.ground_atom for cp in g.choice_points]
         self._order: list[int] | None = None
 
@@ -240,26 +244,60 @@ def _lfp(k: Kernel, facts, assumed=()) -> set[int]:
     return _extend(k, missing, set(), queue)
 
 
-def _gamma(k: Kernel, facts, assumed) -> frozenset[int]:
-    """``_lfp(k, facts, assumed)``, the least model of the reduct by
-    ``assumed`` (Van Gelder's Γ), cached in ``k``. The reduct reads
-    ``assumed`` only through its negatively occurring atoms,
-    ``k.negative ∩ assumed``, so they key the entry, and two sets with one
-    key have one answer; the cache holds the entries of the last ``facts``
-    only. In a sweep, ``carried`` has already put the keys ∅ and
-    ``k.negative`` there, and only the other keys (of later alternating
-    iterates, stability checks and the ``can`` bound of ``_propagate``) run
-    a fresh ``_lfp``."""
+def _count_false(k: Kernel, missing: list[int], atoms) -> list[int]:
+    """Count ``atoms`` false in ``_base``'s counters ``missing``, down in the
+    rules whose negative body holds them; returns the heads of the rules at 0."""
+    heads, neg_watch, queue = k.heads, k.neg_watch, []
+    for a in atoms:
+        for ri in neg_watch[a]:
+            missing[ri] -= 1
+            if missing[ri] == 0:
+                queue.append(heads[ri])
+    return queue
+
+
+def _switch(k: Kernel, facts) -> None:
+    """Make ``k``'s cache that of ``facts``: other facts than those it holds
+    replace ``facts``, ``gammas`` and ``base`` together, with Γ(``k.negative``)
+    of the new facts run once as the base and its only entry."""
+    facts = tuple(facts)
+    if facts != k.facts:
+        missing, queue = _base(k, k.negative)
+        queue += facts
+        true = frozenset(_extend(k, missing, set(), queue))
+        k.gammas, k.base = {k.negative: true}, (missing, true)
+    k.facts = facts
+
+
+def _gamma(k: Kernel, facts, key: frozenset[int]) -> frozenset[int]:
+    """The least model of the reduct by any set whose negatively occurring
+    atoms are ``key``, a subset of ``k.negative`` (Van Gelder's Γ), cached
+    in ``k``: two sets with one key have one answer. The cache holds the
+    entries of the last ``facts`` only (``_switch``). A miss extends a copy
+    of the base state Γ(``k.negative``) (``_unassume``): un-assuming the
+    atoms of ``k.negative`` outside ``key`` only unblocks rules, so the
+    least model only grows. In a sweep, ``carried`` has already put the
+    keys ∅ and ``k.negative`` and the base state there, so no Γ of the
+    sweep starts from ``_base``."""
     if facts is not k.facts:
-        facts = tuple(facts)
-        if facts != k.facts:
-            k.gammas = {}
-        k.facts = facts
-    key = k.negative.intersection(assumed)
+        _switch(k, facts)
     true = k.gammas.get(key)
     if true is None:
-        true = k.gammas[key] = frozenset(_lfp(k, facts, key))
+        state = _unassume(k, k.facts, k.negative - key)
+        true = k.gammas[key] = frozenset(_extend(k, *state))
     return true
+
+
+def _unassume(k: Kernel, facts, atoms) -> tuple[list[int], set[int], list[int]]:
+    """A copy of the counters and true set of Γ(``k.negative``) for
+    ``facts`` (``k.base``), with ``atoms`` (of ``k.negative``) counted
+    false, and the heads of the rules that reach 0: ``_extend`` by those
+    heads gives Γ(``k.negative`` minus ``atoms``)."""
+    if facts is not k.facts:
+        _switch(k, facts)
+    missing, true = k.base
+    missing = missing.copy()
+    return missing, set(true), _count_false(k, missing, atoms)
 
 
 def carried(k: Kernel, choices) -> Iterator[tuple]:
@@ -276,7 +314,9 @@ def carried(k: Kernel, choices) -> Iterator[tuple]:
     ``state[n]``). A choice copies ``state[b + 1]``, extends the copy by atom
     b and points ``state[0..b]`` at the result. That is one least model per
     key for the first choice and one extension per key for each later one;
-    a stack holds at most n + 1 states."""
+    a stack holds at most n + 1 states. The ``k.negative`` stack's
+    ``state[0]`` is also the choice's ``k.base``, shared, not copied: every
+    other Γ of the choice extends a copy of it (``_gamma``)."""
     n = len(k.choice_atoms)
     stacks = dict.fromkeys((frozenset(), k.negative))  # one key if no negation
     for key in stacks:
@@ -291,7 +331,8 @@ def carried(k: Kernel, choices) -> Iterator[tuple]:
                 missing, true = missing.copy(), set(true)
                 _extend(k, missing, true, [atom])
                 state[: b + 1] = [(missing, frozenset(true))] * (b + 1)
-        k.facts = facts = k.kept_facts(choice.kept)
+        facts = k.kept_facts(choice.kept)
+        k.facts, k.base = facts, stacks[k.negative][0]
         k.gammas = {key: state[0][1] for key, state in stacks.items()}
         yield choice, facts
 
@@ -324,7 +365,8 @@ def is_stable(g: GroundProgram | Kernel, interp: Interpretation, facts=()) -> bo
     """Whether ``interp`` is the least model of its reduct (with ``facts``)."""
     k = _kernel(g)
     true = set(compress(range(len(interp)), interp))
-    return len(interp) == k.n_atoms and _gamma(k, facts, true) == true
+    key = k.negative.intersection(true)
+    return len(interp) == k.n_atoms and _gamma(k, facts, key) == true
 
 
 # ---------------------------------------------------------------------------
@@ -337,11 +379,11 @@ def alternating_iterates(
     """Iterates of Γ∘Γ from ``start`` until stabilization (inclusive), as
     frozensets, where Γ is the cached ``_gamma``.
 
-    Γ reads a set only through its key, its negatively occurring atoms, so a
-    call whose answer the keys already fix is skipped: when Γ(S) has the key
-    of S, the next iterate Γ(Γ(S)) = Γ(S); and when a new iterate has the
-    key of the one before it, the iterate after it equals it, so the list is
-    complete. The lists are those of the plain loop. On a definite program
+    Γ reads a set only through its key, its negatively occurring atoms,
+    computed here once per set and passed to ``_gamma``; a call whose answer
+    the keys already fix is skipped: when Γ(S) has the key of S, the next
+    iterate Γ(Γ(S)) = Γ(S); and when a new iterate has the key of the one
+    before it, the iterate after it equals it, so the list is complete. The lists are those of the plain loop. On a definite program
     every key is empty, so a call costs one ``_gamma`` call."""
     k = _kernel(g)
     negative = k.negative
@@ -382,18 +424,6 @@ def well_founded_model(g: GroundProgram | Kernel, facts=()) -> PartialInterpreta
 # Stable-model enumeration
 
 
-def _count_false(k: Kernel, missing: list[int], atoms) -> list[int]:
-    """Count ``atoms`` false in ``_base``'s counters ``missing``, down in the
-    rules whose negative body holds them; returns the heads of the rules at 0."""
-    heads, neg_watch, queue = k.heads, k.neg_watch, []
-    for a in atoms:
-        for ri in neg_watch[a]:
-            missing[ri] -= 1
-            if missing[ri] == 0:
-                queue.append(heads[ri])
-    return queue
-
-
 def _propagate(k: Kernel, facts, assign, missing, must, aid) -> bool:
     """Narrow ``assign``, just decided on ``aid``, to what every stable model
     extending it agrees on, with two least models per round (the smodels
@@ -417,7 +447,7 @@ def _propagate(k: Kernel, facts, assign, missing, must, aid) -> bool:
     while True:
         if _extend(k, missing, must, queue, assign) is None:
             return False
-        can = _gamma(k, facts, must)
+        can = _gamma(k, facts, k.negative.intersection(must))
         if not must <= can:
             return False
         changed = [
@@ -438,9 +468,10 @@ def stable_models(g: GroundProgram | Kernel, facts=()) -> Iterator[Interpretatio
     atom of ``Kernel.order`` (false before true) and ``_propagate`` after
     each decision, so models come in lexicographic order on ``Kernel.order``.
     Propagation's lower bound is seeded at a well-founded model (T, U) that
-    is not total, as ``_base`` with U assumed, extended by T, and carried
-    down: the false branch copies its parent's counters and ``must``, the
-    true branch, searched after it, takes them. A total leaf that survives
+    is not total, as the choice's ``Kernel.base`` with the atoms outside U
+    counted false (``_unassume``), extended by T, and carried down: the
+    false branch copies its parent's counters and ``must``, the true branch,
+    searched after it, takes them. A total leaf that survives
     propagation is closed under its reduct and inside its least model, so it
     is stable; ``is_stable`` still checks it by definition. The well-founded
     model itself is not propagated, so a total one is a leaf with a single
@@ -463,8 +494,9 @@ def stable_models(g: GroundProgram | Kernel, facts=()) -> Iterator[Interpretatio
                 yield assign
             continue
         if assign is wf:
-            missing, queue = _base(k, [a for a in k.negative if wf[a] is not False])
-            must = _extend(k, missing, set(), queue + [a for a, v in enumerate(wf) if v])
+            false = [a for a in k.negative if wf[a] is False]
+            missing, must, queue = _unassume(k, facts, false)
+            must = _extend(k, missing, must, queue + [a for a, v in enumerate(wf) if v])
         aid = next(a for a in k.order if assign[a] is None)
         for value in (True, False):
             branch = list(assign)

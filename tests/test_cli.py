@@ -490,6 +490,48 @@ def test_cross_check_searches_from_the_carried_least_models(plp, capsys, monkeyp
     assert err.startswith("error: cross-check: ") and err.count("\n") == 1
 
 
+def test_cross_check_checks_well_founded_models_past_the_oracle_limit(
+    plp, capsys, monkeypatch
+):
+    """Where ``--oracle-limit`` skips the stable-model oracle, every total
+    choice's well-founded model is still checked: an empty Γ(∅) seeded for
+    the second total choice is seen."""
+    real = models.carried
+
+    def corrupted(k, choices):
+        for i, (choice, facts) in enumerate(real(k, choices)):
+            if i == 1:
+                k.gammas[frozenset()] = frozenset()
+            yield choice, facts
+
+    argv = [
+        "query", plp(fx.WINS), "--q", "wins(b)", "--semantics", "wf",
+        "--cross-check", "--oracle-limit", "2",
+    ]
+    assert invoke(capsys, *argv)[0] == 0
+    monkeypatch.setattr(models, "carried", corrupted)
+    code, out, err = invoke(capsys, *argv)
+    assert code == 1 and out == ""
+    skipped, error = err.splitlines()
+    assert skipped.startswith("WARNING cross-check skipped: ")
+    assert error == (
+        "error: cross-check: the well-founded model of total choice "
+        "{keep move(c, d)} differs from the alternating fixpoint"
+    )
+
+
+@pytest.mark.parametrize("name", sorted(fx.ALL_PROGRAMS))
+def test_well_founded_by_definition_matches_the_kernel(name):
+    """The cross-check's alternating fixpoint, run on each total choice's
+    program copy, agrees with the kernel's well-founded model."""
+    g = fx.grd(fx.ALL_PROGRAMS[name])
+    k = models.Kernel(g)
+    for choice in inference.total_choices(g):
+        copy = inference.program_for_choice(g, choice)
+        want = models.well_founded_model(k, k.kept_facts(choice.kept))
+        assert cli._well_founded_by_definition(copy) == want
+
+
 # win-move with 10 probabilistic moves: 18 atoms, 8 of them under negation
 GAME10 = """wins(X) :- move(X,Y), not wins(Y).
 1/10::move(p0,p4).

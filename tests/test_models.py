@@ -465,6 +465,9 @@ def test_cache_after_a_sweep_holds_the_last_choice_only(monkeypatch, name, seman
         list(c.stable_models(fresh, facts))
     assert k.facts == fresh.facts == tuple(facts)
     assert k.gammas == fresh.gammas and k.gammas
+    # the base state too: the carry's, shared with its stack, and one built
+    # from ``_base`` for these facts alone
+    assert k.base == fresh.base and k.base[1] == k.gammas[k.negative]
     for key, true in k.gammas.items():
         assert key <= k.negative and true == models._lfp(k, facts, key)
 
@@ -486,27 +489,30 @@ def test_propagate_caches_only_its_can_bound(monkeypatch):
     g = fx.grd(fx.GAME)
     k = models.Kernel(g)
     wf = c.well_founded_model(k)
-    missing, queue = models._base(k, [a for a in k.negative if wf[a] is not False])
-    must = models._extend(k, missing, set(), queue + [a for a, v in enumerate(wf) if v])
+    false = [a for a in k.negative if wf[a] is False]
+    missing, must, queue = models._unassume(k, (), false)
+    must = models._extend(k, missing, must, queue + [a for a, v in enumerate(wf) if v])
     before = dict(k.gammas)
-    assumed = []
+    keys = []
     real = models._gamma
 
-    def recording(kernel, facts, true):
-        assumed.append(list(true))
-        return real(kernel, facts, true)
+    def recording(kernel, facts, key):
+        keys.append(key)
+        return real(kernel, facts, key)
 
     monkeypatch.setattr(models, "_gamma", recording)
-    lfp = counting(monkeypatch, models, "_lfp")
+    bases = counting(monkeypatch, models, "_base")
+    extended = counting(monkeypatch, models, "_unassume")
     assign = list(wf)
     aid = g.atom_id("wins(a)")
     assign[aid] = True
     assert models._propagate(k, (), assign, missing, must, aid)
     assert assign[g.atom_id("wins(b)")] is False
     # ``can`` goes through the cache: every new entry is the key of one of its
-    # calls, and the only least models run are those entries' misses
-    assert set(k.gammas) == set(before) | {k.negative.intersection(a) for a in assumed}
-    assert len(lfp) == len(set(k.gammas) - set(before)) > 0
+    # calls, and the only least models run are those entries' misses, each an
+    # extension of the choice's base state
+    assert set(k.gammas) == set(before) | set(keys)
+    assert len(extended) == len(set(k.gammas) - set(before)) > 0 and bases == []
     # ``must`` is carried, never cached: the entries of the choice's own facts
     # are all still there, and it ends as the true atoms
     assert k.facts == () and before.items() <= k.gammas.items()
@@ -524,31 +530,39 @@ def general_programs():
 
 
 def test_credal_sweeps_run_least_models_only_on_cache_misses(monkeypatch):
-    """The stable-model search carries its lower bound, so a credal sweep
-    runs a fresh ``_lfp`` only inside a ``_gamma`` call that misses the
-    cache: the search issues none of its own."""
-    misses = 0
+    """A credal sweep runs no fresh ``_lfp``: the carry starts from one
+    ``_base`` per seed key, and every other least model is one extension of
+    the choice's base state inside a ``_gamma`` call that misses the cache.
+    The stable-model search carries its lower bound and issues none of its
+    own."""
+    calls = []  # per ``_gamma`` call: (whether it missed, extensions it ran)
     real = models._gamma
 
-    def recording(k, facts, assumed):
-        nonlocal misses
-        misses += tuple(facts) != k.facts or k.negative.intersection(assumed) not in k.gammas
-        return real(k, facts, assumed)
+    def recording(k, facts, key):
+        miss = tuple(facts) != k.facts or key not in k.gammas
+        before = len(extends)
+        true = real(k, facts, key)
+        calls.append((miss, len(extends) - before))
+        return true
 
     lfp = counting(monkeypatch, models, "_lfp")
+    bases = counting(monkeypatch, models, "_base")
+    extends = counting(monkeypatch, models, "_extend")
     searched = counting(monkeypatch, models, "_propagate")
     monkeypatch.setattr(models, "_gamma", recording)
     programs = list(general_programs())
     assert len(programs) >= 12
+    misses = 0
     for g in programs:
-        misses = 0
-        del lfp[:]
+        del calls[:], lfp[:], bases[:]
         try:
             c.inference._sweep(g, tuple, "stable", 20)
         except c.InconsistentProgramError:
             pass
-        assert len(lfp) == misses
-    assert len(searched) > 1000
+        assert lfp == [] and len(bases) == len({frozenset(), models.Kernel(g).negative})
+        assert all(extensions == miss for miss, extensions in calls)
+        misses += sum(miss for miss, _ in calls)
+    assert len(searched) > 1000 and misses > 1000
 
 
 def test_iterates_and_cached_least_models_are_immutable():

@@ -683,6 +683,48 @@ def test_carried_least_models_match_fresh_ones_and_a_plain_reference_loop():
     assert negation == {False, True} and 0 < inconsistent < 200 and headed >= 100
 
 
+def key_subsets(rng: random.Random, negative):
+    """Every subset of ``negative`` when it has at most 6 atoms, else 8
+    seeded samples."""
+    atoms = sorted(negative)
+    if len(atoms) <= 6:
+        masks = itertools.product((False, True), repeat=len(atoms))
+    else:
+        masks = ([rng.random() < 0.5 for _ in atoms] for _ in range(8))
+    return [frozenset(itertools.compress(atoms, mask)) for mask in masks]
+
+
+def test_every_reduct_least_model_extends_the_choices_base_state():
+    """On every carried choice, Γ of each key (a subset of the negatively
+    occurring atoms) is the fresh ``_lfp`` by that key, though every miss
+    extends the choice's base state. One kernel driven with the facts of two
+    choices, A, then B, then A again, answers as fresh kernels do, so a base
+    state left from other facts would show."""
+    gamma, lfp = c.models._gamma, c.models._lfp
+    rng = random.Random(20261107)
+    makers = (stratified_program, odd_loop_program, random_program, repeated_literal_program)
+    texts = [KEPT_HEAD_IN_LOOP, *fx.ALL_PROGRAMS.values(), *fx.pool("game-credal", 1)]
+    texts += [shared_choice_program(rng, makers[i % 4]) for i in range(80)]
+    sampled = switched = 0
+    for g in map(fx.grd, texts):
+        k = c.Kernel(g)
+        sampled += len(k.negative) > 6
+        for _, facts in c.models.carried(k, c.total_choices(g, 20)):
+            for key in key_subsets(rng, k.negative):
+                assert gamma(k, facts, key) == lfp(k, facts, key)
+        choices = list(c.total_choices(g, 20))
+        a, b = (k.kept_facts(choice.kept) for choice in (choices[0], choices[-1]))
+        driven = c.Kernel(g)
+        keys = key_subsets(rng, k.negative)
+        for facts in (a, b, a):
+            fresh = c.Kernel(g)
+            for key in keys:
+                want = lfp(k, facts, key)
+                assert gamma(driven, facts, key) == gamma(fresh, facts, key) == want
+        switched += any(lfp(k, a, key) != lfp(k, b, key) for key in keys)
+    assert sampled >= 8 and switched > 50
+
+
 # ---------------------------------------------------------------------------
 # the stable-model search with its lower bound carried down the tree, against
 # the search that computed the bound afresh in every propagation round
@@ -714,7 +756,8 @@ def fresh_must_search(k, facts, nodes):
     def propagate(assign):
         while True:
             must = reference_must(k, facts, assign)
-            can = c.models._gamma(k, facts, [a for a, v in enumerate(assign) if v])
+            true = [a for a, v in enumerate(assign) if v]
+            can = c.models._gamma(k, facts, k.negative.intersection(true))
             if not must <= can or any(assign[a] is False for a in must):
                 return False
             changed = False
