@@ -146,7 +146,6 @@ def _fill(atom: _Slots, values) -> GroundAtom:
 class _Step(NamedTuple):
     """One positive subgoal, as the join reaches it after the earlier ones."""
 
-    atom: _Slots
     signature: tuple[str, int]  # (predicate, arity)
     bound: tuple[int, ...]  # positions known on arrival: constants, earlier variables
     key: tuple[int, ...]  # the slots at those positions
@@ -196,38 +195,12 @@ def _plan(rule: Rule) -> _Plan:
                 (checks if any(s == b for _, b in binds) else binds).append((p, s))
         known.update(s for _, s in binds)
         steps.append(_Step(
-            (pred, args), (pred, len(args)), bound, tuple(args[p] for p in bound),
-            tuple(binds), tuple(checks),
+            (pred, len(args)), bound, tuple(args[p] for p in bound), tuple(binds),
+            tuple(checks),
         ))
     free = tuple([s for s in range(len(variables)) if s not in known])
     neg = tuple([atom for negated, atom in body if negated])
     return _Plan(head, tuple(steps), neg, free, blank)
-
-
-class _PossiblyTrue:
-    """The possibly-true atoms, numbered in the order they were added (the
-    ``members`` dict), with one hash index per (predicate, arity, bound
-    positions) that a step of ``plans`` names. An index maps the values at its
-    positions to the numbers of the matching atoms, ascending; ``add`` keeps
-    it current."""
-
-    def __init__(self, plans: list[_Plan]):
-        self.atoms: list[GroundAtom] = []
-        self.members: dict[GroundAtom, int] = {}
-        # (predicate, arity) -> bound positions -> key -> atom numbers
-        self.indexes: dict[tuple[str, int], dict[tuple[int, ...], dict]] = {}
-        for step in (step for plan in plans for step in plan.steps):
-            self.indexes.setdefault(step.signature, {})[step.bound] = {}
-
-    def add(self, new: dict[GroundAtom, int]) -> None:
-        """Add the atoms of ``new``, none of them possibly true yet, each
-        mapped to its number: the next ones, in order."""
-        self.members.update(new)
-        self.atoms += new
-        for ga, n in new.items():
-            pred, args = ga
-            for bound, table in self.indexes.get((pred, len(args)), {}).items():
-                table.setdefault(tuple([args[p] for p in bound]), []).append(n)
 
 
 def _complete(plan: _Plan, values: list, universe, numbers=()):
@@ -239,28 +212,29 @@ def _complete(plan: _Plan, values: list, universe, numbers=()):
         yield (*values, *numbers)
 
 
-def _match_positive(plan: _Plan, possible: _PossiblyTrue, universe, delta: int, lo: int):
-    """Yield the value tuples of one semi-naive round, each followed by the
-    numbers of the atoms its positive subgoals matched: subgoal ``delta``
-    matches only atoms numbered ``lo`` or more, the subgoals before it only
-    atoms numbered below ``lo``, and the subgoals after it any possibly-true
-    atom; variables not bound by a positive subgoal range over the full
-    universe. A depth-first join that keeps, per subgoal reached, an iterator
-    over its remaining candidates: a match looks the next subgoal up and
-    descends when it has candidates, and an exhausted iterator resumes the
-    one above, so the last subgoal's candidates are read in one loop. Each
-    subgoal writes the variables it binds into one list of values by slot,
-    checks the variables it repeats, if any, and is looked up in the index
-    on its bound positions, whose slots earlier subgoals wrote. A rule
-    without positive subgoals looks at no atom and yields its whole
-    grounding."""
-    steps, atoms, free = plan.steps, possible.atoms, plan.free
+def _match_positive(plan: _Plan, atoms, indexes, universe, delta: int, lo: int):
+    """Yield the value tuples of one semi-naive round over the possibly-true
+    ``atoms`` (by number) and their ``indexes``, as ``ground`` keeps them,
+    each followed by the numbers of the atoms its positive subgoals matched:
+    subgoal ``delta`` matches only atoms numbered ``lo`` or more, the
+    subgoals before it only atoms numbered below ``lo``, and the subgoals
+    after it any possibly-true atom; variables not bound by a positive
+    subgoal range over the full universe. A depth-first join that keeps, per
+    subgoal reached, an iterator over its remaining candidates: a match
+    looks the next subgoal up and descends when it has candidates, and an
+    exhausted iterator resumes the one above, so the last subgoal's
+    candidates are read in one loop. Each subgoal writes the variables it
+    binds into one list of values by slot, checks the variables it repeats,
+    if any, and is looked up in the index on its bound positions, whose
+    slots earlier subgoals wrote. A rule without positive subgoals looks at
+    no atom and yields its whole grounding."""
+    steps, free = plan.steps, plan.free
     values, matched = list(plan.blank), [0] * len(steps)
     if not steps:
         yield from _complete(plan, values, universe)
         return
     last = len(steps) - 1
-    tables = [possible.indexes[step.signature][step.bound] for step in steps]
+    tables = [indexes[step.signature][step.bound] for step in steps]
 
     def candidates(i: int):
         found = tables[i].get(tuple([values[s] for s in steps[i].key]), ())
@@ -304,8 +278,13 @@ def ground(program: Program, max_rules: int = DEFAULT_MAX_GROUND_RULES) -> Groun
     universe = program_constants(program)
     plans = [_plan(rule) for rule in program.rules]
     g = GroundProgram()
-    possible = _PossiblyTrue(plans)
-    atoms, members = possible.atoms, possible.members
+    atoms: list[GroundAtom] = []  # the possibly-true atoms, numbered as added
+    members: dict[GroundAtom, int] = {}  # atom -> its number
+    # (predicate, arity) -> bound positions -> key -> atom numbers, ascending:
+    # one index per (predicate, arity, bound positions) that a step names
+    indexes: dict[tuple[str, int], dict[tuple[int, ...], dict]] = {}
+    for step in (step for plan in plans for step in plan.steps):
+        indexes.setdefault(step.signature, {})[step.bound] = {}
     pending: dict[GroundAtom, int] = {}  # atom -> the number it is added as
 
     # choice points: one per grounding of each probabilistic fact, in source
@@ -333,7 +312,7 @@ def ground(program: Program, max_rules: int = DEFAULT_MAX_GROUND_RULES) -> Groun
         for i, j in joins:
             plan, out = plans[i], found[i]
             pred, slots = plan.head
-            for entry in _match_positive(plan, possible, universe, j, lo):
+            for entry in _match_positive(plan, atoms, indexes, universe, j, lo):
                 ga = (pred, tuple([entry[s] for s in slots]))
                 head = members.get(ga)
                 if head is None:
@@ -345,7 +324,11 @@ def ground(program: Program, max_rules: int = DEFAULT_MAX_GROUND_RULES) -> Groun
                 out.append(entry + (head,))
         if not pending:
             break
-        possible.add(pending)
+        members.update(pending)
+        atoms += pending
+        for (pred, args), n in pending.items():
+            for bound, table in indexes.get((pred, len(args)), {}).items():
+                table.setdefault(tuple([args[p] for p in bound]), []).append(n)
         pending.clear()
         lo = hi
         fresh = {(pred, len(args)) for pred, args in atoms[lo:]}

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import itemgetter
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .errors import UNDEFINED, InconsistentProgramError, ResourceGuardError
 from .grounding import GroundProgram, GroundRule
@@ -39,35 +39,21 @@ from .models import eval_event, truth3_in  # noqa: F401
 DEFAULT_MAX_CHOICES = 20
 
 
-class TotalChoice:
+class TotalChoice(NamedTuple):
     """Which choice points a total choice keeps (``kept``, indexed by
-    ChoicePoint id) and its weight, ``weight / denominator``: an exact
-    weight (``int`` or ``Fraction``), or an integer numerator over a common
-    denominator, as ``total_choices`` gives it so that a sweep adds
-    numerators with no ``Fraction`` per choice. ``weight`` is the exact
-    ``Fraction``."""
+    ChoicePoint id) and its weight, ``numerator / denominator``, as a plain
+    tuple of those fields, compared and hashed by them. ``total_choices``
+    gives all choices of a program one common denominator, so a sweep adds
+    numerators with no ``Fraction`` per choice; ``TotalChoice(kept, w)``
+    holds an exact weight ``w``. ``weight`` is the exact ``Fraction``."""
 
-    __slots__ = ("kept", "numerator", "denominator")
-
-    def __init__(self, kept: tuple[bool, ...], weight, denominator: int = 1):
-        self.kept = kept
-        self.numerator = weight.numerator
-        self.denominator = weight.denominator * denominator
+    kept: tuple[bool, ...]
+    numerator: int | Fraction
+    denominator: int = 1
 
     @property
     def weight(self) -> Fraction:
         return Fraction(self.numerator, self.denominator)
-
-    def __eq__(self, other):
-        if not isinstance(other, TotalChoice):
-            return NotImplemented
-        return (self.kept, self.weight) == (other.kept, other.weight)
-
-    def __hash__(self):
-        return hash((self.kept, self.weight))
-
-    def __repr__(self) -> str:
-        return f"TotalChoice(kept={self.kept!r}, weight={self.weight!r})"
 
     def __str__(self) -> str:
         return "{" + "".join("1" if k else "0" for k in self.kept) + "}"
@@ -133,6 +119,7 @@ def total_choices(
             f"{n} choice points exceeds cap of {max_choices} (2^n total choices)"
         )
     numerators, d = _numerators(g)
+    new = tuple.__new__  # a TotalChoice from its fields, without __new__'s call
     kept = [False] * n
     suffix = [1] * (n + 1)
     for mask in range(1 << n):
@@ -141,7 +128,7 @@ def total_choices(
         for i in range(stop - 1, -1, -1):
             kept[i] = bool((mask >> i) & 1)
             suffix[i] = suffix[i + 1] * numerators[i][kept[i]]
-        yield TotalChoice(tuple(kept), suffix[0], d)
+        yield new(TotalChoice, (tuple(kept), suffix[0], d))
 
 
 def program_for_choice(g: GroundProgram, choice: TotalChoice) -> GroundProgram:

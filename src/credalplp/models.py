@@ -118,9 +118,9 @@ class Kernel:
     positive body atoms, positive and negative watch lists by atom, each
     distinct body atom once, and the rules without a positive body), the atoms
     with a negative watch list (``negative``) and, built from ``rules`` on
-    first use, the occurrence counts and branching order of the stable-model
-    search. Kept choice atoms reach every routine below as extra facts, so no
-    total choice copies the program.
+    first use, the branching order of the stable-model search. Kept choice
+    atoms reach every routine below as extra facts, so no total choice
+    copies the program.
 
     It also caches the reduct least models of one set of facts, the total
     choice being solved (see ``_gamma``): ``facts``, ``gammas`` and
@@ -164,25 +164,21 @@ class Kernel:
         self._order: list[int] | None = None
 
     @property
-    def occurrences(self) -> list[int]:
-        """Per atom, its occurrences in rule bodies, repeats counted."""
-        occurrences = [0] * self.n_atoms
-        for _, pos, neg in self.rules:
-            for a in pos + neg:
-                occurrences[a] += 1
-        return occurrences
-
-    @property
     def order(self) -> list[int]:
-        """The branching order of the stable-model search: most body
-        occurrences first, lowest id on ties (the sort is stable, also
-        reversed), sorted on the first branch. Kept in ``_order``, which
-        ``__init__`` sets: ``functools.cached_property`` would write through
-        the instance ``__dict__``, and a materialised ``__dict__`` slows every
-        attribute read of the kernel in the least-model loops."""
+        """The branching order of the stable-model search: most occurrences
+        in rule bodies first (repeats counted), lowest id on ties (the sort
+        is stable, also reversed), counted and sorted on the first branch.
+        Kept in ``_order``, which ``__init__`` sets:
+        ``functools.cached_property`` would write through the instance
+        ``__dict__``, and a materialised ``__dict__`` slows every attribute
+        read of the kernel in the least-model loops."""
         if self._order is None:
+            occurrences = [0] * self.n_atoms
+            for _, pos, neg in self.rules:
+                for a in pos + neg:
+                    occurrences[a] += 1
             self._order = sorted(
-                range(self.n_atoms), key=self.occurrences.__getitem__, reverse=True
+                range(self.n_atoms), key=occurrences.__getitem__, reverse=True
             )
         return self._order
 
@@ -383,8 +379,9 @@ def alternating_iterates(
     computed here once per set and passed to ``_gamma``; a call whose answer
     the keys already fix is skipped: when Γ(S) has the key of S, the next
     iterate Γ(Γ(S)) = Γ(S); and when a new iterate has the key of the one
-    before it, the iterate after it equals it, so the list is complete. The lists are those of the plain loop. On a definite program
-    every key is empty, so a call costs one ``_gamma`` call."""
+    before it, the iterate after it equals it, so the list is complete. The
+    lists are those of the plain loop. On a definite program every key is
+    empty, so a call costs one ``_gamma`` call."""
     k = _kernel(g)
     negative = k.negative
     s = frozenset(start)

@@ -315,7 +315,11 @@ def test_event_matches_exact_three_valued_truth():
 def test_branching_order_is_most_occurrences_then_lowest_id(rules):
     k = c.Kernel(fx.grd(render(rules)))
     assert sorted(k.order) == list(range(k.n_atoms))
-    keys = [(-k.occurrences[a], a) for a in k.order]
+    occurrences = [0] * k.n_atoms
+    for rule in k.rules:
+        for a in rule.pos + rule.neg:
+            occurrences[a] += 1
+    keys = [(-occurrences[a], a) for a in k.order]
     assert keys == sorted(keys)
 
 

@@ -421,8 +421,8 @@ def test_total_choices_match_per_bit_products(n):
         weight = Fraction(1)
         for p, k in zip(probs, kept):
             weight *= p if k else 1 - p
-        want.append(c.TotalChoice(kept, weight))
-    assert list(c.total_choices(g)) == want
+        want.append((kept, weight))
+    assert [(ch.kept, ch.weight) for ch in c.total_choices(g)] == want
 
 
 def mixed_weight_program(rng: random.Random) -> str:
@@ -432,6 +432,32 @@ def mixed_weight_program(rng: random.Random) -> str:
     facts = [f"0::{rng.choice(ATOMS)}.", f"1::{rng.choice(ATOMS)}."]
     facts += [f"{rng.choice(PROBS[2:])}::{atom}." for atom in (twice, twice)]
     return "\n".join([random_program(rng), *facts])
+
+
+def test_total_choices_are_named_tuples_over_one_denominator():
+    """Each total choice is a ``TotalChoice`` tuple, equal to and hashed as
+    its fields, with the program's common denominator, its exact weight,
+    and the text of ``str`` and ``describe`` as before."""
+    rng = random.Random(20261019)
+    programs = list(fx.ALL_PROGRAMS.values())
+    programs += [mixed_weight_program(rng) for _ in range(20)]
+    for text in programs:
+        g = fx.grd(text)
+        d = 1
+        for cp in g.choice_points:
+            d *= cp.prob.denominator
+        for ch in c.total_choices(g):
+            assert type(ch) is c.TotalChoice and isinstance(ch, tuple)
+            assert c.TotalChoice(*ch) == ch and hash(c.TotalChoice(*ch)) == hash(ch)
+            assert ch == (ch.kept, ch.numerator, ch.denominator)
+            assert ch.denominator == d
+            assert ch.weight == Fraction(ch.numerator, ch.denominator)
+            assert str(ch) == "{" + "".join("01"[k] for k in ch.kept) + "}"
+            assert ch.describe(g) == "{" + ", ".join(
+                f"{'keep' if k else 'discard'} {g.atoms[cp.ground_atom]}"
+                for cp, k in zip(g.choice_points, ch.kept)
+            ) + "}"
+            assert c.TotalChoice(ch.kept, Fraction(1, 4)).weight == Fraction(1, 4)
 
 
 def test_sweep_mass_is_the_fraction_sum_of_choice_weights():
