@@ -36,12 +36,10 @@ from .grounding import (
 )
 from .models import (
     And,
-    EntailResult,
     Kernel,
     Lit,
     Not,
     Or,
-    entail,
     event_from_assignments,
     eval_event,
     exhaustive_stable_models,

@@ -119,22 +119,19 @@ class Kernel:
     distinct body atom once, and the rules without a positive body), the atoms
     with a negative watch list (``negative``) and, built from ``rules`` on
     first use, the branching order of the stable-model search. Kept choice
-    atoms reach every routine below as extra facts, so no total choice
-    copies the program.
+    atoms are extra facts, so no total choice copies the program.
 
-    It also caches the reduct least models of one set of facts, the total
-    choice being solved (see ``_gamma``): ``facts``, ``gammas`` and
-    ``base``, replaced together when a call brings other facts. ``gammas``
-    is keyed by the negatively occurring atoms each model assumed true, a
-    subset of ``negative``; ``base`` is the counters and true set of the
-    least model that assumed them all true, Γ(``negative``), which every
+    It also holds one total choice, the one being solved: its ``facts``, the
+    cache ``gammas`` of its reduct least models (see ``_gamma``) and
+    ``base``, replaced together when ``_load`` brings other facts or
+    ``carried`` the next choice of a sweep; nothing else assigns them.
+    ``gammas`` is keyed by the negatively occurring atoms each model assumed
+    true, a subset of ``negative``; ``base`` is the counters and true set of
+    the least model that assumed them all true, Γ(``negative``), which every
     other entry extends. ``alternating_iterates`` compares the keys to skip
     the calls whose answer it already holds. ``kept_facts`` returns a tuple,
-    so the facts of one total choice reach ``_gamma`` as the very object it
-    holds. ``atoms`` (all atom ids) starts the downward iterates of
-    ``well_founded_model``. A sweep over total choices seeds the cache of
-    each choice with the two least models every well-founded model starts
-    from, and ``base`` with the second (``carried``).
+    so the facts a sweep passes on are the very object loaded. ``atoms``
+    (all atom ids) starts the downward iterates of ``well_founded_model``.
     """
 
     def __init__(self, g: GroundProgram):
@@ -188,10 +185,6 @@ class Kernel:
         return tuple(compress(self.choice_atoms, kept))
 
 
-def _kernel(g) -> Kernel:
-    return g if isinstance(g, Kernel) else Kernel(g)
-
-
 def _base(k: Kernel, assumed) -> tuple[list[int], list[int]]:
     """The counters every least model here starts from, and the queue of the
     heads of the rules at 0: per rule, its positive body atoms not yet true
@@ -230,14 +223,20 @@ def _extend(k: Kernel, missing, true: set[int], queue, assign=None) -> set[int] 
     return true
 
 
-def _lfp(k: Kernel, facts, assumed=()) -> set[int]:
-    """Least model of ``facts`` plus the rules whose negative body misses
-    ``assumed``, negative literals stripped: the least model of the reduct
-    when ``assumed`` is the true set of an interpretation. Linear in total
-    body size."""
+def _state(k: Kernel, facts, assumed=()) -> tuple[list[int], frozenset[int]]:
+    """The counters and true set of the least model of ``facts`` plus the
+    rules whose negative body misses ``assumed``, negative literals
+    stripped, computed from scratch: the least model of the reduct when
+    ``assumed`` is the true set of an interpretation. Linear in total body
+    size."""
     missing, queue = _base(k, assumed)
     queue += facts
-    return _extend(k, missing, set(), queue)
+    return missing, frozenset(_extend(k, missing, set(), queue))
+
+
+def _lfp(k: Kernel, facts, assumed=()) -> frozenset[int]:
+    """The true set of ``_state``: the reference least model."""
+    return _state(k, facts, assumed)[1]
 
 
 def _count_false(k: Kernel, missing: list[int], atoms) -> list[int]:
@@ -252,45 +251,42 @@ def _count_false(k: Kernel, missing: list[int], atoms) -> list[int]:
     return queue
 
 
-def _switch(k: Kernel, facts) -> None:
-    """Make ``k``'s cache that of ``facts``: other facts than those it holds
-    replace ``facts``, ``gammas`` and ``base`` together, with Γ(``k.negative``)
-    of the new facts run once as the base and its only entry."""
-    facts = tuple(facts)
-    if facts != k.facts:
-        missing, queue = _base(k, k.negative)
-        queue += facts
-        true = frozenset(_extend(k, missing, set(), queue))
-        k.gammas, k.base = {k.negative: true}, (missing, true)
-    k.facts = facts
-
-
-def _gamma(k: Kernel, facts, key: frozenset[int]) -> frozenset[int]:
-    """The least model of the reduct by any set whose negatively occurring
-    atoms are ``key``, a subset of ``k.negative`` (Van Gelder's Γ), cached
-    in ``k``: two sets with one key have one answer. The cache holds the
-    entries of the last ``facts`` only (``_switch``). A miss extends a copy
-    of the base state Γ(``k.negative``) (``_unassume``): un-assuming the
-    atoms of ``k.negative`` outside ``key`` only unblocks rules, so the
-    least model only grows. In a sweep, ``carried`` has already put the
-    keys ∅ and ``k.negative`` and the base state there, so no Γ of the
-    sweep starts from ``_base``."""
+def _load(g: GroundProgram | Kernel, facts) -> Kernel:
+    """The kernel of ``g`` (compiled if ``g`` is a program), holding the
+    total choice whose kept atoms are ``facts``: other facts than those it
+    holds replace ``facts``, ``gammas`` and ``base`` together, with
+    Γ(``k.negative``) of the new facts run once as the base and its only
+    entry. The one way into a total choice outside a sweep (``carried``)."""
+    k = g if isinstance(g, Kernel) else Kernel(g)
     if facts is not k.facts:
-        _switch(k, facts)
+        facts = tuple(facts)
+        if facts != k.facts:
+            k.base = _state(k, facts, k.negative)
+            k.gammas = {k.negative: k.base[1]}
+        k.facts = facts
+    return k
+
+
+def _gamma(k: Kernel, key: frozenset[int]) -> frozenset[int]:
+    """The least model of the reduct by any set whose negatively occurring
+    atoms are ``key``, a subset of ``k.negative`` (Van Gelder's Γ), for the
+    loaded total choice, cached in ``k``: two sets with one key have one
+    answer. A miss extends a copy of the base state Γ(``k.negative``)
+    (``_unassume``): un-assuming the atoms of ``k.negative`` outside
+    ``key`` only unblocks rules, so the least model only grows. In a sweep,
+    ``carried`` has already put the keys ∅ and ``k.negative`` and the base
+    state there, so no Γ of the sweep starts from ``_base``."""
     true = k.gammas.get(key)
     if true is None:
-        state = _unassume(k, k.facts, k.negative - key)
-        true = k.gammas[key] = frozenset(_extend(k, *state))
+        true = k.gammas[key] = frozenset(_extend(k, *_unassume(k, k.negative - key)))
     return true
 
 
-def _unassume(k: Kernel, facts, atoms) -> tuple[list[int], set[int], list[int]]:
-    """A copy of the counters and true set of Γ(``k.negative``) for
-    ``facts`` (``k.base``), with ``atoms`` (of ``k.negative``) counted
-    false, and the heads of the rules that reach 0: ``_extend`` by those
-    heads gives Γ(``k.negative`` minus ``atoms``)."""
-    if facts is not k.facts:
-        _switch(k, facts)
+def _unassume(k: Kernel, atoms) -> tuple[list[int], set[int], list[int]]:
+    """A copy of the counters and true set of the loaded choice's
+    Γ(``k.negative``) (``k.base``), with ``atoms`` (of ``k.negative``)
+    counted false, and the heads of the rules that reach 0: ``_extend`` by
+    those heads gives Γ(``k.negative`` minus ``atoms``)."""
     missing, true = k.base
     missing = missing.copy()
     return missing, set(true), _count_false(k, missing, atoms)
@@ -312,12 +308,13 @@ def carried(k: Kernel, choices) -> Iterator[tuple]:
     key for the first choice and one extension per key for each later one;
     a stack holds at most n + 1 states. The ``k.negative`` stack's
     ``state[0]`` is also the choice's ``k.base``, shared, not copied: every
-    other Γ of the choice extends a copy of it (``_gamma``)."""
+    other Γ of the choice extends a copy of it (``_gamma``). Each choice is
+    loaded here, with the kept atoms as ``k.facts``, so the yielded facts
+    are the very object ``_load`` finds there."""
     n = len(k.choice_atoms)
     stacks = dict.fromkeys((frozenset(), k.negative))  # one key if no negation
     for key in stacks:
-        missing, queue = _base(k, key)
-        stacks[key] = [(missing, frozenset(_extend(k, missing, set(), queue)))] * (n + 1)
+        stacks[key] = [_state(k, (), key)] * (n + 1)
     for mask, choice in enumerate(choices):
         if mask:
             b = (mask & -mask).bit_length() - 1
@@ -359,10 +356,10 @@ def reduct(g: GroundProgram, interp: Interpretation) -> GroundProgram:
 
 def is_stable(g: GroundProgram | Kernel, interp: Interpretation, facts=()) -> bool:
     """Whether ``interp`` is the least model of its reduct (with ``facts``)."""
-    k = _kernel(g)
+    k = _load(g, facts)
     true = set(compress(range(len(interp)), interp))
     key = k.negative.intersection(true)
-    return len(interp) == k.n_atoms and _gamma(k, facts, key) == true
+    return len(interp) == k.n_atoms and _gamma(k, key) == true
 
 
 # ---------------------------------------------------------------------------
@@ -382,15 +379,15 @@ def alternating_iterates(
     before it, the iterate after it equals it, so the list is complete. The
     lists are those of the plain loop. On a definite program every key is
     empty, so a call costs one ``_gamma`` call."""
-    k = _kernel(g)
+    k = _load(g, facts)
     negative = k.negative
     s = frozenset(start)
     key = negative.intersection(s)
     out = [s]
     while True:
-        half = _gamma(k, facts, key)
+        half = _gamma(k, key)
         half_key = negative.intersection(half)
-        nxt = half if half_key == key else _gamma(k, facts, half_key)
+        nxt = half if half_key == key else _gamma(k, half_key)
         if nxt == s:
             return out
         out.append(nxt)
@@ -405,9 +402,9 @@ def well_founded_model(g: GroundProgram | Kernel, facts=()) -> PartialInterpreta
     fixpoint of the iterates up from no atoms is true, the rest of the
     fixpoint of those down from all atoms (``Kernel.atoms``) undefined, and
     every other atom false."""
-    k = _kernel(g)
-    lfp = alternating_iterates(k, frozenset(), facts)[-1]
-    gfp = alternating_iterates(k, k.atoms, facts)[-1]
+    k = _load(g, facts)
+    lfp = alternating_iterates(k, frozenset(), k.facts)[-1]
+    gfp = alternating_iterates(k, k.atoms, k.facts)[-1]
     model: PartialInterpretation = [False] * k.n_atoms
     if len(lfp) != len(gfp):  # lfp ⊆ gfp: equal sizes leave nothing undefined
         for aid in gfp:
@@ -421,7 +418,7 @@ def well_founded_model(g: GroundProgram | Kernel, facts=()) -> PartialInterpreta
 # Stable-model enumeration
 
 
-def _propagate(k: Kernel, facts, assign, missing, must, aid) -> bool:
+def _propagate(k: Kernel, assign, missing, must, aid) -> bool:
     """Narrow ``assign``, just decided on ``aid``, to what every stable model
     extending it agrees on, with two least models per round (the smodels
     atleast/atmost pair):
@@ -434,7 +431,7 @@ def _propagate(k: Kernel, facts, assign, missing, must, aid) -> bool:
       ``must``.
     - ``can``, the least model of the reduct by ``must``, which the round
       makes the true atoms: every such stable model is contained in it. It
-      comes from the cache of ``_gamma``.
+      comes from the cache of ``_gamma``, for the loaded total choice.
 
     Undecided atoms in ``must`` become true and those outside ``can`` false,
     until nothing changes. Returns False as soon as a false atom enters
@@ -444,7 +441,7 @@ def _propagate(k: Kernel, facts, assign, missing, must, aid) -> bool:
     while True:
         if _extend(k, missing, must, queue, assign) is None:
             return False
-        can = _gamma(k, facts, k.negative.intersection(must))
+        can = _gamma(k, k.negative.intersection(must))
         if not must <= can:
             return False
         changed = [
@@ -476,23 +473,27 @@ def stable_models(g: GroundProgram | Kernel, facts=()) -> Iterator[Interpretatio
 
     Every model is a fresh list of ``bool``: a total leaf, with no ``None``
     left, is yielded as is, because no other assignment shares its list.
+    The consumer may load other facts into the kernel between two models, so
+    the search loads its own again (``_load``) when it resumes.
     """
-    k = _kernel(g)
+    k = _load(g, facts)
+    facts = k.facts
     wf = well_founded_model(k, facts)
     # explicit stack, not recursion: pushing True first explores False first
     stack = [(wf, None, None, None)]
     while stack:
         assign, missing, must, aid = stack.pop()
         # at the well-founded model (T, U), must = T and can = U: nothing to do
-        if assign is not wf and not _propagate(k, facts, assign, missing, must, aid):
+        if assign is not wf and not _propagate(k, assign, missing, must, aid):
             continue
         if None not in assign:
             if is_stable(k, assign, facts):
                 yield assign
+                _load(k, facts)
             continue
         if assign is wf:
             false = [a for a in k.negative if wf[a] is False]
-            missing, must, queue = _unassume(k, facts, false)
+            missing, must, queue = _unassume(k, false)
             must = _extend(k, missing, must, queue + [a for a, v in enumerate(wf) if v])
         aid = next(a for a in k.order if assign[a] is None)
         for value in (True, False):
@@ -526,29 +527,3 @@ def exhaustive_stable_models(
         if true.intersection(negative) == guess:
             out.append([a in true for a in range(k.n_atoms)])
     return sorted(out, key=lambda m: m[::-1])
-
-
-# ---------------------------------------------------------------------------
-# Cautious / brave entailment
-
-
-@dataclass
-class EntailResult:
-    has_model: bool
-    some: bool  # brave: true in at least one stable model
-    all: bool  # cautious: true in every stable model (vacuously true if none)
-
-
-def entail(g: GroundProgram, e: Event) -> EntailResult:
-    has_model = False
-    some = False
-    all_ = True
-    for model in stable_models(g):
-        has_model = True
-        if eval_event(e, g, model):
-            some = True
-        else:
-            all_ = False
-        if some and not all_:
-            break
-    return EntailResult(has_model, some, all_)

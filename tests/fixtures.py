@@ -157,11 +157,18 @@ PLPBENCH = Path(__file__).resolve().parent.parent / "plpbench"
 
 
 @functools.cache
-def pool(workload: str, seed: int) -> tuple[str, ...]:
-    """The program texts of one benchmark pool, as ``plpbench/workloads.py``
-    generates them (game-wf asks other queries of the game-credal programs)."""
+def cases(workload: str, seed: int) -> tuple:
+    """The cases of one benchmark pool, as ``plpbench/workloads.py``
+    generates them (game-wf asks other queries of the game-credal programs):
+    each has its program text (``render()``) and its query arguments
+    (``args``)."""
     if str(PLPBENCH) not in sys.path:
         sys.path.append(str(PLPBENCH))
     import workloads
 
-    return tuple(case.render() for case in workloads.cases(workload, seed))
+    return tuple(workloads.cases(workload, seed))
+
+
+def pool(workload: str, seed: int) -> tuple[str, ...]:
+    """The program texts of one benchmark pool."""
+    return tuple(case.render() for case in cases(workload, seed))

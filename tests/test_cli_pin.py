@@ -8,6 +8,10 @@ machine mode, with and without `--gamma`, and through the error paths
 choice cap, a bad gamma, a missing atom). A change to any message, exit code,
 JSON key or number changes the digest. If a change of output is intended,
 print `corpus_digest(...)` and update DIGEST, saying why in the log.
+
+A second digest, POOL_DIGEST, pins the runs of the benchmark pools' own
+queries (`plpbench/workloads.py`, all four workloads at seed 1) in text and
+machine mode; `pool_digest(...)` prints it.
 """
 
 import contextlib
@@ -20,6 +24,9 @@ from credalplp.cli import run
 import fixtures as fx
 
 DIGEST = "2b43266f9482c2caf8ef892d484fba75d0ad3caff0eba562022ea154f9eded10"
+
+POOL_DIGEST = "108c49fd7609a7f4dbaac3ad1b7369bb48941ab20e0f5eec57b478219d38e688"
+POOL_WORKLOADS = ("reach-point", "game-credal", "game-wf", "grid-ground")
 
 SEMANTICS = ("auto", "credal", "wf")
 
@@ -91,6 +98,25 @@ def corpus_digest(tmp_path) -> tuple[str, int]:
     return h.hexdigest(), count
 
 
+def pool_digest(tmp_path) -> tuple[str, int]:
+    """One digest over (workload, index, argv, exit code, stdout, stderr) of
+    each pool case's own query, in text and machine mode."""
+    h = hashlib.sha256()
+    count = 0
+    for workload in POOL_WORKLOADS:
+        for index, case in enumerate(fx.cases(workload, 1)):
+            path = str(tmp_path / f"{workload}-{index}.plp")
+            with open(path, "w", encoding="utf-8") as handle:
+                handle.write(case.render())
+            for mode in ("text", "machine"):
+                argv = ["--no-timing", "--mode", mode, "query", path, *case.args]
+                code, out, err = _invoke(argv)
+                record = (workload, index, argv, code, out, err)
+                h.update(repr(record).replace(path, "FILE").encode("utf-8"))
+                count += 1
+    return h.hexdigest(), count
+
+
 def _invoke(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -102,3 +128,9 @@ def test_query_and_consistency_output_is_pinned(tmp_path):
     digest, count = corpus_digest(tmp_path)
     assert count > 500
     assert digest == DIGEST
+
+
+def test_benchmark_pool_queries_are_pinned(tmp_path):
+    digest, count = pool_digest(tmp_path)
+    assert count == 64
+    assert digest == POOL_DIGEST

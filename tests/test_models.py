@@ -243,19 +243,16 @@ def test_event_evaluation():
     assert c.eval_event(c.Lit("wins(z)", False), g, model)
 
 
-def test_entail_game():
+def test_cautious_and_brave_consequences_are_event_bounds():
+    """Without choice points, a lower bound of 1 is a cautious consequence
+    and an upper bound of 1 a brave one; no stable model at all is what
+    ``check_consistency`` reports."""
     g = fx.grd(fx.GAME)
-    r = c.entail(g, fx.qevent("wins(c)"))
-    assert r.has_model and r.some and r.all
-    r = c.entail(g, fx.qevent("wins(a)"))
-    assert r.has_model and r.some and not r.all
-    r = c.entail(g, fx.qevent("wins(d)"))
-    assert r.has_model and not r.some and not r.all
-
-
-def test_entail_without_models_is_vacuous():
-    r = c.entail(fx.grd(fx.BARBER_DET), fx.qevent("villager(a)"))
-    assert not r.has_model and not r.some and r.all
+    events = [fx.qevent(q) for q in ("wins(c)", "wins(a)", "wins(d)")]
+    bounds = [(b.lower, b.upper) for b in c.event_bounds(g, events)]
+    assert bounds == [(1, 1), (0, 1), (0, 0)]
+    report = c.check_consistency(fx.grd(fx.BARBER_DET))
+    assert not report.consistent and report.witness.kept == ()
 
 
 # ---------------------------------------------------------------------------
@@ -494,23 +491,16 @@ def test_propagate_caches_only_its_can_bound(monkeypatch):
     k = models.Kernel(g)
     wf = c.well_founded_model(k)
     false = [a for a in k.negative if wf[a] is False]
-    missing, must, queue = models._unassume(k, (), false)
+    missing, must, queue = models._unassume(k, false)
     must = models._extend(k, missing, must, queue + [a for a, v in enumerate(wf) if v])
     before = dict(k.gammas)
-    keys = []
-    real = models._gamma
-
-    def recording(kernel, facts, key):
-        keys.append(key)
-        return real(kernel, facts, key)
-
-    monkeypatch.setattr(models, "_gamma", recording)
+    keys = counting(monkeypatch, models, "_gamma", lambda kernel, key: key)
     bases = counting(monkeypatch, models, "_base")
     extended = counting(monkeypatch, models, "_unassume")
     assign = list(wf)
     aid = g.atom_id("wins(a)")
     assign[aid] = True
-    assert models._propagate(k, (), assign, missing, must, aid)
+    assert models._propagate(k, assign, missing, must, aid)
     assert assign[g.atom_id("wins(b)")] is False
     # ``can`` goes through the cache: every new entry is the key of one of its
     # calls, and the only least models run are those entries' misses, each an
@@ -542,10 +532,10 @@ def test_credal_sweeps_run_least_models_only_on_cache_misses(monkeypatch):
     calls = []  # per ``_gamma`` call: (whether it missed, extensions it ran)
     real = models._gamma
 
-    def recording(k, facts, key):
-        miss = tuple(facts) != k.facts or key not in k.gammas
+    def recording(k, key):
+        miss = key not in k.gammas
         before = len(extends)
-        true = real(k, facts, key)
+        true = real(k, key)
         calls.append((miss, len(extends) - before))
         return true
 
@@ -619,3 +609,46 @@ def test_stable_models_are_fresh_bool_lists(monkeypatch):
         with monkeypatch.context() as patch:
             patch.setattr(c.inference, "stable_models", overwriting)
             assert c.event_bounds(g, events) == want
+
+
+# several stable models per total choice: two even loops, and README's
+# wins.plp with two more probabilistic moves
+EVEN_LOOPS = """
+a :- not b. b :- not a.
+x :- not y. y :- not x.
+a :- c1. y :- c2, not z. z :- c3, b.
+0.5::c1. 0.5::c2. 0.5::c3.
+"""
+
+WINS_MORE = fx.WINS + "0.4::move(d,c). 0.6::move(d,a).\n"
+
+
+@pytest.mark.parametrize(
+    "text", [EVEN_LOOPS, WINS_MORE], ids=["even_loops", "wins_more"]
+)
+def test_interleaved_searches_on_one_kernel_match_fresh_ones(text):
+    """Two stable-model searches of other facts, advanced in turn on one
+    kernel with a well-founded model of third facts between their steps,
+    each yield what a fresh kernel yields for their own facts: a search
+    solves its own total choice whatever ran between its models."""
+    g = fx.grd(text)
+    k = models.Kernel(g)
+    facts = [k.kept_facts(choice.kept) for choice in c.total_choices(g)]
+    want = {f: list(c.stable_models(models.Kernel(g), f)) for f in facts}
+    wfs = {f: c.well_founded_model(models.Kernel(g), f) for f in facts}
+    assert max(map(len, want.values())) >= 3
+    for i, first in enumerate(facts):
+        for j, second in enumerate(facts[i + 1:]):
+            others = [f for f in facts if f not in (first, second)]
+            other = others[(i + j) % len(others)]
+            searches = {f: c.stable_models(k, f) for f in (first, second)}
+            got = {f: [] for f in searches}
+            while searches:
+                for f, search in list(searches.items()):
+                    model = next(search, None)
+                    if model is None:
+                        del searches[f]
+                        continue
+                    got[f].append(model)
+                    assert c.well_founded_model(k, other) == wfs[other]
+            assert got == {f: want[f] for f in got}

@@ -265,13 +265,13 @@ def test_cached_reduct_least_models_match_fresh_ones(monkeypatch):
     their order and the iterates equal those of an uncached run."""
     cached, lfp = c.models._gamma, c.models._lfp
 
-    def checked(k, facts, assumed):
-        true = cached(k, facts, assumed)
-        assert true == lfp(k, facts, assumed)
+    def checked(k, assumed):
+        true = cached(k, assumed)
+        assert true == lfp(k, k.facts, assumed)
         return true
 
-    def uncached(k, facts, assumed):
-        return frozenset(lfp(k, facts, assumed))
+    def uncached(k, assumed):
+        return lfp(k, k.facts, assumed)
 
     def solve(g):
         k = c.Kernel(g)
@@ -737,16 +737,17 @@ def test_every_reduct_least_model_extends_the_choices_base_state():
         sampled += len(k.negative) > 6
         for _, facts in c.models.carried(k, c.total_choices(g, 20)):
             for key in key_subsets(rng, k.negative):
-                assert gamma(k, facts, key) == lfp(k, facts, key)
+                assert gamma(k, key) == lfp(k, facts, key)
         choices = list(c.total_choices(g, 20))
         a, b = (k.kept_facts(choice.kept) for choice in (choices[0], choices[-1]))
         driven = c.Kernel(g)
         keys = key_subsets(rng, k.negative)
         for facts in (a, b, a):
-            fresh = c.Kernel(g)
+            c.models._load(driven, facts)
+            fresh = c.models._load(c.Kernel(g), facts)
             for key in keys:
                 want = lfp(k, facts, key)
-                assert gamma(driven, facts, key) == gamma(fresh, facts, key) == want
+                assert gamma(driven, key) == gamma(fresh, key) == want
         switched += any(lfp(k, a, key) != lfp(k, b, key) for key in keys)
     assert sampled >= 8 and switched > 50
 
@@ -783,7 +784,7 @@ def fresh_must_search(k, facts, nodes):
         while True:
             must = reference_must(k, facts, assign)
             true = [a for a, v in enumerate(assign) if v]
-            can = c.models._gamma(k, facts, k.negative.intersection(true))
+            can = c.models._gamma(k, k.negative.intersection(true))
             if not must <= can or any(assign[a] is False for a in must):
                 return False
             changed = False
@@ -834,15 +835,15 @@ def test_carried_search_bound_matches_a_fresh_one_node_by_node(monkeypatch):
     real = c.models._propagate
     nodes, program = [], []
 
-    def checked(k, facts, assign, missing, must, aid):
+    def checked(k, assign, missing, must, aid):
         parent = list(assign)
         parent[aid] = None
-        assert must == reference_must(k, facts, parent)
+        assert must == reference_must(k, k.facts, parent)
         assert missing == reference_counters(program[0], parent, must)
         arrival = list(assign)
-        ok = real(k, facts, assign, missing, must, aid)
+        ok = real(k, assign, missing, must, aid)
         if ok:
-            assert must == reference_must(k, facts, assign)
+            assert must == reference_must(k, k.facts, assign)
             assert missing == reference_counters(program[0], assign, must)
         nodes.append((arrival, list(assign) if ok else None))
         return ok
