@@ -243,16 +243,24 @@ def test_event_evaluation():
     assert c.eval_event(c.Lit("wins(z)", False), g, model)
 
 
-def test_cautious_and_brave_consequences_are_event_bounds():
+def test_entail_game():
     """Without choice points, a lower bound of 1 is a cautious consequence
-    and an upper bound of 1 a brave one; no stable model at all is what
-    ``check_consistency`` reports."""
+    and an upper bound of 1 a brave one."""
     g = fx.grd(fx.GAME)
     events = [fx.qevent(q) for q in ("wins(c)", "wins(a)", "wins(d)")]
     bounds = [(b.lower, b.upper) for b in c.event_bounds(g, events)]
     assert bounds == [(1, 1), (0, 1), (0, 0)]
-    report = c.check_consistency(fx.grd(fx.BARBER_DET))
+
+
+def test_entail_without_models_is_vacuous():
+    """No stable model at all is what ``check_consistency`` reports; the
+    bounds refuse to read a vacuous consequence from it."""
+    g = fx.grd(fx.BARBER_DET)
+    assert list(c.stable_models(g)) == []
+    report = c.check_consistency(g)
     assert not report.consistent and report.witness.kept == ()
+    with pytest.raises(c.InconsistentProgramError):
+        c.event_bounds(g, [fx.qevent("villager(a)")])
 
 
 # ---------------------------------------------------------------------------
