@@ -35,34 +35,34 @@ from .grounding import (
     ground,
 )
 from .models import (
-    And,
     Kernel,
-    Lit,
-    Not,
-    Or,
-    event_from_assignments,
-    eval_event,
     exhaustive_stable_models,
     is_stable,
     least_model,
     reduct,
     stable_models,
-    truth3_in,
-    truth_in,
     well_founded_model,
 )
 from .inference import (
+    And,
     ConsistencyReport,
     CredalInterval,
+    Lit,
+    Not,
+    Or,
     TotalChoice,
     WfDistribution,
     check_consistency,
     credal_conditional,
     credal_unconditional,
     event_bounds,
+    event_from_assignments,
+    eval_event,
     missing_atoms,
     program_for_choice,
     total_choices,
+    truth3_in,
+    truth_in,
     wf_atom_distribution,
     wf_query,
 )

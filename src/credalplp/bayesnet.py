@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .errors import UNDEFINED, NotAcyclicError, ResourceGuardError
 from .grounding import GroundProgram, classify, dependency_graph
-from .models import And, Event, Lit, Not, Or
+from .inference import And, Event, Lit, Not, Or
 from .syntax import TRUTH
 
 DEFAULT_MAX_PARENTS = 16

@@ -10,6 +10,7 @@ import argparse
 import functools
 import json
 import os
+import re
 import sys
 import time
 from fractions import Fraction
@@ -52,6 +53,9 @@ def _dec(value: Fraction) -> str:
 
 
 def _parse_rational(text: str) -> Fraction:
+    """A weight as a program writes one: D, D.D or D/D in ASCII digits."""
+    if not re.fullmatch(r"[0-9]+(\.[0-9]+|/[0-9]+)?", text):
+        raise ValueError(f"{text!r} is not a number D, D.D or D/D")
     try:
         value = Fraction(text)
     except ZeroDivisionError:
@@ -292,26 +296,22 @@ def _cross_check(g, args):
 
 def _answer(g, query, semantics: str, args, stats: dict):
     """The answer as (lower, upper), or UNDEFINED; a well-founded answer is
-    the point (p, p)."""
+    the point (p, p). No evidence is the event TRUE, given which the credal
+    answer is never UNDEFINED but [bel(q), pl(q)], the unconditional one."""
     if semantics == "wf":
         p = inference.wf_query(
-            g, query.q_assignments, query.e_assignments or None,
+            g, query.q_assignments, query.e_assignments,
             max_choices=args.max_choices, stats=stats,
         )
         return p if p is UNDEFINED else (p, p)
     assignments = query.q_assignments + query.e_assignments
     if any(value == "undefined" for _, value in assignments):
         raise ValueError("undefined assignments are only valid with --semantics wf")
-    q_event = models.event_from_assignments(query.q_assignments)
-    if query.e_assignments:
-        e_event = models.event_from_assignments(query.e_assignments)
-        result = inference.credal_conditional(
-            g, q_event, e_event, max_choices=args.max_choices, stats=stats
-        )
-    else:
-        result = inference.credal_unconditional(
-            g, q_event, max_choices=args.max_choices, stats=stats
-        )
+    result = inference.credal_conditional(
+        g, inference.event_from_assignments(query.q_assignments),
+        inference.event_from_assignments(query.e_assignments),
+        max_choices=args.max_choices, stats=stats,
+    )
     return result if result is UNDEFINED else (result.lower, result.upper)
 
 

@@ -1,4 +1,6 @@
-"""Exact probabilistic inference over total choices.
+"""Exact probabilistic inference over total choices. Queries are events,
+formulas over ground-atom literals that ``compile_event`` reads on a two- or
+three-valued model, where an atom absent from the atom table is false.
 
 All arithmetic is over ``fractions.Fraction``; decimal rendering happens only
 at the presentation layer. Credal queries follow a strict consistency policy:
@@ -18,25 +20,107 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import itemgetter
-from typing import Iterator, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 from .errors import UNDEFINED, InconsistentProgramError, ResourceGuardError
 from .grounding import GroundProgram, GroundRule
 from .models import (
-    Event,
     Kernel,
+    PartialInterpretation,
     carried,
-    compile_event,
-    event_from_assignments,
     stable_models,
     well_founded_model,
 )
-
-# unused here, but the benchmark's tracer (plpbench/spans.py) wraps both in
-# this module, and tests/test_trace_targets.py fails without them
-from .models import eval_event, truth3_in  # noqa: F401
+from .syntax import TRUTH
 
 DEFAULT_MAX_CHOICES = 20
+
+
+# ---------------------------------------------------------------------------
+# Event formulas
+
+
+@dataclass(frozen=True)
+class Lit:
+    """A ground-atom literal; ``value`` is the truth value it asserts
+    (``None``: undefined)."""
+
+    atom: str
+    value: bool | None = True
+
+
+@dataclass(frozen=True)
+class Not:
+    sub: "Event"
+
+
+@dataclass(frozen=True)
+class And:
+    parts: tuple["Event", ...]
+
+
+@dataclass(frozen=True)
+class Or:
+    parts: tuple["Event", ...]
+
+
+Event = Lit | Not | And | Or
+
+TRUE: Event = And(())
+FALSE: Event = Or(())
+
+
+def event_from_assignments(assignments) -> Event:
+    """Conjunction of assignments [(Atom|str, "true"|"false"|"undefined")]."""
+    lits = []
+    for atom, value in assignments:
+        if value not in TRUTH:
+            raise ValueError(f"event literal needs true/false/undefined, got {value!r}")
+        lits.append(Lit(str(atom), TRUTH[value]))
+    return And(tuple(lits))
+
+
+def truth_in(g: GroundProgram, model: PartialInterpretation, atom: str):
+    """Value of ``atom`` in a model: the one its literal holds with."""
+    values = (True, False, None)
+    return next(v for v in values if eval_event(Lit(atom, v), g, model))
+
+
+truth3_in = truth_in
+
+
+def compile_event(e: Event, g: GroundProgram) -> Callable[[PartialInterpretation], bool]:
+    """``e`` as a test on the models of ``g``: each literal's atom text is
+    looked up once, here, and the test reads the model by atom id. A literal
+    holds when its atom has exactly the literal's value, so an undefined atom
+    matches only an undefined literal, and an atom absent from ``g`` is false
+    in every model. A conjunction or disjunction of one part is that part's
+    test."""
+    if isinstance(e, Lit):
+        aid, value = g.atom_id(e.atom), e.value
+        if aid is None:  # false in every model
+            holds = False == value
+            return lambda model: holds
+        return lambda model: model[aid] == value
+    if isinstance(e, Not):
+        sub = compile_event(e.sub, g)
+        return lambda model: not sub(model)
+    if isinstance(e, (And, Or)):
+        tests = [compile_event(p, g) for p in e.parts]
+        fold = all if isinstance(e, And) else any
+        if len(tests) == 1:
+            return tests[0]
+        return lambda model: fold(test(model) for test in tests)
+    raise TypeError(f"not an event: {e!r}")
+
+
+def eval_event(e: Event, g: GroundProgram, model: PartialInterpretation) -> bool:
+    """Truth of ``e`` in one model; a sweep compiles its events once."""
+    return compile_event(e, g)(model)
+
+
+# ---------------------------------------------------------------------------
+# Total choices and the queries that sweep them
 
 
 class TotalChoice(NamedTuple):
@@ -92,33 +176,26 @@ class ConsistencyReport:
     witness: TotalChoice | None = None
 
 
-def _numerators(g: GroundProgram) -> tuple[list[tuple[int, int]], int]:
-    """Per choice point, the integer numerators of its (discarded, kept)
-    weights over that point's denominator; and D, the product of those
-    denominators, the denominator of every total choice's weight."""
-    numerators, d = [], 1
-    for cp in g.choice_points:
-        num, den = cp.prob.numerator, cp.prob.denominator
-        numerators.append((den - num, num))
-        d *= den
-    return numerators, d
-
-
 def total_choices(
     g: GroundProgram, max_choices: int = DEFAULT_MAX_CHOICES
 ) -> Iterator[TotalChoice]:
     """All 2^n total choices in binary-counting order on choice-point ids
-    (id 0 is the least significant bit). Weight numerators are kept as
-    integer suffix products over the common denominator D, so a step
-    recomputes only the factors of the bits it flips, about two integer
-    multiplications per choice; each choice holds its numerator over D, and
-    no ``Fraction`` is built until its ``weight`` is read."""
+    (id 0 is the least significant bit). Every weight is a numerator over
+    D, the product of the choice points' denominators. A point's (discarded,
+    kept) numerators over its own denominator are factors of integer suffix
+    products, so a step recomputes only the factors of the bits it flips,
+    about two integer multiplications per choice; no ``Fraction`` is built
+    until a choice's ``weight`` is read."""
     n = len(g.choice_points)
     if n > max_choices:
         raise ResourceGuardError(
             f"{n} choice points exceeds cap of {max_choices} (2^n total choices)"
         )
-    numerators, d = _numerators(g)
+    numerators, d = [], 1
+    for cp in g.choice_points:
+        num, den = cp.prob.numerator, cp.prob.denominator
+        numerators.append((den - num, num))
+        d *= den
     new = tuple.__new__  # a TotalChoice from its fields, without __new__'s call
     kept = [False] * n
     suffix = [1] * (n + 1)
@@ -152,10 +229,9 @@ def _sweep(g: GroundProgram, project, semantics: str, max_choices, stats=None):
     whose models (all stable ones, or the well-founded one when ``semantics``
     is "wf") project onto exactly S. Aborts on the first choice without a
     stable model; counts choices and models into ``stats``. Weights add up
-    as the choices' integer numerators over D (see ``_numerators``), with
+    as the choices' integer numerators over their common denominator, with
     one ``Fraction`` per set at the end."""
     k = Kernel(g)
-    d = _numerators(g)[1]
     mass: dict[frozenset, int] = {}
     choices = found = 0
     try:
@@ -174,6 +250,7 @@ def _sweep(g: GroundProgram, project, semantics: str, max_choices, stats=None):
         if stats is not None:
             stats["choices"] = stats.get("choices", 0) + choices
             stats["models"] = stats.get("models", 0) + found
+    d = choice.denominator  # there is always a choice, and all share it
     return {key: Fraction(num, d) for key, num in mass.items()}
 
 
@@ -188,6 +265,15 @@ def _fold(mass, test) -> tuple[Fraction, Fraction]:
         if any(holds):
             upper += weight
     return lower, upper
+
+
+def _bounds(g: GroundProgram, events, semantics, max_choices, stats=None):
+    """The (lower, upper) probability of each event, in one sweep."""
+    tests = [compile_event(e, g) for e in events]
+    mass = _sweep(
+        g, lambda m: tuple([test(m) for test in tests]), semantics, max_choices, stats
+    )
+    return [_fold(mass, itemgetter(i)) for i in range(len(events))]
 
 
 def credal_unconditional(
@@ -248,12 +334,8 @@ def wf_query(
 def wf_atom_distribution(
     g: GroundProgram, atom: str, max_choices: int = DEFAULT_MAX_CHOICES
 ) -> WfDistribution:
-    aid = g.atom_id(atom)
-    project = (lambda wf: False) if aid is None else itemgetter(aid)
-    mass = _sweep(g, project, "wf", max_choices)
-    return WfDistribution(
-        *(_fold(mass, lambda v: v is value)[0] for value in (True, False, None))
-    )
+    events = [Lit(atom, value) for value in (True, False, None)]
+    return WfDistribution(*(p for p, _ in _bounds(g, events, "wf", max_choices)))
 
 
 def check_consistency(
@@ -275,11 +357,8 @@ def event_bounds(
     stats=None,
 ) -> list[CredalInterval]:
     """Lower/upper bounds for several events in one sweep over total choices."""
-    tests = [compile_event(e, g) for e in events]
-    mass = _sweep(
-        g, lambda m: tuple([test(m) for test in tests]), "stable", max_choices, stats
-    )
-    return [CredalInterval(*_fold(mass, itemgetter(i))) for i in range(len(events))]
+    bounds = _bounds(g, events, "stable", max_choices, stats)
+    return [CredalInterval(lower, upper) for lower, upper in bounds]
 
 
 def missing_atoms(g: GroundProgram, assignments) -> list[str]:

@@ -3,108 +3,21 @@
 Interpretations are lists indexed by atom id: ``bool`` entries for two-valued
 models, ``bool | None`` for three-valued ones (``None`` = undefined). Atoms
 omitted from the atom table by active grounding are false everywhere; the
-truth lookup helpers below account for that.
+events of ``inference`` read models with that rule.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import compress
-from typing import Callable, Iterator
+from typing import Iterator
 
 from .errors import ResourceGuardError
 from .grounding import GroundProgram, GroundRule
-from .syntax import TRUTH
 
 Interpretation = list  # list[bool]
 PartialInterpretation = list  # list[bool | None]
 
 DEFAULT_EXHAUSTIVE_LIMIT = 20
-
-
-# ---------------------------------------------------------------------------
-# Event formulas
-
-
-@dataclass(frozen=True)
-class Lit:
-    """A ground-atom literal; ``value`` is the truth value it asserts
-    (``None``: undefined)."""
-
-    atom: str
-    value: bool | None = True
-
-
-@dataclass(frozen=True)
-class Not:
-    sub: "Event"
-
-
-@dataclass(frozen=True)
-class And:
-    parts: tuple["Event", ...]
-
-
-@dataclass(frozen=True)
-class Or:
-    parts: tuple["Event", ...]
-
-
-Event = Lit | Not | And | Or
-
-TRUE: Event = And(())
-FALSE: Event = Or(())
-
-
-def event_from_assignments(assignments) -> Event:
-    """Conjunction of assignments [(Atom|str, "true"|"false"|"undefined")]."""
-    lits = []
-    for atom, value in assignments:
-        if value not in TRUTH:
-            raise ValueError(f"event literal needs true/false/undefined, got {value!r}")
-        lits.append(Lit(str(atom), TRUTH[value]))
-    return And(tuple(lits))
-
-
-def truth_in(g: GroundProgram, model: PartialInterpretation, atom: str):
-    """Value of ``atom`` in a two- or three-valued model (false if not active)."""
-    aid = g.atom_id(atom)
-    return False if aid is None else model[aid]
-
-
-truth3_in = truth_in
-
-
-def compile_event(e: Event, g: GroundProgram) -> Callable[[PartialInterpretation], bool]:
-    """``e`` as a test on the models of ``g``: each literal's atom text is
-    looked up once, here, and the test reads the model by atom id. A literal
-    holds when its atom has exactly the literal's value, so an undefined atom
-    matches only an undefined literal, and an atom absent from ``g`` is false
-    in every model. A conjunction or disjunction of one part is that part's
-    test."""
-    if isinstance(e, Lit):
-        aid, value = g.atom_id(e.atom), e.value
-        if aid is None:  # false in every model
-            holds = False == value
-            return lambda model: holds
-        return lambda model: model[aid] == value
-    if isinstance(e, Not):
-        sub = compile_event(e.sub, g)
-        return lambda model: not sub(model)
-    if isinstance(e, (And, Or)):
-        tests = [compile_event(p, g) for p in e.parts]
-        fold = all if isinstance(e, And) else any
-        if len(tests) == 1:
-            return tests[0]
-        return lambda model: fold(test(model) for test in tests)
-    raise TypeError(f"not an event: {e!r}")
-
-
-def eval_event(e: Event, g: GroundProgram, model: PartialInterpretation) -> bool:
-    """Truth of ``e`` in a two- or three-valued model: ``compile_event``
-    applied once. A sweep compiles its events once and applies the tests to
-    every model."""
-    return compile_event(e, g)(model)
 
 
 # ---------------------------------------------------------------------------

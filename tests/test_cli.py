@@ -1,8 +1,12 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -410,7 +414,7 @@ def test_parser_is_built_once_and_each_run_reads_its_environment(
 
 def test_point_semantics_rejects_an_interval(plp, capsys, monkeypatch):
     monkeypatch.setattr(
-        inference, "credal_unconditional",
+        inference, "credal_conditional",
         lambda *args, **kwargs: inference.CredalInterval(F(0), F(1)),
     )
     code, out, err = invoke(capsys, "query", plp(fx.ALARM), "--q", "calls(a)")
@@ -445,6 +449,32 @@ def test_bad_gamma_is_a_user_error_before_the_sweep(plp, capsys, gamma):
     )
     assert code == 1 and out == ""
     assert err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("gamma", ["1e-99999999", "1e3", "1_0"])
+def test_gamma_outside_the_weight_grammar_is_refused_at_once(plp, gamma):
+    # in a subprocess, so that a text whose value takes unbounded time to
+    # build fails the timeout instead of hanging the suite
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    result = subprocess.run(
+        [sys.executable, "-m", "credalplp.cli", "query", plp(fx.ALARM),
+         "--q", "calls(a)", "--gamma", gamma],
+        env=env, capture_output=True, text=True, timeout=10,
+    )
+    assert result.returncode == 1 and result.stdout == ""
+    assert result.stderr == f"error: {gamma!r} is not a number D, D.D or D/D\n"
+
+
+def test_empty_query_is_the_sure_event(plp, capsys):
+    code, out, _ = invoke(capsys, "--no-timing", "query", plp(fx.EXPR3), "--q", "")
+    assert code == 0 and out.splitlines()[2] == "P = 1/1 (1)"
+
+
+def test_trailing_query_input_is_a_user_error(plp, capsys):
+    code, out, err = invoke(capsys, "query", plp(fx.EXPR3), "--q", "b a")
+    assert code == 1 and out == ""
+    assert err == "ERROR <query>:1:3 unexpected trailing input 'a'\n"
 
 
 def test_cross_check_leaves_output_unchanged(plp, capsys):

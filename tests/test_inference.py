@@ -157,6 +157,7 @@ def test_conditional_impossible_evidence_is_undefined():
     e = c.And((c.Lit("r"), c.Lit("r", False)))
     assert c.credal_conditional(g, fx.qevent("v"), e) is c.UNDEFINED
     assert not c.UNDEFINED
+    assert repr(c.UNDEFINED) == "Undefined"
 
 
 def test_conditional_entailed_query():

@@ -6,7 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 import credalplp as c
 from credalplp import models
-from credalplp.models import TRUE, FALSE, alternating_iterates
+from credalplp.inference import TRUE, FALSE
+from credalplp.models import alternating_iterates
 
 import fixtures as fx
 

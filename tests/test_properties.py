@@ -384,7 +384,7 @@ def test_compiled_events_match_a_recursive_reference():
         g = fx.grd(random_program(rng))
         atoms = [*g.atoms, "absent", "absent(x)"]
         e = random_tree(rng, atoms, rng.randint(0, 3))
-        test = c.models.compile_event(e, g)
+        test = c.inference.compile_event(e, g)
         for _ in range(6):
             model = [rng.choice((True, False, None)) for _ in range(g.n_atoms)]
             want = reference_eval(e, g, model)
@@ -567,9 +567,12 @@ def test_folded_entry_points_match_a_plain_reference_loop():
     for g in programs:
         q, e = random_event(rng), random_event(rng)
         # evidence on an atom of the program, against a sure, an impossible
-        # and a contradicting query: the degenerate conditioning cases
+        # and a contradicting query: the degenerate conditioning cases; and
+        # no evidence (TRUE), the unconditional query as the CLI asks it
         x = c.Lit(rng.choice(g.atoms)) if g.atoms else e
-        conditionals = [(q, e), (c.And(()), x), (c.Or(()), x), (c.Not(x), x)]
+        conditionals = [
+            (q, e), (c.And(()), x), (c.Or(()), x), (c.Not(x), x), (q, c.And(())),
+        ]
         events = [q, e, c.Not(q)]
         for cq, ce in conditionals:
             events += [c.And((cq, ce)), c.And((c.Not(cq), ce))]
@@ -581,6 +584,7 @@ def test_folded_entry_points_match_a_plain_reference_loop():
                 lambda: c.event_bounds(g, events),
                 lambda: c.credal_unconditional(g, q),
                 lambda: c.credal_conditional(g, q, e),
+                lambda: c.credal_conditional(g, q, c.And(())),
             ):
                 with pytest.raises(c.InconsistentProgramError) as exc:
                     entry()
@@ -598,6 +602,7 @@ def test_folded_entry_points_match_a_plain_reference_loop():
                 stats = {}
                 assert c.credal_conditional(g, cq, ce, stats=stats) == interval
                 assert stats == ref_stats
+            assert interval == intervals[0]  # given TRUE, the unconditional
 
         atoms = [*g.atoms, "missing"]
         q_as, e_as = random_assignments(rng, atoms), random_assignments(rng, atoms)

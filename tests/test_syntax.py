@@ -30,6 +30,13 @@ def test_probability_out_of_range():
     assert "outside [0, 1]" in str(exc.value)
 
 
+def test_zero_denominator_in_a_weight():
+    with pytest.raises(c.PlpSyntaxError) as exc:
+        c.parse_program("1/0::p.", filename="x.plp")
+    diags = [str(d) for d in exc.value.diagnostics]
+    assert diags == ["ERROR x.plp:1:3 zero denominator"]
+
+
 def test_fraction_probability_literal():
     p = c.parse_program("1/3::r.")
     assert p.prob_facts[0].prob == Fraction(1, 3)
@@ -239,6 +246,15 @@ def test_disjointness_warning_with_anonymous_variables():
     assert c.lint_program(c.parse_program("0.5::p(a,b). p(X,X) :- q.")) == []
     assert c.format_program(program) == "0.5::p(a, b).\np(_, _) :- q.\n"
     assert c.parse_program(c.format_program(program)) == program
+
+
+@pytest.mark.parametrize("rule", ["p(a) :- q.", "p(Y) :- q(Y)."])
+def test_disjointness_warning_with_a_variable_in_the_fact(rule):
+    diags = c.lint_program(c.parse_program(f"0.5::p(X). {rule}"), filename="x.plp")
+    assert [str(d) for d in diags] == [
+        f"WARNING x.plp:1:1 probabilistic fact p(X) unifies with the head of "
+        f"rule '{rule}' (disjointness condition violated)"
+    ]
 
 
 def test_no_warning_when_disjoint():
