@@ -9,8 +9,8 @@ this module an independent oracle for the total-choice engine.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import UNDEFINED, NotAcyclicError, ResourceGuardError
 from .grounding import GroundProgram, classify, dependency_graph
@@ -55,8 +55,7 @@ def clark_completion(g: GroundProgram) -> dict[int, Event]:
     }
 
 
-@dataclass(frozen=True)
-class BnNode:
+class BnNode(NamedTuple):
     name: str
     parents: tuple[str, ...]
     prob: Fraction | None = None  # roots only
@@ -67,8 +66,7 @@ class BnNode:
         return self.prob is not None
 
 
-@dataclass
-class BayesNet:
+class BayesNet(NamedTuple):
     nodes: list[BnNode]  # topological order
 
     def node(self, name: str) -> BnNode | None:

@@ -47,7 +47,6 @@ from __future__ import annotations
 
 import itertools
 from bisect import bisect_left
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -64,8 +63,7 @@ def atom_text(atom: GroundAtom) -> str:
     return f"{pred}({', '.join(args)})" if args else pred
 
 
-@dataclass(frozen=True)
-class ChoicePoint:
+class ChoicePoint(NamedTuple):
     id: int
     ground_atom: int  # AtomId
     prob: Fraction
@@ -84,12 +82,37 @@ class GroundRule(NamedTuple):
 _rule = tuple.__new__  # GroundRule from a tuple of its fields, without __new__'s call
 
 
-@dataclass
 class GroundProgram:
-    atoms: list[str] = field(default_factory=list)  # AtomId -> text
-    index: dict[str, int] = field(default_factory=dict)  # text -> AtomId
-    rules: list[GroundRule] = field(default_factory=list)
-    choice_points: list[ChoicePoint] = field(default_factory=list)
+    """The atom table, the ground rules and the choice points; each instance
+    has lists and an index of its own."""
+
+    __slots__ = ("atoms", "index", "rules", "choice_points")
+
+    def __init__(
+        self,
+        atoms: list[str] | None = None,  # AtomId -> text
+        index: dict[str, int] | None = None,  # text -> AtomId
+        rules: list[GroundRule] | None = None,
+        choice_points: list[ChoicePoint] | None = None,
+    ):
+        self.atoms = [] if atoms is None else atoms
+        self.index = {} if index is None else index
+        self.rules = [] if rules is None else rules
+        self.choice_points = [] if choice_points is None else choice_points
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not GroundProgram:
+            return NotImplemented
+        return (
+            self.atoms == other.atoms and self.index == other.index
+            and self.rules == other.rules and self.choice_points == other.choice_points
+        )
+
+    def __repr__(self) -> str:
+        return (
+            f"GroundProgram(atoms={self.atoms!r}, index={self.index!r}, "
+            f"rules={self.rules!r}, choice_points={self.choice_points!r})"
+        )
 
     def atom_id(self, text: str) -> int | None:
         return self.index.get(text)
@@ -107,14 +130,12 @@ class GroundProgram:
         return len(self.atoms)
 
 
-@dataclass
-class DependencyGraph:
+class DependencyGraph(NamedTuple):
     nodes: set[int]
     edges: set[tuple[int, int, str]]  # (src, dst, "positive" | "negative")
 
 
-@dataclass
-class ProgramClass:
+class ProgramClass(NamedTuple):
     kind: str  # "acyclic" | "stratified" | "general"
     witness: list[int] | None = None  # cycle: edge witness[i] -> witness[i+1], wrapping
 

@@ -17,7 +17,6 @@ lower and upper probabilities coincide.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import itemgetter
 from typing import Callable, Iterator, NamedTuple
@@ -40,28 +39,45 @@ DEFAULT_MAX_CHOICES = 20
 # Event formulas
 
 
-@dataclass(frozen=True)
-class Lit:
+# Events are named tuples that compare and hash by type as well as by
+# fields, so that ``And(()) != Or(())`` (TRUE is not FALSE) and no event
+# equals a plain tuple.
+
+
+def _same(self, other) -> bool:
+    return type(self) is type(other) and tuple.__eq__(self, other)
+
+
+def _differ(self, other) -> bool:  # else tuple's != would ignore the type
+    return not _same(self, other)
+
+
+def _hash(self) -> int:
+    return hash((type(self), *self))
+
+
+class Lit(NamedTuple):
     """A ground-atom literal; ``value`` is the truth value it asserts
     (``None``: undefined)."""
 
     atom: str
     value: bool | None = True
+    __eq__, __ne__, __hash__ = _same, _differ, _hash
 
 
-@dataclass(frozen=True)
-class Not:
+class Not(NamedTuple):
     sub: "Event"
+    __eq__, __ne__, __hash__ = _same, _differ, _hash
 
 
-@dataclass(frozen=True)
-class And:
+class And(NamedTuple):
     parts: tuple["Event", ...]
+    __eq__, __ne__, __hash__ = _same, _differ, _hash
 
 
-@dataclass(frozen=True)
-class Or:
+class Or(NamedTuple):
     parts: tuple["Event", ...]
+    __eq__, __ne__, __hash__ = _same, _differ, _hash
 
 
 Event = Lit | Not | And | Or
@@ -150,28 +166,26 @@ class TotalChoice(NamedTuple):
         return "{" + ", ".join(parts) + "}"
 
 
-@dataclass(frozen=True)
-class CredalInterval:
-    lower: Fraction
-    upper: Fraction
+class CredalInterval(NamedTuple("CredalInterval", [("lower", Fraction), ("upper", Fraction)])):
+    """Lower and upper probability, checked on construction."""
 
-    def __post_init__(self):
-        if not 0 <= self.lower <= self.upper <= 1:
+    __slots__ = ()
+
+    def __new__(cls, lower: Fraction, upper: Fraction):
+        if not 0 <= lower <= upper <= 1:
             raise ValueError(
-                f"credal interval needs 0 <= lower <= upper <= 1, "
-                f"got [{self.lower}, {self.upper}]"
+                f"credal interval needs 0 <= lower <= upper <= 1, got [{lower}, {upper}]"
             )
+        return tuple.__new__(cls, (lower, upper))
 
 
-@dataclass(frozen=True)
-class WfDistribution:
+class WfDistribution(NamedTuple):
     p_true: Fraction
     p_false: Fraction
     p_undefined: Fraction
 
 
-@dataclass
-class ConsistencyReport:
+class ConsistencyReport(NamedTuple):
     consistent: bool
     witness: TotalChoice | None = None
 

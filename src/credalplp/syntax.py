@@ -13,19 +13,19 @@ floating point is used anywhere in the front end.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import PlpSyntaxError
 
 
 # ---------------------------------------------------------------------------
-# AST
+# AST: named tuples, equal to the plain tuple of their fields (but ProbFact)
 
 
-@dataclass(frozen=True)
-class Term:
-    """A constant (lowercase identifier or unsigned integer) or a variable."""
+class Term(NamedTuple):
+    """A constant (lowercase identifier, or unsigned integer without leading
+    zeros) or a variable."""
 
     kind: str  # "const" | "var"
     name: str
@@ -42,8 +42,7 @@ class Term:
 ANONYMOUS = Term("var", "_")
 
 
-@dataclass(frozen=True)
-class Atom:
+class Atom(NamedTuple):
     predicate: str
     args: tuple[Term, ...] = ()
 
@@ -60,8 +59,7 @@ class Atom:
         return f"{self.predicate}({', '.join(map(str, self.args))})"
 
 
-@dataclass(frozen=True)
-class Subgoal:
+class Subgoal(NamedTuple):
     atom: Atom
     negated: bool = False
 
@@ -69,8 +67,7 @@ class Subgoal:
         return f"not {self.atom}" if self.negated else str(self.atom)
 
 
-@dataclass(frozen=True)
-class Rule:
+class Rule(NamedTuple):
     head: Atom
     body: tuple[Subgoal, ...] = ()
 
@@ -90,42 +87,66 @@ class Rule:
         return f"{self.head} :- {', '.join(map(str, self.body))}."
 
 
-@dataclass(frozen=True)
-class ProbFact:
+class ProbFact(NamedTuple):
+    """A weighted fact. ``line`` and ``col`` say where the clause starts, for
+    diagnostics, and are not part of its identity: it compares and hashes
+    by ``(atom, prob)`` and equals no plain tuple."""
+
     atom: Atom
     prob: Fraction
-    # where the clause starts, for diagnostics; not part of its identity
-    line: int = field(default=1, compare=False, repr=False)
-    col: int = field(default=1, compare=False, repr=False)
+    line: int = 1
+    col: int = 1
+
+    def __eq__(self, other) -> bool:
+        return type(other) is ProbFact and self[:2] == other[:2]
+
+    def __ne__(self, other) -> bool:  # else tuple's != would read the positions
+        return not self == other
+
+    def __hash__(self) -> int:
+        return hash(self[:2])
 
     def __str__(self) -> str:
         return f"{format_rational(self.prob)}::{self.atom}."
 
 
-@dataclass
 class Program:
-    rules: list[Rule] = field(default_factory=list)
-    prob_facts: list[ProbFact] = field(default_factory=list)
+    """The clauses of a program in source order; each instance has lists of
+    its own."""
+
+    __slots__ = ("rules", "prob_facts")
+
+    def __init__(
+        self, rules: list[Rule] | None = None, prob_facts: list[ProbFact] | None = None
+    ):
+        self.rules = [] if rules is None else rules
+        self.prob_facts = [] if prob_facts is None else prob_facts
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not Program:
+            return NotImplemented
+        return self.rules == other.rules and self.prob_facts == other.prob_facts
+
+    def __repr__(self) -> str:
+        return f"Program(rules={self.rules!r}, prob_facts={self.prob_facts!r})"
 
 
 # truth-value names of query assignments; None is undefined
 TRUTH = {"true": True, "false": False, "undefined": None}
 
 
-@dataclass
-class Query:
+class Query(NamedTuple):
     """Ground truth assignments: the query part and optional evidence."""
 
     q_assignments: list[tuple[Atom, str]]
-    e_assignments: list[tuple[Atom, str]] = field(default_factory=list)
+    e_assignments: list[tuple[Atom, str]] | tuple[()] = ()
 
 
 # ---------------------------------------------------------------------------
 # Diagnostics
 
 
-@dataclass
-class Diagnostic:
+class Diagnostic(NamedTuple):
     level: str  # "error" | "warning"
     file: str
     line: int
@@ -139,8 +160,7 @@ class Diagnostic:
 # ---------------------------------------------------------------------------
 # Lexer
 
-@dataclass
-class _Token:
+class _Token(NamedTuple):
     kind: str  # NAME VAR INT DECIMAL PUNCT EOF
     text: str
     line: int
@@ -235,7 +255,9 @@ class _Parser:
 
     def parse_term(self) -> Term:
         tok = self.next()
-        if tok.kind in ("NAME", "INT"):
+        if tok.kind == "INT":  # a number is its value: p(01) is p(1)
+            return Term("const", tok.text.lstrip("0") or "0")
+        if tok.kind == "NAME":
             return Term("const", tok.text)
         if tok.kind == "VAR":
             return Term("var", tok.text)

@@ -227,6 +227,15 @@ def test_query_missing_atom_warns(plp, capsys):
     assert "P in [0/1, 0/1]" in out
 
 
+def test_query_and_evidence_read_integer_constants_by_value(plp, capsys):
+    code, out, err = invoke(
+        capsys, "--no-timing", "query", plp("0.5::p(01). r :- p(1)."),
+        "--q", "r, p(001)", "--e", "p(1)", "--semantics", "wf",
+    )
+    assert (code, err) == (0, "")
+    assert "P = 1/1 (1)" in out
+
+
 def test_query_inconsistent_exit_code(plp, capsys):
     code, _, err = invoke(
         capsys, "query", plp(fx.COLD), "--q", "cold", "--semantics", "credal"

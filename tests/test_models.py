@@ -306,6 +306,28 @@ def test_undefined_assignment_is_a_none_literal():
         c.event_from_assignments([("p", "maybe")])
 
 
+def test_events_compare_and_hash_by_type():
+    assert TRUE != FALSE and not TRUE == FALSE
+    assert len({TRUE, FALSE}) == 2
+    e = c.Lit("p")
+    parts = (e, c.Lit("q", False))
+    for one, other in ((c.And(parts), c.Or(parts)), (c.Not(e), c.And((e,)))):
+        assert one != other and not one == other
+        assert hash(one) != hash(other)
+    same = c.And((c.Lit("p"), c.Lit("q", False)))
+    assert c.And(parts) == same and hash(c.And(parts)) == hash(same)
+    assert e != ("p", True)
+
+
+def test_ground_programs_share_no_list():
+    a, b = c.GroundProgram(), c.GroundProgram()
+    a.intern("p")
+    a.rules.append(c.GroundRule(0, (), ()))
+    a.choice_points.append(c.ChoicePoint(0, 0, 1))
+    assert (b.atoms, b.index, b.rules, b.choice_points) == ([], {}, [], [])
+    assert a != b and fx.grd("p. q :- p.") == fx.grd("p. q :- p.")
+
+
 def test_event_matches_exact_three_valued_truth():
     g = fx.grd(fx.PQR_DET)  # p and q undefined, r absent from the table
     wf = c.well_founded_model(g)

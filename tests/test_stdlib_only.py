@@ -1,7 +1,9 @@
 """The engine depends on nothing outside the Python standard library."""
 
 import ast
+import os
 import pathlib
+import subprocess
 import sys
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "credalplp"
@@ -24,3 +26,19 @@ def test_engine_imports_only_the_standard_library():
                 if top != "credalplp" and top not in sys.stdlib_module_names:
                     foreign.append(f"{path.name}:{node.lineno} {name}")
     assert foreign == []
+
+
+def test_starting_the_cli_loads_neither_dataclasses_nor_inspect():
+    """Each CLI run starts with ``import credalplp.cli``, and these two would
+    be about half of it. Only the modules that the import itself adds
+    count, so a site hook that loaded them first cannot fail this."""
+    code = (
+        "import sys; before = set(sys.modules); import credalplp.cli; "
+        "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "[]\n"

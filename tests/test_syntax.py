@@ -55,6 +55,19 @@ def test_comments_and_integer_constants():
     assert all(not t.is_variable for t in atom.args)
 
 
+def test_an_integer_constant_is_its_value():
+    # leading zeros are dropped where an INT token becomes a constant
+    p = c.parse_program("p(01). q(000). r :- p(1), q(0).")
+    assert [str(rule.head) for rule in p.rules] == ["p(1)", "q(0)", "r"]
+    g = c.ground(p)
+    assert c.well_founded_model(g)[g.atom_id("r")] is True
+    ((atom, _),) = c.parse_query("p(001)").q_assignments
+    assert str(atom) == "p(1)"
+    # past int()'s 4300-digit limit too
+    (rule,) = c.parse_program(f"big(00{'9' * 5000}).").rules
+    assert rule.head.args[0].name == "9" * 5000
+
+
 def test_arity_mismatch_is_error():
     with pytest.raises(c.PlpSyntaxError) as exc:
         c.parse_program("p(a). p(a, b).")
@@ -158,6 +171,14 @@ def test_format_contains_rule_text():
 
 def test_format_empty():
     assert c.format_program(c.Program()) == ""
+
+
+def test_programs_share_no_list():
+    a, b = c.Program(), c.Program()
+    a.rules.append(c.parse_program("p.").rules[0])
+    a.prob_facts.append(c.parse_program("0.5::p.").prob_facts[0])
+    assert b.rules == [] and b.prob_facts == []
+    assert a != b and c.Program(list(a.rules), list(a.prob_facts)) == a
 
 
 @pytest.mark.parametrize(
@@ -278,3 +299,5 @@ def test_diagnostic_reports_the_fact_position():
     assert again == program
     assert [(pf.line, pf.col) for pf in again.prob_facts] == [(1, 1), (2, 1)]
     assert hash(again.prob_facts[0]) == hash(program.prob_facts[0])
+    assert not again.prob_facts[0] != program.prob_facts[0]
+    assert again.prob_facts[0] != tuple(again.prob_facts[0])
