@@ -62,7 +62,6 @@ from .inference import (
     program_for_choice,
     total_choices,
     truth3_in,
-    truth_in,
     wf_atom_distribution,
     wf_query,
 )

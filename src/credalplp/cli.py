@@ -87,27 +87,25 @@ def build_parser() -> argparse.ArgumentParser:
         "--no-timing", action="store_true", help="suppress the timing field"
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    program = argparse.ArgumentParser(add_help=False)
+    program.add_argument("file")
+    command = functools.partial(sub.add_parser, parents=[program])
 
-    p = sub.add_parser("check", help="parse and report diagnostics")
-    p.add_argument("file")
+    command("check", help="parse and report diagnostics")
 
-    p = sub.add_parser("ground", help="dump the active ground program")
-    p.add_argument("file")
+    p = command("ground", help="dump the active ground program")
     p.add_argument("--out", help="write the dump to a file instead of stdout")
 
-    p = sub.add_parser("classify", help="acyclic / stratified / general")
-    p.add_argument("file")
+    command("classify", help="acyclic / stratified / general")
 
-    p = sub.add_parser("models", help="models for one total choice")
-    p.add_argument("file")
+    p = command("models", help="models for one total choice")
     p.add_argument(
         "--choice", default="",
         help="keep/discard bit per choice point, char i = choice id i",
     )
     p.add_argument("--semantics", choices=("stable", "wf"), default="stable")
 
-    p = sub.add_parser("query", help="probability of a query")
-    p.add_argument("file")
+    p = command("query", help="probability of a query")
     p.add_argument("--q", required=True, help="query assignments")
     p.add_argument("--e", default="", help="evidence assignments")
     p.add_argument("--semantics", choices=("credal", "wf", "auto"), default="auto")
@@ -121,11 +119,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="cap on negatively occurring atoms for the exhaustive stable-model oracle",
     )
 
-    p = sub.add_parser("consistency", help="stable model for every total choice?")
-    p.add_argument("file")
+    command("consistency", help="stable model for every total choice?")
 
-    p = sub.add_parser("export-bn", help="compile an acyclic program to a BN")
-    p.add_argument("file")
+    p = command("export-bn", help="compile an acyclic program to a BN")
     p.add_argument("--out", help="write the export to a file instead of stdout")
     return parser
 

@@ -114,6 +114,13 @@ class GroundProgram:
             f"rules={self.rules!r}, choice_points={self.choice_points!r})"
         )
 
+    def with_rules(self, rules: list[GroundRule]) -> GroundProgram:
+        """A program with copies of this atom table, index and choice points,
+        and ``rules``."""
+        return GroundProgram(
+            list(self.atoms), dict(self.index), rules, list(self.choice_points)
+        )
+
     def atom_id(self, text: str) -> int | None:
         return self.index.get(text)
 

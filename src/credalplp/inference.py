@@ -96,13 +96,10 @@ def event_from_assignments(assignments) -> Event:
     return And(tuple(lits))
 
 
-def truth_in(g: GroundProgram, model: PartialInterpretation, atom: str):
+def truth3_in(g: GroundProgram, model: PartialInterpretation, atom: str):
     """Value of ``atom`` in a model: the one its literal holds with."""
     values = (True, False, None)
     return next(v for v in values if eval_event(Lit(atom, v), g, model))
-
-
-truth3_in = truth_in
 
 
 def compile_event(e: Event, g: GroundProgram) -> Callable[[PartialInterpretation], bool]:
@@ -226,16 +223,10 @@ def program_for_choice(g: GroundProgram, choice: TotalChoice) -> GroundProgram:
     """Kept choice atoms become facts; discarded atoms stay in the table and
     are false unless derivable. The sweeps below pass the kept atoms to a
     compiled ``Kernel`` instead; this copy is the reference they match."""
-    out = GroundProgram(
-        atoms=list(g.atoms),
-        index=dict(g.index),
-        choice_points=list(g.choice_points),
-    )
-    for cp, kept in zip(g.choice_points, choice.kept):
-        if kept:
-            out.rules.append(GroundRule(cp.ground_atom, (), ()))
-    out.rules.extend(g.rules)
-    return out
+    return g.with_rules([
+        GroundRule(cp.ground_atom, (), ())
+        for cp, kept in zip(g.choice_points, choice.kept) if kept
+    ] + g.rules)
 
 
 def _sweep(g: GroundProgram, project, semantics: str, max_choices, stats=None):

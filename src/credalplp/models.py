@@ -255,16 +255,10 @@ def least_model(g: GroundProgram) -> Interpretation:
 def reduct(g: GroundProgram, interp: Interpretation) -> GroundProgram:
     """Gelfond-Lifschitz reduct: drop rules blocked by true negated atoms,
     strip remaining negative literals."""
-    out = GroundProgram(
-        atoms=list(g.atoms),
-        index=dict(g.index),
-        choice_points=list(g.choice_points),
-    )
-    for rule in g.rules:
-        if any(interp[n] for n in rule.neg):
-            continue
-        out.rules.append(GroundRule(rule.head, rule.pos, ()))
-    return out
+    return g.with_rules([
+        GroundRule(rule.head, rule.pos, ())
+        for rule in g.rules if not any(interp[n] for n in rule.neg)
+    ])
 
 
 def is_stable(g: GroundProgram | Kernel, interp: Interpretation, facts=()) -> bool:

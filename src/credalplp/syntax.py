@@ -189,15 +189,15 @@ def _tokenize(text: str, filename: str) -> list[_Token]:
             i = end
             continue
         start, col = i, i - line_start + 1
-        if c.isdigit():
-            while i < n and text[i].isdigit():
+        if "0" <= c <= "9":  # numbers in ASCII digits only
+            while i < n and "0" <= text[i] <= "9":
                 i += 1
             kind = "INT"
             # decimal point only when followed by another digit; a bare "."
             # after digits terminates the clause
-            if i + 1 < n and text[i] == "." and text[i + 1].isdigit():
+            if i + 1 < n and text[i] == "." and "0" <= text[i + 1] <= "9":
                 i += 1
-                while i < n and text[i].isdigit():
+                while i < n and "0" <= text[i] <= "9":
                     i += 1
                 kind = "DECIMAL"
         elif c.isalpha() or c == "_":
@@ -270,13 +270,19 @@ class _Parser:
         args: list[Term] = []
         if self.peek().text == "(":
             self.next()
-            args.append(self.parse_term())
-            while self.peek().text == ",":
-                self.next()
-                args.append(self.parse_term())
+            args = self.parse_list(self.parse_term)
             self.expect(")")
-        self._check_arity(tok, Atom(tok.text, tuple(args)))
-        return Atom(tok.text, tuple(args))
+        atom = Atom(tok.text, tuple(args))
+        self._check_arity(tok, atom)
+        return atom
+
+    def parse_list(self, item) -> list:
+        """``item()`` once, then again after each comma."""
+        out = [item()]
+        while self.peek().text == ",":
+            self.next()
+            out.append(item())
+        return out
 
     def _check_arity(self, tok: _Token, atom: Atom):
         seen = self.arities.get(atom.predicate)
@@ -296,27 +302,22 @@ class _Parser:
             return Subgoal(self.parse_atom(), negated=True)
         return Subgoal(self.parse_atom())
 
-    def number(self, tok: _Token) -> Fraction:
-        """The value of an INT or DECIMAL token. The lexer takes any
-        ``str.isdigit`` character, such as "²", which no number reads."""
-        try:
-            return Fraction(tok.text)
-        except ValueError:
-            self.error(tok, f"expected a number, found {tok.text!r}")
-
     def parse_probability(self) -> Fraction:
         """The weight at the start of a clause: a DECIMAL, INT or INT/INT."""
         tok = self.next()
-        value = self.number(tok)
+        text = tok.text
         if tok.kind == "INT" and self.peek().text == "/":
             self.next()
             den = self.next()
             if den.kind != "INT":
                 self.error(den, "expected a denominator")
-            divisor = self.number(den)
-            if divisor == 0:
+            if not den.text.strip("0"):
                 self.error(den, "zero denominator")
-            value /= divisor
+            text += "/" + den.text
+        try:
+            value = Fraction(text)
+        except ValueError:  # int() reads at most sys.get_int_max_str_digits()
+            self.error(tok, "too many digits in a weight")
         if not 0 <= value <= 1:
             self.error(tok, f"probability {tok.text} outside [0, 1]")
         return value
@@ -335,10 +336,7 @@ class _Parser:
         body: list[Subgoal] = []
         if self.peek().text == ":-":
             self.next()
-            body.append(self.parse_subgoal())
-            while self.peek().text == ",":
-                self.next()
-                body.append(self.parse_subgoal())
+            body = self.parse_list(self.parse_subgoal)
         self.expect(".")
         program.rules.append(Rule(head, tuple(body)))
 
@@ -367,11 +365,9 @@ def parse_query(text: str, evidence: str = "", filename: str = "<query>") -> Que
 
 def _parse_assignments(text: str, filename: str) -> list[tuple[Atom, str]]:
     parser = _Parser(text, filename)
-    out: list[tuple[Atom, str]] = []
-    seen: dict[Atom, str] = {}
-    if parser.peek().kind == "EOF":
-        return out
-    while True:
+    seen: dict[Atom, str] = {}  # in order of first occurrence
+
+    def assignment():
         tok = parser.peek()
         atom = parser.parse_atom()
         value = "true"
@@ -383,19 +379,15 @@ def _parse_assignments(text: str, filename: str) -> list[tuple[Atom, str]]:
             value = vtok.text
         if not atom.is_ground:
             parser.error(tok, f"query atom {atom} is not ground")
-        if atom in seen:
-            if seen[atom] != value:
-                parser.error(tok, f"conflicting assignments for {atom}")
-        else:
-            seen[atom] = value
-            out.append((atom, value))
-        if parser.peek().text != ",":
-            break
-        parser.next()
+        if seen.setdefault(atom, value) != value:
+            parser.error(tok, f"conflicting assignments for {atom}")
+
+    if parser.peek().kind != "EOF":
+        parser.parse_list(assignment)
     tok = parser.peek()
     if tok.kind != "EOF":
         parser.error(tok, f"unexpected trailing input {tok.text!r}")
-    return out
+    return list(seen.items())
 
 
 # ---------------------------------------------------------------------------

@@ -71,6 +71,7 @@ def test_alarm_network_shape():
     assert alarm.parents == ("burglary", "earthquake", "a1", "a2", "a3")
     assert not alarm.is_root
     assert bn.node("calls(a)").parents == ("alarm", "neighbor(a)")
+    assert bn.node("missing") is None
 
 
 def test_alarm_row_without_triggers_is_zero():
@@ -88,6 +89,15 @@ def test_alarm_row_without_triggers_is_zero():
                     "a3": a3,
                 }
                 assert eval_formula(alarm.formula, env) is False
+
+
+def test_formulas_read_negation_and_refuse_non_events():
+    assert eval_formula(c.Not(c.Lit("p")), {}) is True
+    assert eval_formula(c.Not(c.Lit("p")), {"p": True}) is False
+    with pytest.raises(TypeError):
+        eval_formula("p", {})
+    with pytest.raises(TypeError):
+        c.inference.compile_event("p", c.GroundProgram())
 
 
 def test_duplicate_choice_points_get_synthetic_roots():

@@ -56,12 +56,18 @@ def test_truncated_weight_is_one_error_line(plp, capsys):
     assert (code, out, err) == (1, "", f"ERROR {path}:1:3 expected a denominator\n")
 
 
-@pytest.mark.parametrize("text", ["²::p.", "² p."])
+@pytest.mark.parametrize("text", ["²::p.", "² p.", "p(٠٢). r :- p(٢)."])
 def test_unreadable_digit_is_one_error_line(tmp_path, capsys, text):
     path = tmp_path / "prog.plp"
     path.write_text(text, encoding="utf-8")
     code, out, err = invoke(capsys, "check", str(path))
-    assert (code, out, err) == (1, "", f"ERROR {path}:1:1 expected a number, found '²'\n")
+    col, char = next((i + 1, ch) for i, ch in enumerate(text) if not ch.isascii())
+    assert (code, out, err) == (1, "", f"ERROR {path}:1:{col} unexpected character {char!r}\n")
+
+
+def test_unreadable_digit_in_a_query_is_one_error_line(plp, capsys):
+    code, out, err = invoke(capsys, "query", plp("p(2)."), "--q", "p(٢)")
+    assert (code, out, err) == (1, "", "ERROR <query>:1:3 unexpected character '٢'\n")
 
 
 def test_missing_file_is_user_error(capsys):
@@ -262,6 +268,16 @@ def test_consistency_witness_exit_3(plp, capsys):
     assert code == 3
     assert "consistent: no" in out
     assert "witness: {discard a, keep b}" in out
+
+
+def test_main_exits_with_the_exit_code_of_run(plp):
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    result = subprocess.run(
+        [sys.executable, "-m", "credalplp.cli", "--no-timing", "consistency", plp(fx.COLD)],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert result.returncode == 3 and "consistent: no" in result.stdout
 
 
 def test_export_bn(plp, capsys, tmp_path):

@@ -326,6 +326,7 @@ def test_ground_programs_share_no_list():
     a.choice_points.append(c.ChoicePoint(0, 0, 1))
     assert (b.atoms, b.index, b.rules, b.choice_points) == ([], {}, [], [])
     assert a != b and fx.grd("p. q :- p.") == fx.grd("p. q :- p.")
+    assert b != [] and repr(b) == "GroundProgram(atoms=[], index={}, rules=[], choice_points=[])"
 
 
 def test_event_matches_exact_three_valued_truth():

@@ -127,26 +127,58 @@ def test_clause_starting_with_a_number_is_a_probabilistic_fact(text, col, messag
     assert (diag.line, diag.col, diag.message) == (1, col, message)
 
 
+@pytest.mark.parametrize("parse, text, col, message", [
+    (c.parse_program, "p(a,", 5, "expected a term, found ''"),
+    (c.parse_program, "p(a b)", 5, "expected ')', found 'b'"),
+    (c.parse_program, "p :- q, .", 9, "expected an atom, found '.'"),
+    (c.parse_query, "p=true, p=false", 9, "conflicting assignments for p"),
+    (c.parse_query, "p q", 3, "unexpected trailing input 'q'"),
+    (c.parse_query, "p=maybe", 3, "unknown truth value 'maybe'"),
+    (c.parse_query, "p(X)", 1, "query atom p(X) is not ground"),
+])
+def test_malformed_lists_fail_where_they_go_wrong(parse, text, col, message):
+    with pytest.raises(c.PlpSyntaxError) as exc:
+        parse(text)
+    diag = exc.value.diagnostics[0]
+    assert (diag.line, diag.col, diag.message) == (1, col, message)
+
+
+def test_query_assignments_keep_first_occurrence_order():
+    p, q = c.Atom("p"), c.Atom("q")
+    assert c.parse_query("p, q=false, p").q_assignments == [(p, "true"), (q, "false")]
+
+
 @pytest.mark.parametrize("text, col, found", [
     ("²::p.", 1, "²"),
     ("² p.", 1, "²"),
     ("1/²::p.", 3, "²"),
-    ("0.²::p.", 1, "0.²"),
+    ("0.²::p.", 3, "²"),
 ])
 def test_digits_no_number_reads_are_syntax_errors(text, col, found):
-    # "²" passes str.isdigit, so it lexes as a number that int() cannot read
+    # "²" passes str.isdigit, but numbers are read in ASCII digits only
     with pytest.raises(c.PlpSyntaxError) as exc:
         c.parse_program(text)
     diag = exc.value.diagnostics[0]
-    assert (diag.line, diag.col, diag.message) == (1, col, f"expected a number, found {found!r}")
+    assert (diag.line, diag.col, diag.message) == (1, col, f"unexpected character {found!r}")
 
 
-def test_unreadable_digits_stay_constants_in_a_term():
-    assert [t.kind for t in _tokenize("p(²).", "<string>")] == [
-        "NAME", "PUNCT", "INT", "PUNCT", "PUNCT", "EOF"
-    ]
-    (rule,) = c.parse_program("p(²).").rules
-    assert [t.name for t in rule.head.args] == ["²"]
+@pytest.mark.parametrize("parse, text, found", [
+    (c.parse_program, "p(²).", "²"),
+    (c.parse_program, "p(٠٢). r :- p(٢).", "٠"),  # Arabic-Indic 02, then 2
+    (c.parse_query, "p(٢)", "٢"),
+])
+def test_non_ascii_digits_are_no_constants(parse, text, found):
+    with pytest.raises(c.PlpSyntaxError) as exc:
+        parse(text)
+    diag = exc.value.diagnostics[0]
+    assert (diag.line, diag.col, diag.message) == (1, 3, f"unexpected character {found!r}")
+
+
+def test_weight_past_the_int_digit_limit_is_a_syntax_error():
+    with pytest.raises(c.PlpSyntaxError) as exc:
+        c.parse_program(f"\n 0.{'0' * 5000}1::p.")
+    diag = exc.value.diagnostics[0]
+    assert (diag.line, diag.col, diag.message) == (2, 2, "too many digits in a weight")
 
 
 def test_variables_upper_vs_lower():
@@ -179,6 +211,7 @@ def test_programs_share_no_list():
     a.prob_facts.append(c.parse_program("0.5::p.").prob_facts[0])
     assert b.rules == [] and b.prob_facts == []
     assert a != b and c.Program(list(a.rules), list(a.prob_facts)) == a
+    assert b != [] and repr(b) == "Program(rules=[], prob_facts=[])"
 
 
 @pytest.mark.parametrize(
