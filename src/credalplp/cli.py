@@ -60,6 +60,8 @@ def _parse_rational(text: str) -> Fraction:
         value = Fraction(text)
     except ZeroDivisionError:
         raise ValueError(f"{text}: zero denominator") from None
+    except ValueError:  # int() reads at most sys.get_int_max_str_digits()
+        raise ValueError("too many digits in a weight") from None
     if not 0 <= value <= 1:
         raise ValueError(f"{text} outside [0, 1]")
     return value
@@ -276,7 +278,7 @@ def _cross_check(g, args):
             brute = models.exhaustive_stable_models(copy, args.oracle_limit)
         except ResourceGuardError:
             print(
-                f"WARNING cross-check skipped: {len(kernel.negative)} negatively "
+                f"WARNING cross-check skipped: {kernel.negative.bit_count()} negatively "
                 f"occurring atoms exceeds --oracle-limit {args.oracle_limit}",
                 file=sys.stderr,
             )

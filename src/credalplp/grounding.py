@@ -194,6 +194,12 @@ class _Plan(NamedTuple):
 
 
 def _plan(rule: Rule) -> _Plan:
+    if not rule.body:
+        names = [t.name for t in rule.head.args if t.kind == "const"]
+        if len(names) == len(rule.head.args):  # a ground fact: no join to plan
+            blank = tuple(dict.fromkeys(names))  # its constants, each once, in order
+            head = rule.head.predicate, tuple(map(blank.index, names))
+            return tuple.__new__(_Plan, (head, (), (), (), blank))
     # each `_` is a variable of its own, named "_ i": no source variable can
     # have that name, and it sorts where a variable named "_" would
     anonymous = itertools.count()

@@ -3,12 +3,13 @@
 Interpretations are lists indexed by atom id: ``bool`` entries for two-valued
 models, ``bool | None`` for three-valued ones (``None`` = undefined). Atoms
 omitted from the atom table by active grounding are false everywhere; the
-events of ``inference`` read models with that rule.
+events of ``inference`` read models with that rule. Inside the kernel an atom
+set is an immutable ``int`` mask, atom id i as bit i.
 """
 
 from __future__ import annotations
 
-from itertools import compress
+from itertools import chain, compress, product
 from typing import Iterator
 
 from .errors import ResourceGuardError
@@ -29,10 +30,10 @@ class Kernel:
 
     Holds the Dowling-Gallier index (per-rule heads and counts of distinct
     positive body atoms, positive and negative watch lists by atom, each
-    distinct body atom once, and the rules without a positive body), the atoms
-    with a negative watch list (``negative``) and, built from ``rules`` on
-    first use, the branching order of the stable-model search. Kept choice
-    atoms are extra facts, so no total choice copies the program.
+    distinct body atom once, and the rules without a positive body), the
+    atoms with a negative watch list (``negative``, an int mask like every
+    atom set here) and, built on first use, the branching order of the
+    search. Kept choice atoms are extra facts: no choice copies the program.
 
     It also holds one total choice, the one being solved: its ``facts``, the
     cache ``gammas`` of its reduct least models (see ``_gamma``) and
@@ -65,11 +66,11 @@ class Kernel:
             for a in set(neg) if neg else ():
                 neg_watch[a].append(ri)
         self.body_free = [ri for ri, count in enumerate(pos_count) if count == 0]
-        self.negative = frozenset(compress(range(n), neg_watch))
-        self.atoms = frozenset(range(n))
+        self.negative = _mask(map(bool, neg_watch))
+        self.atoms = (1 << n) - 1
         self.facts: tuple[int, ...] | None = None
-        self.gammas: dict[frozenset[int], frozenset[int]] = {}
-        self.base: tuple[list[int], frozenset[int]] | None = None
+        self.gammas: dict[int, int] = {}
+        self.base: tuple[list[int], int] | None = None
         self.choice_atoms = [cp.ground_atom for cp in g.choice_points]
         self._order: list[int] | None = None
 
@@ -98,37 +99,58 @@ class Kernel:
         return tuple(compress(self.choice_atoms, kept))
 
 
-def _base(k: Kernel, assumed) -> tuple[list[int], list[int]]:
+_BYTE_BOOLS = [bits[::-1] for bits in product((False, True), repeat=8)]  # low bit first
+_BIT_CHARS = bytes.maketrans(b"\0\1", b"01")
+
+
+def _bools(n: int, mask: int) -> Interpretation:
+    """A fresh list of ``n`` bools, True at the atoms of ``mask``, by bytes."""
+    by_byte = map(_BYTE_BOOLS.__getitem__, mask.to_bytes(n + 7 >> 3, "little"))
+    return list(chain.from_iterable(by_byte))[:n]
+
+
+def _mask(flags) -> int:
+    """The mask of the atom ids whose entry in ``flags`` (bools) is True."""
+    return int(bytes(flags)[::-1].translate(_BIT_CHARS) or b"0", 2)
+
+
+def _ids(k: Kernel, mask: int) -> Iterator[int]:
+    """The atom ids of ``mask``, ascending."""
+    return compress(range(k.n_atoms), _bools(k.n_atoms, mask))
+
+
+def _base(k: Kernel, assumed: int) -> tuple[list[int], list[int]]:
     """The counters every least model here starts from, and the queue of the
     heads of the rules at 0: per rule, its positive body atoms not yet true
     plus its negative body atoms not yet false, where only the atoms of the
-    set ``assumed`` are not false, so a rule whose negative body meets it
+    mask ``assumed`` are not false, so a rule whose negative body meets it
     never fires by positive atoms alone."""
     missing = k.pos_count.copy()
     neg_watch = k.neg_watch
-    for a in assumed:
+    for a in _ids(k, assumed):
         for ri in neg_watch[a]:
             missing[ri] += 1
     heads = k.heads
     return missing, [heads[ri] for ri in k.body_free if missing[ri] == 0]
 
 
-def _extend(k: Kernel, missing, true: set[int], queue, assign=None) -> set[int] | None:
-    """Dowling-Gallier propagation: add the ``queue`` atoms to ``true``, count
-    them down in the rules whose positive body holds them and fire each rule
-    at 0, updating ``missing`` and ``true`` in place. Adding facts is
-    monotone, so the counters and true set of a least model extend to those
-    of the least model with more facts. Linear in the body size of the rules
-    it fires. Given ``assign``, returns None as soon as an atom false in it
-    would enter."""
+def _extend(k: Kernel, missing, true: int, queue, assign=None) -> int | None:
+    """Dowling-Gallier propagation: add the ``queue`` atoms to the mask
+    ``true``, count them down in the rules whose positive body holds them and
+    fire each rule at 0, updating ``missing`` in place; returns the grown
+    mask. Adding facts is monotone, so the counters and true set of a least
+    model extend to those of the least model with more facts. Linear in the
+    body size of the rules it fires. Given ``assign``, returns None as soon
+    as an atom false in it would enter."""
     heads, pos_watch = k.heads, k.pos_watch
     while queue:
         aid = queue.pop()
-        if aid in true:
+        bit = 1 << aid
+        if true & bit:
             continue
         if assign is not None and assign[aid] is False:
             return None
-        true.add(aid)
+        true |= bit
         for ri in pos_watch[aid]:
             missing[ri] -= 1
             if missing[ri] == 0:
@@ -136,7 +158,7 @@ def _extend(k: Kernel, missing, true: set[int], queue, assign=None) -> set[int] 
     return true
 
 
-def _state(k: Kernel, facts, assumed=()) -> tuple[list[int], frozenset[int]]:
+def _state(k: Kernel, facts, assumed: int = 0) -> tuple[list[int], int]:
     """The counters and true set of the least model of ``facts`` plus the
     rules whose negative body misses ``assumed``, negative literals
     stripped, computed from scratch: the least model of the reduct when
@@ -144,23 +166,25 @@ def _state(k: Kernel, facts, assumed=()) -> tuple[list[int], frozenset[int]]:
     size."""
     missing, queue = _base(k, assumed)
     queue += facts
-    return missing, frozenset(_extend(k, missing, set(), queue))
+    return missing, _extend(k, missing, 0, queue)
 
 
-def _lfp(k: Kernel, facts, assumed=()) -> frozenset[int]:
+def _lfp(k: Kernel, facts, assumed: int = 0) -> int:
     """The true set of ``_state``: the reference least model."""
     return _state(k, facts, assumed)[1]
 
 
-def _count_false(k: Kernel, missing: list[int], atoms) -> list[int]:
-    """Count ``atoms`` false in ``_base``'s counters ``missing``, down in the
-    rules whose negative body holds them; returns the heads of the rules at 0."""
+def _count_false(k: Kernel, missing: list[int], atoms: int) -> list[int]:
+    """Count ``atoms`` (a mask) false in ``_base``'s counters ``missing``, down
+    in the rules whose negative body holds them; returns the heads at 0."""
     heads, neg_watch, queue = k.heads, k.neg_watch, []
-    for a in atoms:
-        for ri in neg_watch[a]:
+    while atoms:  # ``_ids`` a bit at a time: few bits, on every cache miss
+        low = atoms & -atoms
+        for ri in neg_watch[low.bit_length() - 1]:
             missing[ri] -= 1
             if missing[ri] == 0:
                 queue.append(heads[ri])
+        atoms ^= low
     return queue
 
 
@@ -180,7 +204,7 @@ def _load(g: GroundProgram | Kernel, facts) -> Kernel:
     return k
 
 
-def _gamma(k: Kernel, key: frozenset[int]) -> frozenset[int]:
+def _gamma(k: Kernel, key: int) -> int:
     """The least model of the reduct by any set whose negatively occurring
     atoms are ``key``, a subset of ``k.negative`` (Van Gelder's Γ), for the
     loaded total choice, cached in ``k``: two sets with one key have one
@@ -190,19 +214,19 @@ def _gamma(k: Kernel, key: frozenset[int]) -> frozenset[int]:
     ``carried`` has already put the keys ∅ and ``k.negative`` and the base
     state there, so no Γ of the sweep starts from ``_base``."""
     true = k.gammas.get(key)
-    if true is None:
-        true = k.gammas[key] = frozenset(_extend(k, *_unassume(k, k.negative - key)))
+    if true is None:  # not ``if not true``: an empty least model is 0
+        true = k.gammas[key] = _extend(k, *_unassume(k, k.negative & ~key))
     return true
 
 
-def _unassume(k: Kernel, atoms) -> tuple[list[int], set[int], list[int]]:
-    """A copy of the counters and true set of the loaded choice's
-    Γ(``k.negative``) (``k.base``), with ``atoms`` (of ``k.negative``)
-    counted false, and the heads of the rules that reach 0: ``_extend`` by
-    those heads gives Γ(``k.negative`` minus ``atoms``)."""
+def _unassume(k: Kernel, atoms: int) -> tuple[list[int], int, list[int]]:
+    """A copy of the counters of the loaded choice's Γ(``k.negative``)
+    (``k.base``) and its true set, with the mask ``atoms`` (of
+    ``k.negative``) counted false, and the heads of the rules that reach 0:
+    ``_extend`` by those heads gives Γ(``k.negative`` minus ``atoms``)."""
     missing, true = k.base
     missing = missing.copy()
-    return missing, set(true), _count_false(k, missing, atoms)
+    return missing, true, _count_false(k, missing, atoms)
 
 
 def carried(k: Kernel, choices) -> Iterator[tuple]:
@@ -225,7 +249,7 @@ def carried(k: Kernel, choices) -> Iterator[tuple]:
     loaded here, with the kept atoms as ``k.facts``, so the yielded facts
     are the very object ``_load`` finds there."""
     n = len(k.choice_atoms)
-    stacks = dict.fromkeys((frozenset(), k.negative))  # one key if no negation
+    stacks = dict.fromkeys((0, k.negative))  # one key if no negation
     for key in stacks:
         stacks[key] = [_state(k, (), key)] * (n + 1)
     for mask, choice in enumerate(choices):
@@ -234,9 +258,9 @@ def carried(k: Kernel, choices) -> Iterator[tuple]:
             atom = k.choice_atoms[b]
             for state in stacks.values():
                 missing, true = state[b + 1]
-                missing, true = missing.copy(), set(true)
-                _extend(k, missing, true, [atom])
-                state[: b + 1] = [(missing, frozenset(true))] * (b + 1)
+                missing = missing.copy()
+                true = _extend(k, missing, true, [atom])
+                state[: b + 1] = [(missing, true)] * (b + 1)
         facts = k.kept_facts(choice.kept)
         k.facts, k.base = facts, stacks[k.negative][0]
         k.gammas = {key: state[0][1] for key, state in stacks.items()}
@@ -248,8 +272,7 @@ def least_model(g: GroundProgram) -> Interpretation:
     be definite."""
     if any(rule.neg for rule in g.rules):
         raise ValueError("least_model requires a definite program")
-    true = _lfp(Kernel(g), ())
-    return [aid in true for aid in range(g.n_atoms)]
+    return _bools(g.n_atoms, _lfp(Kernel(g), ()))
 
 
 def reduct(g: GroundProgram, interp: Interpretation) -> GroundProgram:
@@ -262,43 +285,40 @@ def reduct(g: GroundProgram, interp: Interpretation) -> GroundProgram:
 
 
 def is_stable(g: GroundProgram | Kernel, interp: Interpretation, facts=()) -> bool:
-    """Whether ``interp`` is the least model of its reduct (with ``facts``)."""
+    """Whether ``interp`` (bools) is the least model of its reduct (with ``facts``)."""
     k = _load(g, facts)
-    true = set(compress(range(len(interp)), interp))
-    key = k.negative.intersection(true)
-    return len(interp) == k.n_atoms and _gamma(k, key) == true
+    true = _mask(interp)
+    return len(interp) == k.n_atoms and _gamma(k, k.negative & true) == true
 
 
 # ---------------------------------------------------------------------------
 # Well-founded model via the alternating fixpoint
 
 
-def alternating_iterates(
-    g: GroundProgram | Kernel, start: frozenset[int] | set[int], facts=()
-) -> list[frozenset[int]]:
-    """Iterates of Γ∘Γ from ``start`` until stabilization (inclusive), as
-    frozensets, where Γ is the cached ``_gamma``.
+def alternating_iterates(g: GroundProgram | Kernel, start, facts=()) -> list[int]:
+    """Iterates of Γ∘Γ from ``start`` (a mask, or a set of atom ids) until
+    stabilization (inclusive), as masks, where Γ is the cached ``_gamma``.
 
     Γ reads a set only through its key, its negatively occurring atoms,
-    computed here once per set and passed to ``_gamma``; a call whose answer
-    the keys already fix is skipped: when Γ(S) has the key of S, the next
-    iterate Γ(Γ(S)) = Γ(S); and when a new iterate has the key of the one
-    before it, the iterate after it equals it, so the list is complete. The
-    lists are those of the plain loop. On a definite program every key is
-    empty, so a call costs one ``_gamma`` call."""
+    computed here once per set and looked up in the cache, a miss going to
+    ``_gamma``: when Γ(S) has the key of S, the next iterate Γ(Γ(S)) = Γ(S)
+    is a hit; and when a new iterate has the key of the one before it, the
+    iterate after it equals it, so the list is complete, with no lookup for
+    it. The lists are those of the plain loop. On a definite program every
+    key is 0, so a call costs two lookups and no least model."""
     k = _load(g, facts)
-    negative = k.negative
-    s = frozenset(start)
-    key = negative.intersection(s)
+    negative, gammas = k.negative, k.gammas
+    s = start if type(start) is int else _mask(a in start for a in range(k.n_atoms))
+    key = negative & s
     out = [s]
     while True:
-        half = _gamma(k, key)
-        half_key = negative.intersection(half)
-        nxt = half if half_key == key else _gamma(k, half_key)
+        half = gammas[key] if key in gammas else _gamma(k, key)
+        half_key = negative & half
+        nxt = gammas[half_key] if half_key in gammas else _gamma(k, half_key)
         if nxt == s:
             return out
         out.append(nxt)
-        nxt_key = negative.intersection(nxt)
+        nxt_key = negative & nxt
         if nxt_key == key:
             return out
         s, key = nxt, nxt_key
@@ -310,14 +330,12 @@ def well_founded_model(g: GroundProgram | Kernel, facts=()) -> PartialInterpreta
     fixpoint of those down from all atoms (``Kernel.atoms``) undefined, and
     every other atom false."""
     k = _load(g, facts)
-    lfp = alternating_iterates(k, frozenset(), k.facts)[-1]
+    lfp = alternating_iterates(k, 0, k.facts)[-1]
     gfp = alternating_iterates(k, k.atoms, k.facts)[-1]
-    model: PartialInterpretation = [False] * k.n_atoms
-    if len(lfp) != len(gfp):  # lfp ⊆ gfp: equal sizes leave nothing undefined
-        for aid in gfp:
+    model: PartialInterpretation = _bools(k.n_atoms, lfp)
+    if gfp != lfp:
+        for aid in _ids(k, gfp ^ lfp):  # lfp ⊆ gfp
             model[aid] = None
-    for aid in lfp:
-        model[aid] = True
     return model
 
 
@@ -325,10 +343,10 @@ def well_founded_model(g: GroundProgram | Kernel, facts=()) -> PartialInterpreta
 # Stable-model enumeration
 
 
-def _propagate(k: Kernel, assign, missing, must, aid) -> bool:
+def _propagate(k: Kernel, assign, missing, must: int, aid) -> int | None:
     """Narrow ``assign``, just decided on ``aid``, to what every stable model
     extending it agrees on, with two least models per round (the smodels
-    atleast/atmost pair):
+    atleast/atmost pair), and return the narrowed ``must`` (a mask):
 
     - ``must``, the least model of the facts and true atoms under the rules
       whose negative body is all false: every such stable model contains it.
@@ -341,24 +359,24 @@ def _propagate(k: Kernel, assign, missing, must, aid) -> bool:
       comes from the cache of ``_gamma``, for the loaded total choice.
 
     Undecided atoms in ``must`` become true and those outside ``can`` false,
-    until nothing changes. Returns False as soon as a false atom enters
+    until nothing changes. Returns None as soon as a false atom enters
     ``must`` or ``must`` leaves ``can``: no stable model extends ``assign``.
     """
-    queue = [aid] if assign[aid] else _count_false(k, missing, [aid])
+    queue = [aid] if assign[aid] else _count_false(k, missing, 1 << aid)
     while True:
-        if _extend(k, missing, must, queue, assign) is None:
-            return False
-        can = _gamma(k, k.negative.intersection(must))
-        if not must <= can:
-            return False
-        changed = [
-            a for a, v in enumerate(assign) if v is None and (a in must or a not in can)
-        ]
+        must = _extend(k, missing, must, queue, assign)
+        if must is None:
+            return None
+        can = _gamma(k, k.negative & must)
+        if must & ~can:
+            return None
+        decided = must | ~can
+        changed = [a for a, v in enumerate(assign) if v is None and decided >> a & 1]
         if not changed:
-            return True
+            return must
         for a in changed:
-            assign[a] = a in must
-        queue = _count_false(k, missing, [a for a in changed if not assign[a]])
+            assign[a] = bool(must >> a & 1)
+        queue = _count_false(k, missing, sum([1 << a for a in changed]) & ~must)
 
 
 def stable_models(g: GroundProgram | Kernel, facts=()) -> Iterator[Interpretation]:
@@ -371,12 +389,12 @@ def stable_models(g: GroundProgram | Kernel, facts=()) -> Iterator[Interpretatio
     Propagation's lower bound is seeded at a well-founded model (T, U) that
     is not total, as the choice's ``Kernel.base`` with the atoms outside U
     counted false (``_unassume``), extended by T, and carried down: the
-    false branch copies its parent's counters and ``must``, the true branch,
-    searched after it, takes them. A total leaf that survives
-    propagation is closed under its reduct and inside its least model, so it
-    is stable; ``is_stable`` still checks it by definition. The well-founded
-    model itself is not propagated, so a total one is a leaf with a single
-    ``is_stable`` call.
+    false branch copies its parent's counters, the true branch, searched
+    after it, takes them, and both take the mask ``must``. A total leaf that
+    survives propagation is closed under its reduct and inside its least
+    model, so it is stable; ``is_stable`` still checks it by definition.
+    The well-founded model itself is not propagated, so a total one is a
+    leaf with a single ``is_stable`` call.
 
     Every model is a fresh list of ``bool``: a total leaf, with no ``None``
     left, is yielded as is, because no other assignment shares its list.
@@ -391,15 +409,17 @@ def stable_models(g: GroundProgram | Kernel, facts=()) -> Iterator[Interpretatio
     while stack:
         assign, missing, must, aid = stack.pop()
         # at the well-founded model (T, U), must = T and can = U: nothing to do
-        if assign is not wf and not _propagate(k, assign, missing, must, aid):
-            continue
+        if assign is not wf:
+            must = _propagate(k, assign, missing, must, aid)
+            if must is None:
+                continue
         if None not in assign:
             if is_stable(k, assign, facts):
                 yield assign
                 _load(k, facts)
             continue
         if assign is wf:
-            false = [a for a in k.negative if wf[a] is False]
+            false = k.negative & ~_mask([v is not False for v in wf])
             missing, must, queue = _unassume(k, false)
             must = _extend(k, missing, must, queue + [a for a, v in enumerate(wf) if v])
         aid = next(a for a in k.order if assign[a] is None)
@@ -407,7 +427,7 @@ def stable_models(g: GroundProgram | Kernel, facts=()) -> Iterator[Interpretatio
             branch = list(assign)
             branch[aid] = value
             if not value:
-                missing, must = missing.copy(), set(must)
+                missing = missing.copy()
             stack.append((branch, missing, must, aid))
 
 
@@ -421,7 +441,7 @@ def exhaustive_stable_models(
     over all atoms, atom 0 lowest. It takes 2^(negatively occurring atoms)
     least models, so more than ``limit`` of those atoms is refused."""
     k = Kernel(g)
-    negative = sorted(k.negative)
+    negative = list(_ids(k, k.negative))
     if len(negative) > limit:
         raise ResourceGuardError(
             f"{len(negative)} negatively occurring atoms exceeds exhaustive "
@@ -429,8 +449,8 @@ def exhaustive_stable_models(
         )
     out = []
     for mask in range(1 << len(negative)):
-        guess = {a for i, a in enumerate(negative) if (mask >> i) & 1}
+        guess = sum(1 << a for i, a in enumerate(negative) if (mask >> i) & 1)
         true = _lfp(k, (), guess)
-        if true.intersection(negative) == guess:
-            out.append([a in true for a in range(k.n_atoms)])
+        if true & k.negative == guess:
+            out.append(_bools(k.n_atoms, true))
     return sorted(out, key=lambda m: m[::-1])

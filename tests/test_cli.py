@@ -491,6 +491,17 @@ def test_gamma_outside_the_weight_grammar_is_refused_at_once(plp, gamma):
     assert result.stderr == f"error: {gamma!r} is not a number D, D.D or D/D\n"
 
 
+def test_gamma_past_the_int_digit_limit_is_one_error_line(plp, capsys):
+    """A ``--gamma`` the weight grammar accepts but ``int()`` refuses (more
+    than 4300 digits) gets the parser's wording, not Python's advice."""
+    code, out, err = invoke(
+        capsys, "query", plp(fx.ALARM), "--q", "calls(a)",
+        "--gamma", "0." + "0" * 5000 + "1",
+    )
+    assert code == 1 and out == ""
+    assert err == "error: too many digits in a weight\n"
+
+
 def test_empty_query_is_the_sure_event(plp, capsys):
     code, out, _ = invoke(capsys, "--no-timing", "query", plp(fx.EXPR3), "--q", "")
     assert code == 0 and out.splitlines()[2] == "P = 1/1 (1)"
@@ -533,7 +544,7 @@ def test_cross_check_searches_from_the_carried_least_models(plp, capsys, monkeyp
     def corrupted(k, choices):
         for i, (choice, facts) in enumerate(real(k, choices)):
             if i == 0:
-                k.gammas[frozenset()] = frozenset()
+                k.gammas[0] = 0
             yield choice, facts
 
     monkeypatch.setattr(models, "carried", corrupted)
@@ -556,7 +567,7 @@ def test_cross_check_checks_well_founded_models_past_the_oracle_limit(
     def corrupted(k, choices):
         for i, (choice, facts) in enumerate(real(k, choices)):
             if i == 1:
-                k.gammas[frozenset()] = frozenset()
+                k.gammas[0] = 0
             yield choice, facts
 
     argv = [

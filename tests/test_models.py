@@ -463,7 +463,7 @@ def test_definite_programs_carry_one_least_model_across_total_choices(monkeypatc
         ):
             del lfp[:], bases[:], extends[:]
             query()
-            assert bases == [frozenset()]
+            assert bases == [0]
             # the base state's own queue, then one atom per later choice
             assert len(extends) == 1 << n and extends[1:] == added
             assert lfp == []
@@ -522,7 +522,7 @@ def test_propagate_caches_only_its_can_bound(monkeypatch):
     g = fx.grd(fx.GAME)
     k = models.Kernel(g)
     wf = c.well_founded_model(k)
-    false = [a for a in k.negative if wf[a] is False]
+    false = k.negative & sum(1 << a for a, v in enumerate(wf) if v is False)
     missing, must, queue = models._unassume(k, false)
     must = models._extend(k, missing, must, queue + [a for a, v in enumerate(wf) if v])
     before = dict(k.gammas)
@@ -532,8 +532,8 @@ def test_propagate_caches_only_its_can_bound(monkeypatch):
     assign = list(wf)
     aid = g.atom_id("wins(a)")
     assign[aid] = True
-    assert models._propagate(k, assign, missing, must, aid)
-    assert assign[g.atom_id("wins(b)")] is False
+    must = models._propagate(k, assign, missing, must, aid)
+    assert must is not None and assign[g.atom_id("wins(b)")] is False
     # ``can`` goes through the cache: every new entry is the key of one of its
     # calls, and the only least models run are those entries' misses, each an
     # extension of the choice's base state
@@ -542,7 +542,7 @@ def test_propagate_caches_only_its_can_bound(monkeypatch):
     # ``must`` is carried, never cached: the entries of the choice's own facts
     # are all still there, and it ends as the true atoms
     assert k.facts == () and before.items() <= k.gammas.items()
-    assert must == {a for a, v in enumerate(assign) if v}
+    assert must == sum(1 << a for a, v in enumerate(assign) if v)
 
 
 def general_programs():
@@ -592,16 +592,22 @@ def test_credal_sweeps_run_least_models_only_on_cache_misses(monkeypatch):
 
 
 def test_iterates_and_cached_least_models_are_immutable():
+    """Iterates, cache entries and carried states are ints, so no caller can
+    change what the kernel holds; a set given as the start is read, not
+    kept."""
     for text in ("a :- not b. b :- not a.", fx.SMOKERS_DET, fx.GAME):
         g = fx.grd(text)
         k = models.Kernel(g)
         for start in (set(), set(range(g.n_atoms))):
-            last = alternating_iterates(k, start, ())[-1]
-            with pytest.raises(AttributeError):
-                last.add(0)
-            start.add(-1)  # the caller's set is not an iterate
-            assert -1 not in last
-        assert all(type(true) is frozenset for true in k.gammas.values())
+            iterates = alternating_iterates(k, start, ())
+            assert all(type(s) is int for s in iterates)
+            assert iterates[0] == sum(1 << a for a in start)
+            start.add(g.n_atoms)  # the caller's set is not an iterate
+            assert not iterates[-1] >> g.n_atoms
+        assert all(type(true) is int for true in k.gammas.values())
+        for _ in models.carried(k, c.total_choices(g)):
+            _, true = k.base
+            assert type(true) is int and k.gammas[k.negative] is true
 
 
 def test_stable_models_are_fresh_bool_lists(monkeypatch):

@@ -17,6 +17,7 @@ import pytest
 import credalplp as c
 
 import fixtures as fx
+from test_models import counting
 
 ATOMS = ["a", "b", "d", "e", "f", "h"]
 
@@ -309,28 +310,23 @@ def test_cached_reduct_least_models_match_fresh_ones(monkeypatch):
 
 
 def reference_iterates(k, start, facts):
-    """Iterates of Γ∘Γ from ``start`` by the definition: each Γ a fresh
-    ``_lfp`` of the whole set, with no cache and no skipped call."""
+    """Iterates of Γ∘Γ from the mask ``start`` by the definition: each Γ a
+    fresh ``_lfp`` of the whole set, with no cache and no skipped call."""
     lfp = c.models._lfp
-    out = [frozenset(start)]
+    out = [start]
     while True:
-        nxt = frozenset(lfp(k, facts, lfp(k, facts, out[-1])))
+        nxt = lfp(k, facts, lfp(k, facts, out[-1]))
         if nxt == out[-1]:
             return out
         out.append(nxt)
 
 
 def test_alternating_iterates_match_the_plain_loop(monkeypatch):
-    """The skipped ``_gamma`` calls change no iterate, and a definite
-    program costs one ``_gamma`` call per ``alternating_iterates`` call."""
-    calls = [0]
-    real = c.models._gamma
-
-    def counting(*args):
-        calls[0] += 1
-        return real(*args)
-
-    monkeypatch.setattr(c.models, "_gamma", counting)
+    """The skipped cache lookups change no iterate, and on a definite
+    program a call after the choice is loaded is one cache hit: no
+    ``_gamma`` call and no least model."""
+    gammas = counting(monkeypatch, c.models, "_gamma")
+    extends = counting(monkeypatch, c.models, "_extend")
     rng = random.Random(20261021)
     makers = (definite_program, stratified_program, odd_loop_program, random_program)
     kinds, definite, lengths = set(), 0, set()
@@ -341,12 +337,13 @@ def test_alternating_iterates_match_the_plain_loop(monkeypatch):
         definite += not k.negative
         for choice in c.total_choices(g):
             facts = k.kept_facts(choice.kept)
-            for start in (frozenset(), k.atoms):
+            for start in (0, k.atoms):
                 want = reference_iterates(k, start, facts)
-                calls[0] = 0
+                c.models._load(k, facts)
+                del gammas[:], extends[:]
                 assert c.models.alternating_iterates(k, start, facts) == want
                 if not k.negative:
-                    assert calls[0] == 1
+                    assert gammas == extends == []
                 lengths.add(len(want))
     assert kinds == {"acyclic", "stratified", "general"} and definite >= 50
     assert {1, 2, 3} <= lengths
@@ -646,9 +643,10 @@ def test_base_counts_positive_atoms_and_assumed_negative_ones_per_rule():
     blocked = 0
     for g in map(fx.grd, texts):
         k = c.Kernel(g)
-        some = {a for a in range(g.n_atoms) if rng.random() < 0.5}
-        for assumed in (set(), set(k.negative), some):
-            missing, queue = c.models._base(k, assumed)
+        some = sum(1 << a for a in range(g.n_atoms) if rng.random() < 0.5)
+        for bits in (0, k.negative, some):
+            missing, queue = c.models._base(k, bits)
+            assumed = {a for a in range(g.n_atoms) if bits >> a & 1}
             want = [len(set(r.pos)) + len(set(r.neg) & assumed) for r in g.rules]
             assert missing == want
             assert queue == [r.head for r, count in zip(g.rules, want) if count == 0]
@@ -675,9 +673,9 @@ def test_carried_least_models_match_fresh_ones_and_a_plain_reference_loop():
         seen = []
         for choice, facts in c.models.carried(k, c.total_choices(g, 20)):
             assert facts is k.facts and facts == k.kept_facts(choice.kept)
-            assert set(k.gammas) == {frozenset(), k.negative}
+            assert set(k.gammas) == {0, k.negative}
             for key, true in k.gammas.items():
-                assert true == frozenset(c.models._lfp(k, facts, key))
+                assert true == c.models._lfp(k, facts, key)
             seen.append(choice)
         assert seen == choices
 
@@ -714,15 +712,15 @@ def test_carried_least_models_match_fresh_ones_and_a_plain_reference_loop():
     assert negation == {False, True} and 0 < inconsistent < 200 and headed >= 100
 
 
-def key_subsets(rng: random.Random, negative):
-    """Every subset of ``negative`` when it has at most 6 atoms, else 8
-    seeded samples."""
-    atoms = sorted(negative)
-    if len(atoms) <= 6:
-        masks = itertools.product((False, True), repeat=len(atoms))
+def key_subsets(rng: random.Random, negative: int):
+    """Every subset of the mask ``negative`` when it has at most 6 atoms,
+    else 8 seeded samples, as masks."""
+    bits = [1 << a for a in range(negative.bit_length()) if negative >> a & 1]
+    if len(bits) <= 6:
+        picks = itertools.product((False, True), repeat=len(bits))
     else:
-        masks = ([rng.random() < 0.5 for _ in atoms] for _ in range(8))
-    return [frozenset(itertools.compress(atoms, mask)) for mask in masks]
+        picks = ([rng.random() < 0.5 for _ in bits] for _ in range(8))
+    return [sum(itertools.compress(bits, pick)) for pick in picks]
 
 
 def test_every_reduct_least_model_extends_the_choices_base_state():
@@ -739,7 +737,7 @@ def test_every_reduct_least_model_extends_the_choices_base_state():
     sampled = switched = 0
     for g in map(fx.grd, texts):
         k = c.Kernel(g)
-        sampled += len(k.negative) > 6
+        sampled += k.negative.bit_count() > 6
         for _, facts in c.models.carried(k, c.total_choices(g, 20)):
             for key in key_subsets(rng, k.negative):
                 assert gamma(k, key) == lfp(k, facts, key)
@@ -758,6 +756,105 @@ def test_every_reduct_least_model_extends_the_choices_base_state():
 
 
 # ---------------------------------------------------------------------------
+# the kernel's atom sets, int bitmasks, against a plain set fixpoint that runs
+# no ``models`` code
+
+
+def plain_least_model(g, facts, assumed: set) -> set:
+    """The least model of ``facts`` plus the rules of ``g`` whose negative
+    body misses ``assumed``, negative literals stripped: rounds of a plain
+    set fixpoint."""
+    true = set(facts)
+    while True:
+        heads = {
+            r.head for r in g.rules if set(r.pos) <= true and not assumed & set(r.neg)
+        }
+        if heads <= true:
+            return true
+        true |= heads
+
+
+def plain_well_founded(g, facts) -> list:
+    """Van Gelder's alternating fixpoint over ``plain_least_model``."""
+    true = set()
+    while True:
+        can = plain_least_model(g, facts, true)
+        nxt = plain_least_model(g, facts, can)
+        if nxt == true:
+            return [True if a in true else None if a in can else False
+                    for a in range(g.n_atoms)]
+        true = nxt
+
+
+def mask(atoms) -> int:
+    return sum(1 << a for a in set(atoms))
+
+
+def wide_program(rng: random.Random, facts: bool) -> str:
+    """90 atoms, each heading one or two rules over up to 3 random literals
+    (30% negative), and 3 choice points: over 64 ground atoms, so masks span
+    several machine words. Without ``facts``, no rule has an empty body, so
+    least models can be empty."""
+    atoms = [f"w{i}" for i in range(90)]
+    lines = [f"1/2::{a}." for a in rng.sample(atoms, 3)]
+    for head in atoms:
+        for _ in range(rng.randint(1, 2)):
+            body = [
+                ("not " if rng.random() < 0.3 else "") + a
+                for a in rng.sample(atoms, rng.randint(0 if facts else 1, 3))
+            ]
+            lines.append(f"{head} :- {', '.join(body)}." if body else f"{head}.")
+    return "\n".join(lines)
+
+
+def test_bitmask_kernel_matches_a_plain_set_fixpoint(monkeypatch):
+    """``_lfp``, every carried base state (counters and true set), every
+    cached Γ and the well-founded model of each total choice equal a plain
+    set fixpoint over ``g.rules``, on programs past 64 atoms, with atom 0 in
+    some least models and other least models empty. An empty least model is
+    the mask 0, which is falsy: its second lookup is still a cache hit, so
+    each key costs one ``_extend`` per choice."""
+    extends = counting(monkeypatch, c.models, "_extend")
+    rng = random.Random(20261120)
+    # Γ({b}) is empty and is neither of the keys the carry seeds
+    texts = ["a :- not b, not c. b :- d. c :- d. 1/2::d."]
+    texts += [wide_program(rng, i % 2 == 0) for i in range(16)]
+    wide = empty = empty_misses = zero = 0
+    for g in map(fx.grd, texts):
+        k = c.Kernel(g)
+        wide += g.n_atoms > 64
+        negative = {a for r in g.rules for a in r.neg}
+        assert k.negative == mask(negative) and k.atoms == mask(range(g.n_atoms))
+        for _, facts in c.models.carried(k, c.total_choices(g)):
+            missing, true = k.base
+            want = plain_least_model(g, facts, negative)
+            assert true == mask(want)
+            assert missing == [len(set(r.pos) - want) + len(set(r.neg) & negative)
+                               for r in g.rules]
+            keys = [0, k.negative, *key_subsets(rng, k.negative)]
+            keys.append(sum(1 << a for a in range(g.n_atoms) if rng.random() < 0.5))
+            for key in keys:
+                assumed = {a for a in range(g.n_atoms) if key >> a & 1}
+                want = plain_least_model(g, facts, assumed)
+                empty += not want
+                zero += 0 in want
+                assert c.models._lfp(k, facts, key) == mask(want)
+                if key & ~k.negative:
+                    continue  # not a key: Γ reads only the negative atoms
+                del extends[:]
+                first = c.models._gamma(k, key)
+                misses = len(extends)
+                assert first == c.models._gamma(k, key) == mask(want)
+                assert len(extends) == misses <= 1
+                empty_misses += misses and not want
+            assert c.well_founded_model(k, facts) == plain_well_founded(g, facts)
+            for key, true in k.gammas.items():
+                assumed = {a for a in range(g.n_atoms) if key >> a & 1}
+                assert true == mask(plain_least_model(g, facts, assumed))
+    assert wide >= 12 and empty > 0 and empty_misses > 0 and zero > 0
+
+
+# ---------------------------------------------------------------------------
 # the stable-model search with its lower bound carried down the tree, against
 # the search that computed the bound afresh in every propagation round
 
@@ -766,15 +863,15 @@ def reference_must(k, facts, assign):
     """``must`` by its definition: the least model of the facts and true atoms
     under the rules whose negative body is all false."""
     true = [a for a, v in enumerate(assign) if v]
-    not_false = [a for a, v in enumerate(assign) if v is not False]
+    not_false = sum(1 << a for a, v in enumerate(assign) if v is not False)
     return c.models._lfp(k, [*facts, *true], not_false)
 
 
 def reference_counters(g, assign, must):
-    """Per rule of ``g``, its positive body atoms outside ``must`` plus its
-    negative body atoms not false."""
+    """Per rule of ``g``, its positive body atoms outside the mask ``must``
+    plus its negative body atoms not false."""
     return [
-        len({a for a in rule.pos if a not in must})
+        len({a for a in rule.pos if not must >> a & 1})
         + len({a for a in rule.neg if assign[a] is not False})
         for rule in g.rules
     ]
@@ -788,14 +885,15 @@ def fresh_must_search(k, facts, nodes):
     def propagate(assign):
         while True:
             must = reference_must(k, facts, assign)
-            true = [a for a, v in enumerate(assign) if v]
-            can = c.models._gamma(k, k.negative.intersection(true))
-            if not must <= can or any(assign[a] is False for a in must):
+            true = sum(1 << a for a, v in enumerate(assign) if v)
+            false = sum(1 << a for a, v in enumerate(assign) if v is False)
+            can = c.models._gamma(k, k.negative & true)
+            if must & ~can or must & false:
                 return False
             changed = False
             for a, v in enumerate(assign):
-                if v is None and (a in must or a not in can):
-                    assign[a] = a in must
+                if v is None and (must >> a & 1 or not can >> a & 1):
+                    assign[a] = bool(must >> a & 1)
                     changed = True
             if not changed:
                 return True
@@ -834,9 +932,9 @@ def repeated_literal_program(rng: random.Random) -> str:
 
 def test_carried_search_bound_matches_a_fresh_one_node_by_node(monkeypatch):
     """At every node the carried ``must`` and its counters are those of the
-    definition, on arrival (the parent's) and after propagation; the search
-    visits the nodes of the fresh-``must`` search, with the same outcome, and
-    yields its models in its order."""
+    definition, on arrival (the parent's) and after propagation (the mask
+    returned); the search visits the nodes of the fresh-``must`` search, with
+    the same outcome, and yields its models in its order."""
     real = c.models._propagate
     nodes, program = [], []
 
@@ -846,12 +944,12 @@ def test_carried_search_bound_matches_a_fresh_one_node_by_node(monkeypatch):
         assert must == reference_must(k, k.facts, parent)
         assert missing == reference_counters(program[0], parent, must)
         arrival = list(assign)
-        ok = real(k, assign, missing, must, aid)
-        if ok:
-            assert must == reference_must(k, k.facts, assign)
-            assert missing == reference_counters(program[0], assign, must)
-        nodes.append((arrival, list(assign) if ok else None))
-        return ok
+        narrowed = real(k, assign, missing, must, aid)
+        if narrowed is not None:
+            assert narrowed == reference_must(k, k.facts, assign)
+            assert missing == reference_counters(program[0], assign, narrowed)
+        nodes.append((arrival, None if narrowed is None else list(assign)))
+        return narrowed
 
     monkeypatch.setattr(c.models, "_propagate", checked)
     rng = random.Random(20261019)
