@@ -28,12 +28,14 @@ DEFAULT_EXHAUSTIVE_LIMIT = 20
 class Kernel:
     """A ground program compiled once and shared by all its total choices.
 
-    Holds the Dowling-Gallier index (per-rule heads and counts of distinct
-    positive body atoms, positive and negative watch lists by atom, each
-    distinct body atom once, and the rules without a positive body), the
-    atoms with a negative watch list (``negative``, an int mask like every
-    atom set here) and, built on first use, the branching order of the
-    search. Kept choice atoms are extra facts: no choice copies the program.
+    Holds the Dowling-Gallier index (per-rule heads, positive and negative
+    watch lists by atom, each distinct body atom once), the counters every
+    least model starts from (``blocked``: per rule, its distinct body atoms,
+    every negatively occurring atom assumed true) and ``free``, the heads of
+    the rules at 0 there, the atoms with a negative watch list
+    (``negative``, an int mask like every atom set here) and, built on first
+    use, the branching order of the search. Kept choice atoms are extra
+    facts: no choice copies the program.
 
     It also holds one total choice, the one being solved: its ``facts``, the
     cache ``gammas`` of its reduct least models (see ``_gamma``) and
@@ -53,19 +55,25 @@ class Kernel:
         self.n_atoms = n
         self.rules = tuple(g.rules)
         self.heads = [head for head, _, _ in g.rules]
-        self.pos_count: list[int] = []
+        self.blocked: list[int] = []
+        self.free: list[int] = []
         self.pos_watch: list[list[int]] = [[] for _ in range(n)]
         self.neg_watch: list[list[int]] = [[] for _ in range(n)]
-        pos_count, pos_watch, neg_watch = self.pos_count, self.pos_watch, self.neg_watch
-        for ri, (_, pos, neg) in enumerate(g.rules):
+        blocked, free = self.blocked, self.free
+        pos_watch, neg_watch = self.pos_watch, self.neg_watch
+        for ri, (head, pos, neg) in enumerate(g.rules):
             if len(pos) > 1:  # each distinct atom once
                 pos = set(pos)
-            pos_count.append(len(pos))
+            if len(neg) > 1:
+                neg = set(neg)
+            count = len(pos) + len(neg)
+            blocked.append(count)
+            if not count:
+                free.append(head)
             for a in pos:
                 pos_watch[a].append(ri)
-            for a in set(neg) if neg else ():
+            for a in neg:
                 neg_watch[a].append(ri)
-        self.body_free = [ri for ri, count in enumerate(pos_count) if count == 0]
         self.negative = _mask(map(bool, neg_watch))
         self.atoms = (1 << n) - 1
         self.facts: tuple[int, ...] | None = None
@@ -119,36 +127,21 @@ def _ids(k: Kernel, mask: int) -> Iterator[int]:
     return compress(range(k.n_atoms), _bools(k.n_atoms, mask))
 
 
-def _base(k: Kernel, assumed: int) -> tuple[list[int], list[int]]:
-    """The counters every least model here starts from, and the queue of the
-    heads of the rules at 0: per rule, its positive body atoms not yet true
-    plus its negative body atoms not yet false, where only the atoms of the
-    mask ``assumed`` are not false, so a rule whose negative body meets it
-    never fires by positive atoms alone."""
-    missing = k.pos_count.copy()
-    neg_watch = k.neg_watch
-    for a in _ids(k, assumed):
-        for ri in neg_watch[a]:
-            missing[ri] += 1
-    heads = k.heads
-    return missing, [heads[ri] for ri in k.body_free if missing[ri] == 0]
-
-
-def _extend(k: Kernel, missing, true: int, queue, assign=None) -> int | None:
+def _extend(k: Kernel, missing, true: int, queue, false: int = 0) -> int | None:
     """Dowling-Gallier propagation: add the ``queue`` atoms to the mask
     ``true``, count them down in the rules whose positive body holds them and
     fire each rule at 0, updating ``missing`` in place; returns the grown
     mask. Adding facts is monotone, so the counters and true set of a least
     model extend to those of the least model with more facts. Linear in the
-    body size of the rules it fires. Given ``assign``, returns None as soon
-    as an atom false in it would enter."""
+    body size of the rules it fires. Returns None as soon as an atom of the
+    mask ``false`` would enter."""
     heads, pos_watch = k.heads, k.pos_watch
     while queue:
         aid = queue.pop()
         bit = 1 << aid
         if true & bit:
             continue
-        if assign is not None and assign[aid] is False:
+        if false & bit:
             return None
         true |= bit
         for ri in pos_watch[aid]:
@@ -162,11 +155,12 @@ def _state(k: Kernel, facts, assumed: int = 0) -> tuple[list[int], int]:
     """The counters and true set of the least model of ``facts`` plus the
     rules whose negative body misses ``assumed``, negative literals
     stripped, computed from scratch: the least model of the reduct when
-    ``assumed`` is the true set of an interpretation. Linear in total body
-    size."""
-    missing, queue = _base(k, assumed)
-    queue += facts
-    return missing, _extend(k, missing, 0, queue)
+    ``assumed`` is the true set of an interpretation. Starts from
+    ``Kernel.blocked`` and its ``free`` heads, with the negatively occurring
+    atoms outside ``assumed`` counted false. Linear in total body size."""
+    missing = k.blocked.copy()
+    queue = _count_false(k, missing, k.negative & ~assumed)
+    return missing, _extend(k, missing, 0, [*k.free, *facts, *queue])
 
 
 def _lfp(k: Kernel, facts, assumed: int = 0) -> int:
@@ -175,8 +169,9 @@ def _lfp(k: Kernel, facts, assumed: int = 0) -> int:
 
 
 def _count_false(k: Kernel, missing: list[int], atoms: int) -> list[int]:
-    """Count ``atoms`` (a mask) false in ``_base``'s counters ``missing``, down
-    in the rules whose negative body holds them; returns the heads at 0."""
+    """Count ``atoms`` (a mask) false in the counters ``missing``, down in the
+    rules whose negative body holds them; returns the heads at 0. Counters
+    are ``Kernel.blocked``'s: a negative body atom counts until it is false."""
     heads, neg_watch, queue = k.heads, k.neg_watch, []
     while atoms:  # ``_ids`` a bit at a time: few bits, on every cache miss
         low = atoms & -atoms
@@ -208,25 +203,18 @@ def _gamma(k: Kernel, key: int) -> int:
     """The least model of the reduct by any set whose negatively occurring
     atoms are ``key``, a subset of ``k.negative`` (Van Gelder's Γ), for the
     loaded total choice, cached in ``k``: two sets with one key have one
-    answer. A miss extends a copy of the base state Γ(``k.negative``)
-    (``_unassume``): un-assuming the atoms of ``k.negative`` outside
-    ``key`` only unblocks rules, so the least model only grows. In a sweep,
-    ``carried`` has already put the keys ∅ and ``k.negative`` and the base
-    state there, so no Γ of the sweep starts from ``_base``."""
+    answer. A miss counts the atoms of ``k.negative`` outside ``key`` false
+    in a copy of the base state Γ(``k.negative``) (``k.base``) and extends
+    it: un-assuming atoms only unblocks rules, so the least model only
+    grows. In a sweep, ``carried`` has already put the keys ∅ and
+    ``k.negative`` and the base state there, so no Γ of the sweep starts
+    from ``Kernel.blocked`` (``_state``)."""
     true = k.gammas.get(key)
     if true is None:  # not ``if not true``: an empty least model is 0
-        true = k.gammas[key] = _extend(k, *_unassume(k, k.negative & ~key))
+        missing = k.base[0].copy()
+        queue = _count_false(k, missing, k.negative & ~key)
+        true = k.gammas[key] = _extend(k, missing, k.base[1], queue)
     return true
-
-
-def _unassume(k: Kernel, atoms: int) -> tuple[list[int], int, list[int]]:
-    """A copy of the counters of the loaded choice's Γ(``k.negative``)
-    (``k.base``) and its true set, with the mask ``atoms`` (of
-    ``k.negative``) counted false, and the heads of the rules that reach 0:
-    ``_extend`` by those heads gives Γ(``k.negative`` minus ``atoms``)."""
-    missing, true = k.base
-    missing = missing.copy()
-    return missing, true, _count_false(k, missing, atoms)
 
 
 def carried(k: Kernel, choices) -> Iterator[tuple]:
@@ -285,9 +273,13 @@ def reduct(g: GroundProgram, interp: Interpretation) -> GroundProgram:
 
 
 def is_stable(g: GroundProgram | Kernel, interp: Interpretation, facts=()) -> bool:
-    """Whether ``interp`` (bools) is the least model of its reduct (with ``facts``)."""
+    """Whether ``interp`` (bools) is the least model of its reduct (with
+    ``facts``); a three-valued ``interp`` (holding ``None``) is not."""
     k = _load(g, facts)
-    true = _mask(interp)
+    try:
+        true = _mask(interp)
+    except TypeError:  # ``bytes`` refuses None; no scan on the total path
+        return False
     return len(interp) == k.n_atoms and _gamma(k, k.negative & true) == true
 
 
@@ -343,92 +335,79 @@ def well_founded_model(g: GroundProgram | Kernel, facts=()) -> PartialInterpreta
 # Stable-model enumeration
 
 
-def _propagate(k: Kernel, assign, missing, must: int, aid) -> int | None:
-    """Narrow ``assign``, just decided on ``aid``, to what every stable model
-    extending it agrees on, with two least models per round (the smodels
-    atleast/atmost pair), and return the narrowed ``must`` (a mask):
+def _propagate(k: Kernel, missing, must: int, false: int, queue, new: int):
+    """Set the ``queue`` atoms true and the mask ``new`` false at a search
+    node, then narrow it to what every stable model extending it agrees on,
+    with two least models per round (the smodels atleast/atmost pair);
+    returns the narrowed ``(must, false)``, or None when no stable model
+    extends it (a false atom enters ``must``, or ``must`` leaves ``can``):
 
-    - ``must``, the least model of the facts and true atoms under the rules
-      whose negative body is all false: every such stable model contains it.
-      It comes down the search tree with its ``_base`` counters ``missing``,
-      updated in place: an atom set true enters ``must``, one set false is
-      counted false (``_count_false``), and a rule at 0 puts its head into
-      ``must``.
-    - ``can``, the least model of the reduct by ``must``, which the round
-      makes the true atoms: every such stable model is contained in it. It
-      comes from the cache of ``_gamma``, for the loaded total choice.
-
-    Undecided atoms in ``must`` become true and those outside ``can`` false,
-    until nothing changes. Returns None as soon as a false atom enters
-    ``must`` or ``must`` leaves ``can``: no stable model extends ``assign``.
+    - ``must``, the true atoms, is the least model of the facts and the
+      atoms set true under the rules whose negative body is all ``false``.
+      It comes down the search tree with its counters ``missing``
+      (``Kernel.blocked``'s), updated in place by ``_count_false`` for each
+      atom set false and by ``_extend`` for each atom entering ``must``.
+    - ``can``, the least model of the reduct by ``must`` (cached by
+      ``_gamma``), contains every such stable model; atoms outside it
+      become false, until none is new.
     """
-    queue = [aid] if assign[aid] else _count_false(k, missing, 1 << aid)
     while True:
-        must = _extend(k, missing, must, queue, assign)
+        false |= new
+        queue += _count_false(k, missing, k.negative & new)  # ``_extend`` empties it
+        must = _extend(k, missing, must, queue, false)
         if must is None:
             return None
         can = _gamma(k, k.negative & must)
         if must & ~can:
             return None
-        decided = must | ~can
-        changed = [a for a, v in enumerate(assign) if v is None and decided >> a & 1]
-        if not changed:
-            return must
-        for a in changed:
-            assign[a] = bool(must >> a & 1)
-        queue = _count_false(k, missing, sum([1 << a for a in changed]) & ~must)
+        new = k.atoms & ~(can | false)
+        if not new:
+            return must, false
 
 
 def stable_models(g: GroundProgram | Kernel, facts=()) -> Iterator[Interpretation]:
-    """All stable models (with ``facts`` added), no duplicates, deterministic
-    order.
+    """All stable models (with ``facts`` added), no duplicates, in
+    lexicographic order on ``Kernel.order``.
 
-    Strategy: fix the well-founded literals, branch on the first undecided
-    atom of ``Kernel.order`` (false before true) and ``_propagate`` after
-    each decision, so models come in lexicographic order on ``Kernel.order``.
-    Propagation's lower bound is seeded at a well-founded model (T, U) that
-    is not total, as the choice's ``Kernel.base`` with the atoms outside U
-    counted false (``_unassume``), extended by T, and carried down: the
-    false branch copies its parent's counters, the true branch, searched
-    after it, takes them, and both take the mask ``must``. A total leaf that
-    survives propagation is closed under its reduct and inside its least
-    model, so it is stable; ``is_stable`` still checks it by definition.
-    The well-founded model itself is not propagated, so a total one is a
-    leaf with a single ``is_stable`` call.
-
-    Every model is a fresh list of ``bool``: a total leaf, with no ``None``
-    left, is yielded as is, because no other assignment shares its list.
-    The consumer may load other facts into the kernel between two models, so
-    the search loads its own again (``_load``) when it resumes.
+    A total well-founded model is the one candidate, yielded as is if
+    ``is_stable``. Otherwise a search node is two masks, the true atoms
+    ``must`` and the ``false`` ones, with the counters of ``must``; the root
+    sets the well-founded literals on a copy of the choice's ``Kernel.base``.
+    Each node is narrowed by ``_propagate`` and branches on its first
+    undecided atom of ``Kernel.order``, false first: that branch copies the
+    counters, and the true one, searched after it, takes them. A decided
+    leaf is closed under its reduct and inside its least model, so stable;
+    ``is_stable`` checks it by definition on the one fresh ``bool`` list
+    built from its mask. The consumer may load other facts into the kernel
+    between two models, so the search loads its own again (``_load``).
     """
     k = _load(g, facts)
     facts = k.facts
     wf = well_founded_model(k, facts)
-    # explicit stack, not recursion: pushing True first explores False first
-    stack = [(wf, None, None, None)]
+    if None not in wf:
+        if is_stable(k, wf, facts):
+            yield wf
+        return
+    # (must, false, missing, atoms to set true, mask to set false); an
+    # explicit stack, not recursion: pushing true first explores false first
+    true, false = [a for a, v in enumerate(wf) if v], _mask([v is False for v in wf])
+    stack = [(k.base[1], 0, k.base[0].copy(), true, false)]
     while stack:
-        assign, missing, must, aid = stack.pop()
-        # at the well-founded model (T, U), must = T and can = U: nothing to do
-        if assign is not wf:
-            must = _propagate(k, assign, missing, must, aid)
-            if must is None:
-                continue
-        if None not in assign:
-            if is_stable(k, assign, facts):
-                yield assign
+        must, false, missing, queue, new = stack.pop()
+        node = _propagate(k, missing, must, false, queue, new)
+        if node is None:
+            continue
+        must, false = node
+        decided = must | false
+        if decided == k.atoms:
+            model = _bools(k.n_atoms, must)
+            if is_stable(k, model, facts):
+                yield model
                 _load(k, facts)
             continue
-        if assign is wf:
-            false = k.negative & ~_mask([v is not False for v in wf])
-            missing, must, queue = _unassume(k, false)
-            must = _extend(k, missing, must, queue + [a for a, v in enumerate(wf) if v])
-        aid = next(a for a in k.order if assign[a] is None)
-        for value in (True, False):
-            branch = list(assign)
-            branch[aid] = value
-            if not value:
-                missing = missing.copy()
-            stack.append((branch, missing, must, aid))
+        aid = next(a for a in k.order if not decided >> a & 1)
+        stack.append((must, false, missing, [aid], 0))
+        stack.append((must, false, missing.copy(), [], 1 << aid))
 
 
 def exhaustive_stable_models(

@@ -81,6 +81,19 @@ def test_unsupported_atom_is_not_stable():
     assert c.is_stable(g, [False])
 
 
+def test_a_three_valued_interpretation_is_not_stable():
+    """A list holding ``None`` is no stable model: ``is_stable`` answers
+    False, where it used to raise ``TypeError``; a total well-founded model
+    still answers True."""
+    g = fx.grd("a :- not b. b :- not a.")
+    wf = c.well_founded_model(g)
+    assert wf == [None, None] and c.is_stable(g, wf) is False
+    assert c.is_stable(g, [True, None]) is False
+    g = fx.grd(fx.SMOKERS_DET)
+    wf = c.well_founded_model(g)
+    assert None not in wf and c.is_stable(g, wf) is True
+
+
 # ---------------------------------------------------------------------------
 # well-founded model
 
@@ -437,14 +450,14 @@ def counting(monkeypatch, module, name, record=None):
 
 
 def test_definite_programs_carry_one_least_model_across_total_choices(monkeypatch):
-    """The sweep's carry starts each seed key from one base state, and on a
+    """The sweep's carry starts each seed key from one ``_state``, and on a
     definite program (one seed key: no atom occurs negatively) each later
     total choice costs one extension by one atom, its lowest kept bit's;
     nothing else runs a least model."""
     lfp = counting(monkeypatch, models, "_lfp")
-    bases = counting(monkeypatch, models, "_base", lambda k, key: key)
+    states = counting(monkeypatch, models, "_state", lambda k, facts, key: key)
     extends = counting(
-        monkeypatch, models, "_extend", lambda k, missing, true, queue: list(queue)
+        monkeypatch, models, "_extend", lambda k, missing, true, queue, *_: list(queue)
     )
     texts = [*fx.ALL_PROGRAMS.values(), reach_program(random.Random(8))]
     programs = [fx.grd(text) for text in texts]
@@ -461,9 +474,9 @@ def test_definite_programs_carry_one_least_model_across_total_choices(monkeypatc
             lambda: c.wf_query(g, [(atom, "true")]),
             lambda: c.check_consistency(g),
         ):
-            del lfp[:], bases[:], extends[:]
+            del lfp[:], states[:], extends[:]
             query()
-            assert bases == [0]
+            assert states == [0]
             # the base state's own queue, then one atom per later choice
             assert len(extends) == 1 << n and extends[1:] == added
             assert lfp == []
@@ -499,7 +512,7 @@ def test_cache_after_a_sweep_holds_the_last_choice_only(monkeypatch, name, seman
     assert k.facts == fresh.facts == tuple(facts)
     assert k.gammas == fresh.gammas and k.gammas
     # the base state too: the carry's, shared with its stack, and one built
-    # from ``_base`` for these facts alone
+    # by ``_state`` for these facts alone
     assert k.base == fresh.base and k.base[1] == k.gammas[k.negative]
     for key, true in k.gammas.items():
         assert key <= k.negative and true == models._lfp(k, facts, key)
@@ -522,27 +535,30 @@ def test_propagate_caches_only_its_can_bound(monkeypatch):
     g = fx.grd(fx.GAME)
     k = models.Kernel(g)
     wf = c.well_founded_model(k)
-    false = k.negative & sum(1 << a for a, v in enumerate(wf) if v is False)
-    missing, must, queue = models._unassume(k, false)
-    must = models._extend(k, missing, must, queue + [a for a, v in enumerate(wf) if v])
+    # the root: the well-founded literals set on a copy of the base state
+    true = [a for a, v in enumerate(wf) if v]
+    false = sum(1 << a for a, v in enumerate(wf) if v is False)
+    missing = k.base[0].copy()
+    must, false = models._propagate(k, missing, k.base[1], 0, true, false)
     before = dict(k.gammas)
     keys = counting(monkeypatch, models, "_gamma", lambda kernel, key: key)
-    bases = counting(monkeypatch, models, "_base")
-    extended = counting(monkeypatch, models, "_unassume")
-    assign = list(wf)
+    states = counting(monkeypatch, models, "_state")
+    # per ``_extend`` call: whether it was given a false mask (the node's own)
+    extends = counting(monkeypatch, models, "_extend", lambda *args: len(args) == 5)
     aid = g.atom_id("wins(a)")
-    assign[aid] = True
-    must = models._propagate(k, assign, missing, must, aid)
-    assert must is not None and assign[g.atom_id("wins(b)")] is False
+    must, false = models._propagate(k, missing, must, false, [aid], 0)
+    assert must >> aid & 1 and false >> g.atom_id("wins(b)") & 1
     # ``can`` goes through the cache: every new entry is the key of one of its
     # calls, and the only least models run are those entries' misses, each an
-    # extension of the choice's base state
+    # extension of a copy of the choice's base state
     assert set(k.gammas) == set(before) | set(keys)
-    assert len(extended) == len(set(k.gammas) - set(before)) > 0 and bases == []
+    assert extends.count(False) == len(set(k.gammas) - set(before)) > 0 and states == []
     # ``must`` is carried, never cached: the entries of the choice's own facts
-    # are all still there, and it ends as the true atoms
+    # are all still there, and it is closed under the rules that ``false``
+    # does not block
     assert k.facts == () and before.items() <= k.gammas.items()
-    assert must == sum(1 << a for a, v in enumerate(assign) if v)
+    closed = models._lfp(k, [a for a in range(g.n_atoms) if must >> a & 1], ~false)
+    assert closed == must and not must & false
 
 
 def general_programs():
@@ -557,7 +573,7 @@ def general_programs():
 
 def test_credal_sweeps_run_least_models_only_on_cache_misses(monkeypatch):
     """A credal sweep runs no fresh ``_lfp``: the carry starts from one
-    ``_base`` per seed key, and every other least model is one extension of
+    ``_state`` per seed key, and every other least model is one extension of
     the choice's base state inside a ``_gamma`` call that misses the cache.
     The stable-model search carries its lower bound and issues none of its
     own."""
@@ -572,7 +588,7 @@ def test_credal_sweeps_run_least_models_only_on_cache_misses(monkeypatch):
         return true
 
     lfp = counting(monkeypatch, models, "_lfp")
-    bases = counting(monkeypatch, models, "_base")
+    states = counting(monkeypatch, models, "_state")
     extends = counting(monkeypatch, models, "_extend")
     searched = counting(monkeypatch, models, "_propagate")
     monkeypatch.setattr(models, "_gamma", recording)
@@ -580,12 +596,12 @@ def test_credal_sweeps_run_least_models_only_on_cache_misses(monkeypatch):
     assert len(programs) >= 12
     misses = 0
     for g in programs:
-        del calls[:], lfp[:], bases[:]
+        del calls[:], lfp[:], states[:]
         try:
             c.inference._sweep(g, tuple, "stable", 20)
         except c.InconsistentProgramError:
             pass
-        assert lfp == [] and len(bases) == len({frozenset(), models.Kernel(g).negative})
+        assert lfp == [] and len(states) == len({0, models.Kernel(g).negative})
         assert all(extensions == miss for miss, extensions in calls)
         misses += sum(miss for miss, _ in calls)
     assert len(searched) > 1000 and misses > 1000

@@ -634,22 +634,32 @@ def shared_choice_program(rng: random.Random, make) -> str:
 
 
 def test_base_counts_positive_atoms_and_assumed_negative_ones_per_rule():
-    """Every least model starts from ``_base``: per rule, its distinct
-    positive body atoms plus its distinct negative body atoms assumed true,
-    with the heads of the rules at 0 queued in rule order."""
+    """Every least model starts from ``Kernel.blocked``: per rule, its
+    distinct positive body atoms plus its distinct negative ones, with
+    ``free`` the heads of the rules at 0, in rule order. ``_state`` counts
+    the negatively occurring atoms outside ``assumed`` false there: it ends
+    with, per rule, its distinct positive body atoms outside the least model
+    plus its distinct negative ones assumed true, and the least model is
+    the plain set fixpoint's."""
     rng = random.Random(20261105)
     makers = (random_program, repeated_literal_program)
     texts = [*fx.ALL_PROGRAMS.values(), *(makers[i % 2](rng) for i in range(200))]
     blocked = 0
     for g in map(fx.grd, texts):
         k = c.Kernel(g)
+        assert k.blocked == [len(set(r.pos)) + len(set(r.neg)) for r in g.rules]
+        assert k.free == [r.head for r in g.rules if not r.pos and not r.neg]
         some = sum(1 << a for a in range(g.n_atoms) if rng.random() < 0.5)
         for bits in (0, k.negative, some):
-            missing, queue = c.models._base(k, bits)
+            missing, true = c.models._state(k, (), bits)
             assumed = {a for a in range(g.n_atoms) if bits >> a & 1}
-            want = [len(set(r.pos)) + len(set(r.neg) & assumed) for r in g.rules]
+            assert true == c.models._lfp(k, (), bits)
+            assert true == sum(1 << a for a in plain_least_model(g, (), assumed))
+            want = [
+                len({a for a in r.pos if not true >> a & 1}) + len(set(r.neg) & assumed)
+                for r in g.rules
+            ]
             assert missing == want
-            assert queue == [r.head for r, count in zip(g.rules, want) if count == 0]
             blocked += any(set(r.neg) & assumed for r in g.rules)
     assert blocked > 200
 
@@ -880,7 +890,8 @@ def reference_counters(g, assign, must):
 def fresh_must_search(k, facts, nodes):
     """The stable-model search with a fresh ``must`` in every round of
     propagation; appends (assignment on arrival, assignment after propagation
-    or None when it fails) to ``nodes`` at every node below the root."""
+    or None when it fails) to ``nodes`` at every node it propagates: all but
+    a total well-founded model, which is the one candidate as it is."""
 
     def propagate(assign):
         while True:
@@ -902,7 +913,7 @@ def fresh_must_search(k, facts, nodes):
     stack = [wf]
     while stack:
         assign = stack.pop()
-        if assign is not wf:
+        if assign is not wf or None in wf:
             arrival = list(assign)
             ok = propagate(assign)
             nodes.append((arrival, list(assign) if ok else None))
@@ -932,23 +943,30 @@ def repeated_literal_program(rng: random.Random) -> str:
 
 def test_carried_search_bound_matches_a_fresh_one_node_by_node(monkeypatch):
     """At every node the carried ``must`` and its counters are those of the
-    definition, on arrival (the parent's) and after propagation (the mask
-    returned); the search visits the nodes of the fresh-``must`` search, with
-    the same outcome, and yields its models in its order."""
+    definition, on arrival (the parent's, or the root's copy of the base
+    state) and after propagation (the masks returned); the search visits the
+    nodes of the fresh-``must`` search, with the same outcome, and yields its
+    models in its order."""
     real = c.models._propagate
     nodes, program = [], []
 
-    def checked(k, assign, missing, must, aid):
-        parent = list(assign)
-        parent[aid] = None
+    def assignment(n, must, false):
+        return [
+            True if must >> a & 1 else False if false >> a & 1 else None for a in range(n)
+        ]
+
+    def checked(k, missing, must, false, queue, new):
+        parent = assignment(k.n_atoms, must, false)
         assert must == reference_must(k, k.facts, parent)
         assert missing == reference_counters(program[0], parent, must)
-        arrival = list(assign)
-        narrowed = real(k, assign, missing, must, aid)
+        arrival = assignment(k.n_atoms, must | sum(1 << a for a in queue), false | new)
+        narrowed = real(k, missing, must, false, queue, new)
+        after = None
         if narrowed is not None:
-            assert narrowed == reference_must(k, k.facts, assign)
-            assert missing == reference_counters(program[0], assign, narrowed)
-        nodes.append((arrival, None if narrowed is None else list(assign)))
+            after = assignment(k.n_atoms, *narrowed)
+            assert narrowed[0] == reference_must(k, k.facts, after)
+            assert missing == reference_counters(program[0], after, narrowed[0])
+        nodes.append((arrival, after))
         return narrowed
 
     monkeypatch.setattr(c.models, "_propagate", checked)
