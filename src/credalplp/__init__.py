@@ -25,7 +25,6 @@ from .syntax import (
 )
 from .grounding import (
     ChoicePoint,
-    DependencyGraph,
     GroundProgram,
     GroundRule,
     ProgramClass,

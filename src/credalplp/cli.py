@@ -164,16 +164,16 @@ def _emit(args, record: dict, text_lines: list[str], started: float):
 def _cmd_check(args, started) -> int:
     program = _load(args.file)
     diags = syntax.lint_program(program, filename=args.file)
-    for diag in diags:
-        print(str(diag))
     record = {
         "command": "check",
         "rules": len(program.rules),
         "prob_facts": len(program.prob_facts),
         "warnings": len(diags),
+        "diagnostics": [diag._asdict() for diag in diags],
     }
-    _emit(args, record, [f"ok: {len(program.rules)} rules, "
-                         f"{len(program.prob_facts)} probabilistic facts"], started)
+    lines = [*map(str, diags), f"ok: {len(program.rules)} rules, "
+             f"{len(program.prob_facts)} probabilistic facts"]
+    _emit(args, record, lines, started)
     return EXIT_OK
 
 

@@ -33,9 +33,10 @@ a named tuple, and the set that skips duplicate rules holds the rules
 themselves. Probabilistic facts are ground through the same plans, as rules
 without a body.
 
-Classification decides acyclicity by a topological order (Kahn's
-algorithm); strongly connected components and a witness cycle are computed
-only for a cyclic graph.
+The dependency graph is one successor list per atom, built in one pass over
+the ground rules. Classification decides acyclicity by a topological order
+(Kahn's algorithm) over those lists; strongly connected components and a
+witness cycle are computed only for a cyclic graph.
 
 ``max_rules`` caps the emitted rules. It also fires during the fixpoint, as
 soon as the possibly-true atoms other than choice atoms outnumber it: each of
@@ -51,16 +52,11 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import ResourceGuardError
-from .syntax import ANONYMOUS, Program, Rule
+from .syntax import ANONYMOUS, Program, Rule, atom_text
 
 DEFAULT_MAX_GROUND_RULES = 10**6
 
 GroundAtom = tuple[str, tuple[str, ...]]  # (predicate, constant names)
-
-
-def atom_text(atom: GroundAtom) -> str:
-    pred, args = atom
-    return f"{pred}({', '.join(args)})" if args else pred
 
 
 class ChoicePoint(NamedTuple):
@@ -135,11 +131,6 @@ class GroundProgram:
     @property
     def n_atoms(self) -> int:
         return len(self.atoms)
-
-
-class DependencyGraph(NamedTuple):
-    nodes: set[int]
-    edges: set[tuple[int, int, str]]  # (src, dst, "positive" | "negative")
 
 
 class ProgramClass(NamedTuple):
@@ -327,7 +318,7 @@ def ground(program: Program, max_rules: int = DEFAULT_MAX_GROUND_RULES) -> Groun
         plan = _plan(Rule(pf.atom))
         for values in _complete(plan, list(plan.blank), universe):
             ga = _fill(plan.head, values)
-            aid = g.intern(atom_text(ga))
+            aid = g.intern(atom_text(*ga))
             g.choice_points.append(ChoicePoint(len(g.choice_points), aid, pf.prob))
             pending.setdefault(ga, len(pending))
     n_choice = len(pending)
@@ -379,7 +370,7 @@ def ground(program: Program, max_rules: int = DEFAULT_MAX_GROUND_RULES) -> Groun
     def atom_id(n: int) -> int:  # its text is built and interned once
         aid = ids[n]
         if aid is None:
-            aid = ids[n] = g.intern(atom_text(atoms[n]))
+            aid = ids[n] = g.intern(atom_text(*atoms[n]))
         return aid
 
     seen: set[GroundRule] = set()  # g.rules as a set: a rule is kept once
@@ -409,17 +400,19 @@ def ground(program: Program, max_rules: int = DEFAULT_MAX_GROUND_RULES) -> Groun
 # Dependency graph and classification
 
 
-def dependency_graph(g: GroundProgram) -> DependencyGraph:
-    edges: set[tuple[int, int, str]] = set()
+def dependency_graph(g: GroundProgram) -> list[list[tuple[int, bool]]]:
+    """The atom dependency graph as successor lists, by atom id: entry ``a``
+    holds ``(head, negated)`` once per body literal over ``a``, in rule order."""
+    succ: list[list[tuple[int, bool]]] = [[] for _ in range(g.n_atoms)]
     for head, pos, neg in g.rules:
         for b in pos:
-            edges.add((b, head, "positive"))
+            succ[b].append((head, False))
         for b in neg:
-            edges.add((b, head, "negative"))
-    return DependencyGraph(set(range(g.n_atoms)), edges)
+            succ[b].append((head, True))
+    return succ
 
 
-def _components(nodes, succ, pred) -> dict[int, int]:
+def _components(succ, pred) -> dict[int, int]:
     """Map each node to a representative of its strongly connected component
     (Kosaraju-Sharir, iterative). Pass one orders the nodes by when a
     depth-first search over ``succ`` finishes them; pass two takes them last
@@ -427,7 +420,7 @@ def _components(nodes, succ, pred) -> dict[int, int]:
     reach it over ``pred``."""
     finished: list[int] = []
     seen: set[int] = set()
-    for root in nodes:
+    for root in succ:
         if root in seen:
             continue
         seen.add(root)
@@ -481,40 +474,42 @@ def _cycle_witness(u: int, v: int, succ: dict[int, list[int]]) -> list[int]:
     return path
 
 
-def classify(dg: DependencyGraph) -> ProgramClass:
-    """Acyclic when the graph has a topological order, that is, when one
-    pass of Kahn's algorithm, taking nodes without incoming edges left,
-    removes every edge. Otherwise the edges left are those reachable from a
-    cycle, and only they are sorted and split into strongly connected
-    components: an edge lies on a cycle when both its ends lie in one, and
-    the program is general when such an edge is negative and stratified when
-    none is. The witness cycle runs through the first such edge in sorted
-    order, negative edges first. So SCCs and the witness are computed only
-    for cyclic graphs."""
-    succ: dict[int, list[int]] = {}
-    indegree: dict[int, int] = {}
-    for src, dst, _sign in dg.edges:
-        succ.setdefault(src, []).append(dst)
-        indegree[dst] = indegree.get(dst, 0) + 1
-    ready = [node for node in succ if node not in indegree]
+def classify(succ: list[list[tuple[int, bool]]]) -> ProgramClass:
+    """Classify the graph of ``dependency_graph``. Acyclic when it has a
+    topological order, that is, when one pass of Kahn's algorithm, taking
+    atoms without incoming edges left, removes every edge; this pass builds
+    lists only. Otherwise the edges left, those whose source is still
+    reachable from a cycle, are deduplicated, sorted and split into strongly
+    connected components: an edge lies on a cycle when both its ends lie in
+    one, and the program is general when such an edge is negative and
+    stratified when none is. The witness cycle runs through the first such
+    edge in sorted order, negative edges first. Neither depends on the order
+    of the successor lists, so neither depends on the order of the rules."""
+    indegree = [0] * len(succ)
+    for edges in succ:
+        for dst, _negated in edges:
+            indegree[dst] += 1
+    ready = [a for a, d in enumerate(indegree) if not d]
     while ready:
-        for dst in succ.get(ready.pop(), ()):
+        for dst, _negated in succ[ready.pop()]:
             indegree[dst] -= 1
             if not indegree[dst]:
                 ready.append(dst)
-    if not any(indegree.values()):
+    if not any(indegree):
         return ProgramClass("acyclic")
-    left = sorted(edge for edge in dg.edges if indegree.get(edge[0]))
-    succ, pred = {}, {}
-    for src, dst, _sign in left:
+    left = sorted({
+        (src, dst, negated)
+        for src, edges in enumerate(succ) if indegree[src]
+        for dst, negated in edges
+    })
+    succ, pred = {}, {}  # the edges left, by source and by destination
+    for src, dst, _negated in left:
         succ.setdefault(src, []).append(dst)
         pred.setdefault(dst, []).append(src)
-    rep = _components(succ, succ, pred)
-    on_cycle = [(src, dst, sign) for src, dst, sign in left if rep[src] == rep[dst]]
-    negative = [edge for edge in on_cycle if edge[2] == "negative"]
-    u, v, sign = (negative or on_cycle)[0]
-    kind = "general" if sign == "negative" else "stratified"
-    return ProgramClass(kind, _cycle_witness(u, v, succ))
+    rep = _components(succ, pred)
+    on_cycle = [edge for edge in left if rep[edge[0]] == rep[edge[1]]]
+    u, v, negated = next((edge for edge in on_cycle if edge[2]), on_cycle[0])
+    return ProgramClass("general" if negated else "stratified", _cycle_witness(u, v, succ))
 
 
 # ---------------------------------------------------------------------------

@@ -54,9 +54,13 @@ class Atom(NamedTuple):
         return {t.name for t in self.args if t.is_variable}
 
     def __str__(self) -> str:
-        if not self.args:
-            return self.predicate
-        return f"{self.predicate}({', '.join(map(str, self.args))})"
+        return atom_text(self.predicate, [t.name for t in self.args])
+
+
+def atom_text(predicate: str, args) -> str:
+    """``pred(a, b)``, or ``pred`` without arguments: the one text of an atom,
+    which ``Atom.__str__`` prints and grounding interns."""
+    return f"{predicate}({', '.join(args)})" if args else predicate
 
 
 class Subgoal(NamedTuple):

@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+import credalplp as c
 from credalplp import cli, inference, models
 from credalplp.cli import run
 
@@ -42,6 +43,22 @@ def test_check_reports_warnings(plp, capsys):
     code, out, _ = invoke(capsys, "--no-timing", "check", plp("0.5::v. v :- r. r."))
     assert code == 0
     assert "WARNING" in out and "disjointness" in out
+
+
+def test_machine_check_is_one_json_object(plp, capsys):
+    # the lint warnings go into the record, not onto lines before it
+    text = "0.5::p(a). p(X) :- q(X). q(a)."
+    path = plp(text)
+    code, out, _ = invoke(capsys, "--mode", "machine", "--no-timing", "check", path)
+    (diag,) = c.lint_program(c.parse_program(text), filename=path)
+    assert code == 0 and json.loads(out) == {
+        "command": "check", "rules": 2, "prob_facts": 1, "warnings": 1,
+        "diagnostics": [{
+            "level": "warning", "file": path, "line": 1, "col": 1, "message": diag.message,
+        }],
+    }
+    code, out, _ = invoke(capsys, "--no-timing", "check", path)
+    assert out == f"{diag}\nok: 2 rules, 1 probabilistic facts\n"
 
 
 def test_syntax_error_exit_code(plp, capsys):

@@ -146,6 +146,17 @@ def test_ground_rule_is_an_immutable_named_tuple():
     assert all(type(r) is c.GroundRule for r in fx.grd(fx.PQR).rules)
 
 
+def test_atom_texts_read_back_through_parse_query():
+    # a query atom finds its ground atom because both print as one text
+    texts = list(fx.ALL_PROGRAMS.values())
+    for workload in ("grid-ground", "reach-point", "game-credal"):
+        texts += fx.pool(workload, 1)
+    for text in texts:
+        for atom in fx.grd(text).atoms:
+            ((parsed, value),) = c.parse_query(atom).q_assignments
+            assert (str(parsed), value) == (atom, "true")
+
+
 def test_dump_format():
     dump = c.dump_ground(fx.grd(fx.EXPR3))
     lines = dump.splitlines()
@@ -160,32 +171,32 @@ def test_dump_format():
 
 def test_smokers_positive_two_cycle():
     g = fx.grd(fx.SMOKERS)
-    dg = c.dependency_graph(g)
+    succ = c.dependency_graph(g)
     sa, sb = g.atom_id("smokes(a)"), g.atom_id("smokes(b)")
-    assert (sa, sb, "positive") in dg.edges
-    assert (sb, sa, "positive") in dg.edges
+    assert (sb, False) in succ[sa]
+    assert (sa, False) in succ[sb]
 
 
 def test_pqr_negative_edges():
     g = fx.grd(fx.PQR)
-    dg = c.dependency_graph(g)
+    succ = c.dependency_graph(g)
     p, q, r = g.atom_id("p"), g.atom_id("q"), g.atom_id("r")
-    assert (q, p, "negative") in dg.edges
-    assert (r, p, "negative") in dg.edges
-    assert (p, q, "negative") in dg.edges
+    assert (p, True) in succ[q]
+    assert (p, True) in succ[r]
+    assert (q, True) in succ[p]
 
 
 def test_facts_only_graph_is_edgeless():
     g = fx.grd("a. b(c).")
-    assert c.dependency_graph(g).edges == set()
+    assert c.dependency_graph(g) == [[], []]
 
 
 # ---------------------------------------------------------------------------
 # classification
 
 
-def _check_witness(dg, witness):
-    plain = {(s, d) for s, d, _ in dg.edges}
+def _check_witness(succ, witness):
+    plain = {(s, d) for s, edges in enumerate(succ) for d, _ in edges}
     for i, node in enumerate(witness):
         assert (node, witness[(i + 1) % len(witness)]) in plain
 
@@ -198,25 +209,25 @@ def test_alarm_is_acyclic():
 
 def test_smokers_is_stratified_with_witness():
     g = fx.grd(fx.SMOKERS)
-    dg = c.dependency_graph(g)
-    klass = c.classify(dg)
+    succ = c.dependency_graph(g)
+    klass = c.classify(succ)
     assert klass.kind == "stratified"
-    _check_witness(dg, klass.witness)
+    _check_witness(succ, klass.witness)
 
 
 def test_pqr_is_general():
     g = fx.grd(fx.PQR)
-    dg = c.dependency_graph(g)
-    klass = c.classify(dg)
+    succ = c.dependency_graph(g)
+    klass = c.classify(succ)
     assert klass.kind == "general"
-    _check_witness(dg, klass.witness)
+    _check_witness(succ, klass.witness)
     # the witness cycle must pass through a negative edge
-    plain = {(s, d): sign for s, d, sign in dg.edges if sign == "negative"}
+    negative = {(s, d) for s, edges in enumerate(succ) for d, negated in edges if negated}
     pairs = [
         (klass.witness[i], klass.witness[(i + 1) % len(klass.witness)])
         for i in range(len(klass.witness))
     ]
-    assert any(pair in plain for pair in pairs)
+    assert any(pair in negative for pair in pairs)
 
 
 def test_negative_self_loop_is_general():
@@ -266,6 +277,15 @@ def _reference_class(edges) -> tuple[str, list[int] | None]:
     return ("general" if sign == "negative" else "stratified"), path[::-1]
 
 
+def successors(n: int, edges) -> list[list[tuple[int, bool]]]:
+    """The successor lists of nodes 0..n-1 over signed edges, in the form
+    ``dependency_graph`` gives them."""
+    succ = [[] for _ in range(n)]
+    for src, dst, sign in edges:
+        succ[src].append((dst, sign == "negative"))
+    return succ
+
+
 def test_classify_matches_reachability_reference_on_random_graphs():
     rng = random.Random(9)
     kinds = set()
@@ -275,7 +295,7 @@ def test_classify_matches_reachability_reference_on_random_graphs():
             (rng.randrange(n), rng.randrange(n), rng.choice(("positive", "negative")))
             for _ in range(rng.randint(0, 2 * n))
         }
-        klass = c.classify(c.DependencyGraph(set(range(n)), edges))
+        klass = c.classify(successors(n, edges))
         assert (klass.kind, klass.witness) == _reference_class(edges)
         kinds.add(klass.kind)
     assert kinds == {"acyclic", "stratified", "general"}
@@ -312,7 +332,7 @@ def test_classify_matches_reachability_reference_on_large_dags():
             w = rng.choice(succ[w])
         back = {(w, u, rng.choice(("positive", "negative")))}
         for graph in (edges, edges | back):
-            klass = c.classify(c.DependencyGraph(set(range(n)), graph))
+            klass = c.classify(successors(n, graph))
             assert (klass.kind, klass.witness) == _reference_class(graph)
             kinds[klass.kind] += 1
     assert kinds["acyclic"] == 16
@@ -329,14 +349,45 @@ def test_benchmark_pool_programs_keep_their_classes(workload, kind):
             assert c.classify(c.dependency_graph(fx.grd(text))).kind == kind
 
 
+def test_classify_does_not_depend_on_rule_order():
+    # each program's kind and witness again after its ground rules are
+    # shuffled; each atom's successor list has one entry per body literal
+    # over it, whatever the rule order
+    rng = random.Random(27)
+    texts = list(fx.ALL_PROGRAMS.values())
+    for workload in ("grid-ground", "reach-point", "game-credal"):
+        for seed in (1, 2, 3):
+            texts += fx.pool(workload, seed)
+    programs = [c.parse_program(text) for text in texts]
+    programs += [random_relational_program(rng) for _ in range(300)]
+    kinds = set()
+    for program in programs:
+        g = c.ground(program)
+        rules = list(g.rules)
+        rng.shuffle(rules)
+        literals = [collections.Counter() for _ in range(g.n_atoms)]
+        for head, pos, neg in g.rules:
+            for atom in pos:
+                literals[atom][head, False] += 1
+            for atom in neg:
+                literals[atom][head, True] += 1
+        succ, moved = c.dependency_graph(g), c.dependency_graph(g.with_rules(rules))
+        for graph in (succ, moved):
+            assert [collections.Counter(edges) for edges in graph] == literals
+        klass = c.classify(succ)
+        assert c.classify(moved) == klass
+        kinds.add(klass.kind)
+    assert kinds == {"acyclic", "stratified", "general"}
+
+
 def test_classify_long_cycle_and_chain_without_recursion():
     n = 20000
     cycle = {(i, (i + 1) % n, "positive") for i in range(n)}
-    klass = c.classify(c.DependencyGraph(set(range(n)), cycle))
+    klass = c.classify(successors(n, cycle))
     assert klass.kind == "stratified"
     assert klass.witness == [*range(1, n), 0]
     chain = {(i, i + 1, "negative") for i in range(n - 1)}
-    assert c.classify(c.DependencyGraph(set(range(n)), chain)).kind == "acyclic"
+    assert c.classify(successors(n, chain)).kind == "acyclic"
 
 
 # ---------------------------------------------------------------------------
