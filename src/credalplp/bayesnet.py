@@ -3,8 +3,9 @@
 The network's structure is the grounded dependency graph: choice points
 become root nodes carrying their probability, every other atom becomes a
 deterministic node whose table rows evaluate its completion formula. Queries
-are answered by exhaustive enumeration of root configurations, which keeps
-this module an independent oracle for the total-choice engine.
+are answered by exhaustive enumeration of root configurations, on each of
+which query and evidence are read as events and tested with ``eval_formula``:
+this keeps the module an independent oracle for the total-choice engine.
 """
 
 from __future__ import annotations
@@ -14,8 +15,7 @@ from typing import NamedTuple
 
 from .errors import UNDEFINED, NotAcyclicError, ResourceGuardError
 from .grounding import GroundProgram, classify, dependency_graph
-from .inference import And, Event, Lit, Not, Or
-from .syntax import TRUTH
+from .inference import And, Event, Lit, Not, Or, event_from_assignments
 
 DEFAULT_MAX_PARENTS = 16
 
@@ -126,12 +126,12 @@ def compile_bn(
 
 
 def bn_query(bn: BayesNet, q_assignments, e_assignments=None):
-    """Exact joint summation over root configurations; Undefined when the
-    evidence has probability zero."""
+    """Exact joint summation over root configurations (no evidence is TRUE,
+    of mass exactly 1); Undefined when the evidence has probability zero."""
     roots = [n for n in bn.nodes if n.is_root]
-    q = [(str(atom), TRUTH[v]) for atom, v in q_assignments]
-    e = [(str(atom), TRUTH[v]) for atom, v in (e_assignments or [])]
-    if any(value is None for _, value in q + e):
+    q = event_from_assignments(q_assignments)
+    e = event_from_assignments(e_assignments or ())
+    if any(lit.value is None for lit in q.parts + e.parts):
         raise ValueError("undefined assignment: a Bayesian network is two-valued")
     p_qe = p_e = Fraction(0)
     for mask in range(1 << len(roots)):
@@ -144,12 +144,10 @@ def bn_query(bn: BayesNet, q_assignments, e_assignments=None):
         for node in bn.nodes:
             if not node.is_root:
                 env[node.name] = eval_formula(node.formula, env)
-        if all(env.get(name, False) == v for name, v in e):
+        if eval_formula(e, env):
             p_e += weight
-            if all(env.get(name, False) == v for name, v in q):
+            if eval_formula(q, env):
                 p_qe += weight
-    if not e:
-        return p_qe
     if p_e == 0:
         return UNDEFINED
     return p_qe / p_e

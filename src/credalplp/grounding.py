@@ -13,7 +13,10 @@ argument of the head and of every subgoal is a slot, the index of its value.
 Per positive subgoal the plan holds its predicate, arity and the argument
 positions already bound when the join reaches it (constants and variables of
 earlier subgoals), plus the variables no positive subgoal binds, which range
-over the whole universe. A subgoal finds its candidates in a hash index on
+over the whole universe. The universe is the constants the compiled plans
+hold, those of the rules and of the probabilistic facts, sorted, or the
+reserved constant ``u0`` when they hold none, so that a program of
+zero-arity atoms still grounds. A subgoal finds its candidates in a hash index on
 those positions, one index per (predicate, arity, bound positions) that some
 plan names, kept current as atoms are added. The join writes each value into
 one list by slot, checks repeated variables only at the subgoals that repeat
@@ -140,18 +143,6 @@ class ProgramClass(NamedTuple):
 
 # ---------------------------------------------------------------------------
 # Grounding
-
-
-def program_constants(program: Program) -> list[str]:
-    """The Herbrand universe, sorted. A reserved constant is injected when
-    the program mentions none, so zero-arity-only programs still ground."""
-    consts: set[str] = set()
-    for rule in program.rules:
-        for atom in [rule.head] + [sg.atom for sg in rule.body]:
-            consts.update(t.name for t in atom.args if not t.is_variable)
-    for pf in program.prob_facts:
-        consts.update(t.name for t in pf.atom.args if not t.is_variable)
-    return sorted(consts) if consts else ["u0"]
 
 
 _Slots = tuple[str, tuple[int, ...]]  # (predicate, slot per argument)
@@ -300,8 +291,10 @@ def _cap_exceeded(max_rules: int) -> ResourceGuardError:
 
 
 def ground(program: Program, max_rules: int = DEFAULT_MAX_GROUND_RULES) -> GroundProgram:
-    universe = program_constants(program)
     plans = [_plan(rule) for rule in program.rules]
+    fact_plans = [_plan(Rule(pf.atom)) for pf in program.prob_facts]
+    constants = {value for plan in plans + fact_plans for value in plan.blank} - {None}
+    universe = sorted(constants) or ["u0"]
     g = GroundProgram()
     atoms: list[GroundAtom] = []  # the possibly-true atoms, numbered as added
     members: dict[GroundAtom, int] = {}  # atom -> its number
@@ -314,8 +307,7 @@ def ground(program: Program, max_rules: int = DEFAULT_MAX_GROUND_RULES) -> Groun
 
     # choice points: one per grounding of each probabilistic fact, in source
     # order then substitution order; duplicates over one atom stay distinct
-    for pf in program.prob_facts:
-        plan = _plan(Rule(pf.atom))
+    for pf, plan in zip(program.prob_facts, fact_plans):
         for values in _complete(plan, list(plan.blank), universe):
             ga = _fill(plan.head, values)
             aid = g.intern(atom_text(*ga))

@@ -323,7 +323,7 @@ class _Parser:
         except ValueError:  # int() reads at most sys.get_int_max_str_digits()
             self.error(tok, "too many digits in a weight")
         if not 0 <= value <= 1:
-            self.error(tok, f"probability {tok.text} outside [0, 1]")
+            self.error(tok, f"probability {text} outside [0, 1]")
         return value
 
     def parse_clause(self, program: Program):

@@ -9,7 +9,6 @@ import pytest
 import credalplp as c
 from credalplp import grounding
 from credalplp.cli import run
-from credalplp.grounding import program_constants
 
 import fixtures as fx
 
@@ -51,9 +50,7 @@ def test_choice_atoms_always_interned():
 
 
 def test_empty_universe_injects_reserved_constant():
-    p = c.parse_program("0.5::q(X).")
-    assert program_constants(p) == ["u0"]
-    g = c.ground(p)
+    g = c.ground(c.parse_program("0.5::q(X)."))
     assert g.atoms == ["q(u0)"]
 
 
@@ -394,12 +391,22 @@ def test_classify_long_cycle_and_chain_without_recursion():
 # active-grounding soundness against a full-Herbrand oracle
 
 
+def herbrand_universe(program: c.Program) -> list[str]:
+    """The reference grounders' universe: the constants the clauses mention,
+    sorted, or the reserved constant ``u0`` when they mention none."""
+    atoms = [pf.atom for pf in program.prob_facts]
+    for rule in program.rules:
+        atoms += [rule.head, *(sg.atom for sg in rule.body)]
+    constants = {t.name for atom in atoms for t in atom.args if not t.is_variable}
+    return sorted(constants) or ["u0"]
+
+
 def full_ground(program: c.Program) -> c.GroundProgram:
     """Independent oracle: ground over the entire Herbrand base, keeping
     every rule instance and every atom."""
     import itertools
 
-    universe = program_constants(program)
+    universe = herbrand_universe(program)
     g = c.GroundProgram()
     arities: dict[str, int] = {}
     all_atoms = [rule.head for rule in program.rules]
@@ -535,7 +542,7 @@ def naive_ground(program: c.Program) -> c.GroundProgram:
     emission of ``ground``: source order, substitutions in lexicographic
     order, negative literals over impossible atoms dropped, duplicates
     skipped."""
-    universe = program_constants(program)
+    universe = herbrand_universe(program)
     g = c.GroundProgram()
     possible = set()
     for pf in program.prob_facts:

@@ -25,9 +25,12 @@ def test_parse_empty_program():
 
 
 def test_probability_out_of_range():
-    with pytest.raises(c.PlpSyntaxError) as exc:
-        c.parse_program("1.5::r.")
-    assert "outside [0, 1]" in str(exc.value)
+    # a fraction is reported whole, not by its numerator
+    for weight in ("1.5", "3/2"):
+        with pytest.raises(c.PlpSyntaxError) as exc:
+            c.parse_program(f"{weight}::r.", filename="x.plp")
+        diags = [str(d) for d in exc.value.diagnostics]
+        assert diags == [f"ERROR x.plp:1:1 probability {weight} outside [0, 1]"]
 
 
 def test_zero_denominator_in_a_weight():
