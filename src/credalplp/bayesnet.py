@@ -133,14 +133,20 @@ def bn_query(bn: BayesNet, q_assignments, e_assignments=None):
     e = event_from_assignments(e_assignments or ())
     if any(lit.value is None for lit in q.parts + e.parts):
         raise ValueError("undefined assignment: a Bayesian network is two-valued")
-    p_qe = p_e = Fraction(0)
+    # each configuration's weight is an integer numerator over the product
+    # of the roots' denominators, which the final division cancels
+    factors = [
+        (root.prob.denominator - root.prob.numerator, root.prob.numerator)
+        for root in roots
+    ]
+    p_qe = p_e = 0
     for mask in range(1 << len(roots)):
-        weight = Fraction(1)
+        weight = 1
         env: dict[str, bool] = {}
         for i, root in enumerate(roots):
             value = bool((mask >> i) & 1)
             env[root.name] = value
-            weight *= root.prob if value else 1 - root.prob
+            weight *= factors[i][value]
         for node in bn.nodes:
             if not node.is_root:
                 env[node.name] = eval_formula(node.formula, env)
@@ -150,7 +156,7 @@ def bn_query(bn: BayesNet, q_assignments, e_assignments=None):
                 p_qe += weight
     if p_e == 0:
         return UNDEFINED
-    return p_qe / p_e
+    return Fraction(p_qe, p_e)
 
 
 def export_bn(bn: BayesNet) -> bytes:

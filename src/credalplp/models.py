@@ -19,6 +19,7 @@ Interpretation = list  # list[bool]
 PartialInterpretation = list  # list[bool | None]
 
 DEFAULT_EXHAUSTIVE_LIMIT = 20
+RESIDUAL_CAP = 4096  # entries of ``Kernel.residuals``, all dropped when full
 
 
 # ---------------------------------------------------------------------------
@@ -48,6 +49,15 @@ class Kernel:
     the calls whose answer it already holds. ``kept_facts`` returns a tuple,
     so the facts a sweep passes on are the very object loaded. ``atoms``
     (all atom ids) starts the downward iterates of ``well_founded_model``.
+    The choice's state also holds ``wf``, the true and the not-false masks
+    of its well-founded model, which ``well_founded_model`` leaves there
+    each time it computes one, for ``stable_models`` to read.
+
+    ``residuals`` outlives the choices: it maps the key of each residual
+    program a search ran to the end on (see ``_residual``) to the undefined
+    part of each model found, in order, for ``stable_models`` to replay; at
+    most ``RESIDUAL_CAP`` entries. Keys hold no facts, so the entries hold
+    for any facts loaded.
     """
 
     def __init__(self, g: GroundProgram):
@@ -80,7 +90,10 @@ class Kernel:
         self.gammas: dict[int, int] = {}
         self.base: tuple[list[int], int] | None = None
         self.choice_atoms = [cp.ground_atom for cp in g.choice_points]
+        self.wf = (0, 0)
+        self.residuals: dict[tuple[int, int], tuple[int, ...]] = {}
         self._order: list[int] | None = None
+        self.by_head: list[list[tuple[int, int, int]]] | None = None
 
     @property
     def order(self) -> list[int]:
@@ -320,10 +333,11 @@ def well_founded_model(g: GroundProgram | Kernel, facts=()) -> PartialInterpreta
     """The well-founded model (with ``facts`` added), a fresh list: the
     fixpoint of the iterates up from no atoms is true, the rest of the
     fixpoint of those down from all atoms (``Kernel.atoms``) undefined, and
-    every other atom false."""
+    every other atom false. The two fixpoints are left in ``Kernel.wf``."""
     k = _load(g, facts)
     lfp = alternating_iterates(k, 0, k.facts)[-1]
     gfp = alternating_iterates(k, k.atoms, k.facts)[-1]
+    k.wf = lfp, gfp
     model: PartialInterpretation = _bools(k.n_atoms, lfp)
     if gfp != lfp:
         for aid in _ids(k, gfp ^ lfp):  # lfp ⊆ gfp
@@ -365,11 +379,40 @@ def _propagate(k: Kernel, missing, must: int, false: int, queue, new: int):
             return must, false
 
 
+def _residual(k: Kernel, true: int, not_false: int) -> tuple[int, int]:
+    """The key of the residual program of a well-founded model (the masks
+    ``true`` and ``not_false``): its undefined atoms and the rules that head
+    one and that it leaves alive, with no positive body atom false and no
+    negative one true. Those rules, cut to their undefined literals, have
+    as stable models the undefined parts of the program's (Brass, Dix,
+    Freitag & Zukowski), so two total choices with one key share them.
+    Reads ``Kernel.by_head``: per atom, (rule id, positive body mask,
+    negative body mask) of each rule with that head, built here on the
+    first call."""
+    if k.by_head is None:
+        k.by_head = [[] for _ in range(k.n_atoms)]
+        for ri, (head, pos, neg) in enumerate(k.rules):
+            masks = sum({1 << a for a in pos}), sum({1 << a for a in neg})
+            k.by_head[head].append((ri, *masks))
+    undefined, alive, by_head = not_false & ~true, 0, k.by_head
+    atoms = undefined
+    while atoms:
+        low = atoms & -atoms
+        for ri, pos, neg in by_head[low.bit_length() - 1]:
+            if not (pos & ~not_false or neg & true):
+                alive |= 1 << ri
+        atoms ^= low
+    return undefined, alive
+
+
 def stable_models(g: GroundProgram | Kernel, facts=()) -> Iterator[Interpretation]:
     """All stable models (with ``facts`` added), no duplicates, in
     lexicographic order on ``Kernel.order``.
 
     A total well-founded model is the one candidate, yielded as is if
+    ``is_stable``; its masks are read from ``Kernel.wf``. Otherwise, when
+    ``Kernel.residuals`` holds the choice's residual program (``_residual``),
+    its models are replayed on the well-founded true atoms, each checked by
     ``is_stable``. Otherwise a search node is two masks, the true atoms
     ``must`` and the ``false`` ones, with the counters of ``must``; the root
     sets the well-founded literals on a copy of the choice's ``Kernel.base``.
@@ -378,20 +421,32 @@ def stable_models(g: GroundProgram | Kernel, facts=()) -> Iterator[Interpretatio
     counters, and the true one, searched after it, takes them. A decided
     leaf is closed under its reduct and inside its least model, so stable;
     ``is_stable`` checks it by definition on the one fresh ``bool`` list
-    built from its mask. The consumer may load other facts into the kernel
-    between two models, so the search loads its own again (``_load``).
+    built from its mask. A search run to the end is stored in
+    ``Kernel.residuals``; one the consumer stops is not. The consumer may
+    load other facts into the kernel between two models, so the search
+    loads its own again (``_load``).
     """
     k = _load(g, facts)
     facts = k.facts
     wf = well_founded_model(k, facts)
-    if None not in wf:
+    true, not_false = k.wf
+    if true == not_false:
         if is_stable(k, wf, facts):
             yield wf
         return
+    key = _residual(k, true, not_false)
+    replay = k.residuals.get(key)
+    if replay is not None:
+        for part in replay:
+            model = _bools(k.n_atoms, true | part)
+            if is_stable(k, model, facts):
+                yield model
+        return
+    undefined, found = key[0], []
     # (must, false, missing, atoms to set true, mask to set false); an
     # explicit stack, not recursion: pushing true first explores false first
-    true, false = [a for a, v in enumerate(wf) if v], _mask([v is False for v in wf])
-    stack = [(k.base[1], 0, k.base[0].copy(), true, false)]
+    queue, false = list(_ids(k, true)), k.atoms & ~not_false
+    stack = [(k.base[1], 0, k.base[0].copy(), queue, false)]
     while stack:
         must, false, missing, queue, new = stack.pop()
         node = _propagate(k, missing, must, false, queue, new)
@@ -402,12 +457,16 @@ def stable_models(g: GroundProgram | Kernel, facts=()) -> Iterator[Interpretatio
         if decided == k.atoms:
             model = _bools(k.n_atoms, must)
             if is_stable(k, model, facts):
+                found.append(must & undefined)
                 yield model
                 _load(k, facts)
             continue
         aid = next(a for a in k.order if not decided >> a & 1)
         stack.append((must, false, missing, [aid], 0))
         stack.append((must, false, missing.copy(), [], 1 << aid))
+    if len(k.residuals) >= RESIDUAL_CAP:
+        k.residuals.clear()
+    k.residuals[key] = tuple(found)
 
 
 def exhaustive_stable_models(

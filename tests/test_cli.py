@@ -15,6 +15,7 @@ from credalplp import cli, inference, models
 from credalplp.cli import run
 
 import fixtures as fx
+from test_properties import count_replays
 
 
 @pytest.fixture
@@ -639,6 +640,40 @@ def test_cross_check_finishes_on_a_game_at_the_default_limit(plp, capsys):
     assert plain[0] == 0 and "choices_visited: 1024" in plain[1]
     code, out, err = invoke(capsys, *argv, "--cross-check")
     assert (code, out, err) == plain
+
+
+def test_cross_check_meets_replayed_models_on_the_game_credal_pool(
+    tmp_path, capsys, monkeypatch
+):
+    """The cross-check of a benchmark pool's query is where the models a
+    kernel replays from its residual memo meet the brute-force oracle: a
+    game-credal query of the seed-1 pool replays some, and passes; with each
+    replay missing its last model, which no stability check can see, it
+    fails."""
+    counts, solve = count_replays(monkeypatch)
+    monkeypatch.setattr(models, "stable_models", lambda k, facts=(): iter(solve(k, facts)))
+    case = fx.cases("game-credal", 1)[0]
+    path = tmp_path / "game.plp"
+    path.write_text(case.render())
+    argv = ["--no-timing", "query", str(path), *case.args, "--cross-check"]
+    code, out, err = invoke(capsys, *argv)
+    assert code == 0 and err == "" and counts["replayed"] > 0
+
+    class Lossy(dict):
+        def get(self, key):
+            found = dict.get(self, key)
+            return found and found[:-1]
+
+    real = models.Kernel.__init__
+
+    def init(self, g):
+        real(self, g)
+        self.residuals = Lossy()
+
+    monkeypatch.setattr(models.Kernel, "__init__", init)
+    code, out, err = invoke(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith("error: cross-check: the stable models of total choice ")
 
 
 def test_cross_check_skip_is_reported(plp, capsys):

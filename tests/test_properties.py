@@ -10,6 +10,7 @@ well-founded entry points against a plain loop over total choices.
 
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -946,7 +947,9 @@ def test_carried_search_bound_matches_a_fresh_one_node_by_node(monkeypatch):
     definition, on arrival (the parent's, or the root's copy of the base
     state) and after propagation (the masks returned); the search visits the
     nodes of the fresh-``must`` search, with the same outcome, and yields its
-    models in its order."""
+    models in its order. Each choice gets a fresh kernel, whose empty
+    residual memo makes every search run node by node (replays are checked
+    in ``test_replayed_residuals_match_a_fresh_search_per_choice``)."""
     real = c.models._propagate
     nodes, program = [], []
 
@@ -985,8 +988,9 @@ def test_carried_search_bound_matches_a_fresh_one_node_by_node(monkeypatch):
             len(set(rule.pos)) < len(rule.pos) or len(set(rule.neg)) < len(rule.neg)
             for rule in g.rules
         )
-        k, fresh = c.Kernel(g), c.Kernel(g)
+        fresh = c.Kernel(g)
         for choice in c.total_choices(g):
+            k = c.Kernel(g)
             facts = k.kept_facts(choice.kept)
             want_nodes = []
             want = list(fresh_must_search(fresh, facts, want_nodes))
@@ -997,3 +1001,152 @@ def test_carried_search_bound_matches_a_fresh_one_node_by_node(monkeypatch):
             failed += sum(after is None for _, after in nodes)
             empty += not want
     assert searched > 500 and failed > 100 and empty > 0 and repeated > 30
+
+
+# ---------------------------------------------------------------------------
+# the residual programs a kernel's searches store and replay, against a fresh
+# kernel per total choice, which searches every time
+
+
+def count_replays(monkeypatch):
+    """Count the calls of ``models._propagate``; returns the Counter and
+    ``solve(k, facts)``, the list of ``stable_models(k, facts)``, which adds
+    to "partial" when the well-founded model it read from ``k.wf`` is
+    partial and to "replayed" when it also propagated no node: its models
+    came from ``k.residuals``."""
+    counts = Counter()
+    real = c.models._propagate
+
+    def propagate(*args):
+        counts["propagated"] += 1
+        return real(*args)
+
+    def solve(k, facts):
+        before = counts["propagated"]
+        models = list(c.stable_models(k, facts))
+        true, not_false = k.wf
+        if true != not_false:
+            counts["partial"] += 1
+            counts["replayed"] += counts["propagated"] == before
+        return models
+
+    monkeypatch.setattr(c.models, "_propagate", propagate)
+    return counts, solve
+
+
+# an even loop, undefined under both total choices, with a rule that ``t``
+# kills under one choice and keeps under the other: the residuals differ
+LOOP_RULE_BY_CHOICE = [
+    f"1/2::c. t :- c. p :- not q. q :- not p. p :- q, {body}."
+    for body in ("not t", "t")
+]
+
+
+def memo_programs():
+    """Random, odd-loop and shared-choice programs, the inconsistent
+    fixtures and the game-credal benchmark pool at seed 1."""
+    rng = random.Random(20261029)
+    texts = [KEPT_HEAD_IN_LOOP, *LOOP_RULE_BY_CHOICE]
+    for text in fx.ALL_PROGRAMS.values():
+        if not c.check_consistency(fx.grd(text)).consistent:
+            texts.append(text)
+    for i in range(240):
+        make = (random_program, odd_loop_program)[i % 2]
+        texts.append(shared_choice_program(rng, make) if i % 4 > 1 else make(rng))
+    return [*texts, *fx.pool("game-credal", 1)]
+
+
+def test_replayed_residuals_match_a_fresh_search_per_choice(monkeypatch):
+    """One kernel carried over every total choice of a program, as a sweep
+    carries it, yields the models of a fresh kernel per choice, in their
+    order, though it replays most residual programs it meets again; the
+    first choice with no model is the witness of both, and of the sweep."""
+    counts, solve = count_replays(monkeypatch)
+    inconsistent = 0
+    for text in memo_programs():
+        g = fx.grd(text)
+        k, witness = c.Kernel(g), None
+        for choice, facts in c.models.carried(k, c.total_choices(g)):
+            got = solve(k, facts)
+            assert got == list(c.stable_models(c.Kernel(g), facts))
+            if not got and witness is None:
+                witness = choice
+        assert len(k.residuals) <= c.models.RESIDUAL_CAP
+        assert c.check_consistency(g).witness == witness
+        if witness is not None:
+            inconsistent += 1
+            with pytest.raises(c.InconsistentProgramError) as exc:
+                c.event_bounds(g, [c.inference.TRUE])
+            assert exc.value.witness == witness
+    print(f"replayed {counts['replayed']} of {counts['partial']} partial choices")
+    assert inconsistent > 20 and counts["replayed"] > counts["partial"] // 2 > 1000
+
+
+def test_a_search_stopped_early_stores_nothing(monkeypatch):
+    """``check_consistency`` takes each choice's first model and stores no
+    residual; a sweep, which takes them all, stores each residual it
+    searched, and a later search of one kernel replays it."""
+    kernels = []
+
+    def kernel(g):
+        kernels.append(c.Kernel(g))
+        return kernels[-1]
+
+    monkeypatch.setattr(c.inference, "Kernel", kernel)
+    g = fx.grd(fx.DILBERT)  # two models when man(dilbert) is kept
+    assert c.check_consistency(g).consistent and kernels[-1].residuals == {}
+    c.credal_unconditional(g, fx.qevent("single(dilbert)=true"))
+    assert len(kernels[-1].residuals) == 1
+
+    counts, solve = count_replays(monkeypatch)
+    k = c.Kernel(fx.grd(fx.CASES))  # two models, no choice point
+    first = next(c.stable_models(k))
+    assert k.residuals == {}
+    both = solve(k, ())
+    assert both[0] == first and len(both) == 2 and len(k.residuals) == 1
+    assert counts["replayed"] == 0
+    assert solve(k, ()) == both and counts["replayed"] == 1
+
+
+def test_one_kernel_replays_for_arbitrary_facts(monkeypatch):
+    """Facts loaded through ``_load`` outside a sweep, any atoms at all and
+    two searches consumed in turn, get the models of a fresh kernel: the
+    residual keys hold no facts."""
+    counts, solve = count_replays(monkeypatch)
+    rng = random.Random(20261030)
+    for i in range(200):
+        g = fx.grd((random_program, odd_loop_program)[i % 2](rng))
+        k = c.Kernel(g)
+
+        def facts():
+            size = rng.randint(0, min(2, g.n_atoms))
+            return tuple(rng.sample(range(g.n_atoms), size))
+
+        for _ in range(8):
+            f = facts()
+            assert solve(k, f) == list(c.stable_models(c.Kernel(g), f))
+        f1, f2 = facts(), facts()
+        turns = [*itertools.zip_longest(c.stable_models(k, f1), c.stable_models(k, f2))]
+        for side, f in enumerate((f1, f2)):
+            got = [turn[side] for turn in turns if turn[side] is not None]
+            assert got == list(c.stable_models(c.Kernel(g), f))
+    print(f"replayed {counts['replayed']} of {counts['partial']} partial calls")
+    assert counts["replayed"] > 100
+
+
+def test_residuals_that_never_repeat_stay_under_the_cap(monkeypatch):
+    """An even loop and 13 choice points, each keeping an atom that the loop
+    leaves undefined: all 8192 residual programs differ, so every choice
+    searches, and the memo is dropped when it reaches its cap."""
+    counts, solve = count_replays(monkeypatch)
+    n = 13
+    lines = ["p :- not q. q :- not p."]
+    lines += [f"1/2::c{i}. r{i} :- c{i}, not p." for i in range(n)]
+    g = fx.grd("\n".join(lines))
+    k, sizes = c.Kernel(g), []
+    for choice, facts in c.models.carried(k, c.total_choices(g)):
+        assert len(solve(k, facts)) == 2
+        sizes.append(len(k.residuals))
+    assert max(sizes) == c.models.RESIDUAL_CAP < 1 << n
+    assert sizes.count(1) == 2  # the first choice, and the first after the drop
+    assert counts["partial"] == 1 << n and counts["replayed"] == 0
