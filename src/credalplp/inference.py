@@ -337,21 +337,30 @@ def wf_query(
 
 
 def wf_atom_distribution(
-    g: GroundProgram, atom: str, max_choices: int = DEFAULT_MAX_CHOICES
+    g: GroundProgram, atom: str, max_choices: int = DEFAULT_MAX_CHOICES, stats=None
 ) -> WfDistribution:
     events = [Lit(atom, value) for value in (True, False, None)]
-    return WfDistribution(*(p for p, _ in _bounds(g, events, "wf", max_choices)))
+    return WfDistribution(*(p for p, _ in _bounds(g, events, "wf", max_choices, stats)))
 
 
 def check_consistency(
-    g: GroundProgram, max_choices: int = DEFAULT_MAX_CHOICES
+    g: GroundProgram, max_choices: int = DEFAULT_MAX_CHOICES, stats=None
 ) -> ConsistencyReport:
     """Its own loop rather than a sweep: it stops at the first stable model of
-    each choice, where a sweep would enumerate them all."""
+    each choice, where a sweep would enumerate them all. Counts into
+    ``stats`` as a sweep does: the choices with a model, and one model for
+    each, also when a witness ends the check."""
     k = Kernel(g)
-    for choice, facts in carried(k, total_choices(g, max_choices)):
-        if next(iter(stable_models(k, facts)), None) is None:
-            return ConsistencyReport(False, choice)
+    choices = 0
+    try:
+        for choice, facts in carried(k, total_choices(g, max_choices)):
+            if next(iter(stable_models(k, facts)), None) is None:
+                return ConsistencyReport(False, choice)
+            choices += 1
+    finally:
+        if stats is not None:
+            stats["choices"] = stats.get("choices", 0) + choices
+            stats["models"] = stats.get("models", 0) + choices
     return ConsistencyReport(True)
 
 

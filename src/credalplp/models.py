@@ -19,7 +19,7 @@ Interpretation = list  # list[bool]
 PartialInterpretation = list  # list[bool | None]
 
 DEFAULT_EXHAUSTIVE_LIMIT = 20
-RESIDUAL_CAP = 4096  # entries of ``Kernel.residuals``, all dropped when full
+MEMO_CAP = 4096  # entries of each memo kept across choices, all dropped when full
 
 
 # ---------------------------------------------------------------------------
@@ -38,14 +38,15 @@ class Kernel:
     use, the branching order of the search. Kept choice atoms are extra
     facts: no choice copies the program.
 
-    It also holds one total choice, the one being solved: its ``facts``, the
-    cache ``gammas`` of its reduct least models (see ``_gamma``) and
-    ``base``, replaced together when ``_load`` brings other facts or
-    ``carried`` the next choice of a sweep; nothing else assigns them.
+    It also holds one total choice, the one being solved: its ``facts``
+    (and their mask, ``fact_mask``), the cache ``gammas`` of its reduct
+    least models (see ``_gamma``) and ``base``, replaced together when
+    ``_load`` brings other facts or ``carried`` the next choice of a sweep;
+    nothing else assigns them.
     ``gammas`` is keyed by the negatively occurring atoms each model assumed
     true, a subset of ``negative``; ``base`` is the counters and true set of
     the least model that assumed them all true, Γ(``negative``), which every
-    other entry extends. ``alternating_iterates`` compares the keys to skip
+    other entry extends unless ``reducts`` holds it. ``alternating_iterates`` compares the keys to skip
     the calls whose answer it already holds. ``kept_facts`` returns a tuple,
     so the facts a sweep passes on are the very object loaded. ``atoms``
     (all atom ids) starts the downward iterates of ``well_founded_model``.
@@ -53,11 +54,14 @@ class Kernel:
     of its well-founded model, which ``well_founded_model`` leaves there
     each time it computes one, for ``stable_models`` to read.
 
-    ``residuals`` outlives the choices: it maps the key of each residual
-    program a search ran to the end on (see ``_residual``) to the undefined
-    part of each model found, in order, for ``stable_models`` to replay; at
-    most ``RESIDUAL_CAP`` entries. Keys hold no facts, so the entries hold
-    for any facts loaded.
+    Two memos outlive the choices, each of at most ``MEMO_CAP`` entries
+    that hold for any facts loaded. ``residuals`` maps the key of each
+    residual program a search ran to the end on (see ``_residual``) to the
+    undefined part of each model found, in order, for ``stable_models`` to
+    replay. ``reducts`` maps a Γ key and the facts that Γ reads to the rest
+    of its least model, with ``relevant`` the atoms each key's Γ reads (see
+    ``_gamma``). ``masks`` (per rule, its body masks) and ``headed`` (every
+    rule head) are built on the first need, never for a definite program.
     """
 
     def __init__(self, g: GroundProgram):
@@ -87,12 +91,17 @@ class Kernel:
         self.negative = _mask(map(bool, neg_watch))
         self.atoms = (1 << n) - 1
         self.facts: tuple[int, ...] | None = None
+        self.fact_mask = 0
         self.gammas: dict[int, int] = {}
         self.base: tuple[list[int], int] | None = None
         self.choice_atoms = [cp.ground_atom for cp in g.choice_points]
         self.wf = (0, 0)
         self.residuals: dict[tuple[int, int], tuple[int, ...]] = {}
+        self.reducts: dict[tuple[int, int], int] = {}
+        self.relevant: dict[int, int] = {}
         self._order: list[int] | None = None
+        self.masks: list[tuple[int, int]] | None = None
+        self.headed = 0
         self.by_head: list[list[tuple[int, int, int]]] | None = None
 
     @property
@@ -199,34 +208,83 @@ def _count_false(k: Kernel, missing: list[int], atoms: int) -> list[int]:
 def _load(g: GroundProgram | Kernel, facts) -> Kernel:
     """The kernel of ``g`` (compiled if ``g`` is a program), holding the
     total choice whose kept atoms are ``facts``: other facts than those it
-    holds replace ``facts``, ``gammas`` and ``base`` together, with
-    Γ(``k.negative``) of the new facts run once as the base and its only
-    entry. The one way into a total choice outside a sweep (``carried``)."""
+    holds replace ``facts``, ``fact_mask``, ``gammas`` and ``base``
+    together, with Γ(``k.negative``) of the new facts run once as the base
+    and its only entry. The one way into a total choice outside a sweep
+    (``carried``)."""
     k = g if isinstance(g, Kernel) else Kernel(g)
     if facts is not k.facts:
         facts = tuple(facts)
         if facts != k.facts:
             k.base = _state(k, facts, k.negative)
             k.gammas = {k.negative: k.base[1]}
+            k.fact_mask = sum({1 << a for a in facts})
         k.facts = facts
     return k
+
+
+def _rule_masks(k: Kernel) -> list[tuple[int, int]]:
+    """``Kernel.masks``, per rule its (positive, negative) body masks, and
+    ``Kernel.headed``, built on the first call."""
+    if k.masks is None:
+        k.masks = [
+            (sum({1 << a for a in pos}), sum({1 << a for a in neg}))
+            for _, pos, neg in k.rules
+        ]
+        k.headed = sum({1 << head for head in k.heads})
+    return k.masks
+
+
+def _relevant(k: Kernel, key: int) -> int:
+    """The atoms Γ(``key``) reads of its facts: every rule head, and the
+    positive body atoms of the rules ``key`` leaves alive (no negative body
+    atom in ``key``)."""
+    relevant = 0
+    for pos, neg in _rule_masks(k):
+        if not neg & key:
+            relevant |= pos
+    return relevant | k.headed
 
 
 def _gamma(k: Kernel, key: int) -> int:
     """The least model of the reduct by any set whose negatively occurring
     atoms are ``key``, a subset of ``k.negative`` (Van Gelder's Γ), for the
     loaded total choice, cached in ``k``: two sets with one key have one
-    answer. A miss counts the atoms of ``k.negative`` outside ``key`` false
-    in a copy of the base state Γ(``k.negative``) (``k.base``) and extends
-    it: un-assuming atoms only unblocks rules, so the least model only
-    grows. In a sweep, ``carried`` has already put the keys ∅ and
-    ``k.negative`` and the base state there, so no Γ of the sweep starts
-    from ``Kernel.blocked`` (``_state``)."""
+    answer. In a sweep, ``carried`` has already put the keys ∅ and
+    ``k.negative`` and the base state there.
+
+    A miss first asks ``k.reducts``, the memo shared by all choices, under
+    ``(key, facts & R)``, where R (``_relevant``, cached per key in
+    ``k.relevant``) is every rule head plus the positive body atoms of the
+    rules ``key`` leaves alive. A fact outside R heads no rule and is in no
+    live positive body: it fires nothing and nothing derives it, so it adds
+    only itself, and Γ(key) = Γ'(key) | (facts & ~R), where Γ' is the least
+    model of the facts in R alone under the same rules, fixed by the key and
+    those facts. The memo holds Γ'; choices that differ only outside R share
+    it. On a memo miss,
+    the atoms of ``k.negative`` outside ``key`` are counted false in a copy
+    of the base state Γ(``k.negative``) (``k.base``) and the copy is
+    extended: un-assuming atoms only unblocks rules, so the least model
+    only grows. So no Γ of a sweep starts from ``Kernel.blocked``
+    (``_state``). The memo is dropped, with ``k.relevant``, when it holds
+    ``MEMO_CAP`` entries."""
     true = k.gammas.get(key)
     if true is None:  # not ``if not true``: an empty least model is 0
-        missing = k.base[0].copy()
-        queue = _count_false(k, missing, k.negative & ~key)
-        true = k.gammas[key] = _extend(k, missing, k.base[1], queue)
+        relevant = k.relevant.get(key)
+        if relevant is None:
+            relevant = k.relevant[key] = _relevant(k, key)
+        loose = k.fact_mask & ~relevant
+        memo = key, k.fact_mask & relevant
+        part = k.reducts.get(memo)
+        if part is None:
+            missing = k.base[0].copy()
+            queue = _count_false(k, missing, k.negative & ~key)
+            part = _extend(k, missing, k.base[1], queue) & ~loose
+            if len(k.reducts) >= MEMO_CAP:
+                k.reducts.clear()
+                k.relevant.clear()
+            k.reducts[memo] = part
+        true = k.gammas[key] = part | loose
     return true
 
 
@@ -246,13 +304,16 @@ def carried(k: Kernel, choices) -> Iterator[tuple]:
     key for the first choice and one extension per key for each later one;
     a stack holds at most n + 1 states. The ``k.negative`` stack's
     ``state[0]`` is also the choice's ``k.base``, shared, not copied: every
-    other Γ of the choice extends a copy of it (``_gamma``). Each choice is
+    other Γ of the choice extends a copy of it or comes from the memo
+    (``_gamma``). The mask of
+    the kept atoms has a stack of its own, ``fact_masks``. Each choice is
     loaded here, with the kept atoms as ``k.facts``, so the yielded facts
     are the very object ``_load`` finds there."""
     n = len(k.choice_atoms)
     stacks = dict.fromkeys((0, k.negative))  # one key if no negation
     for key in stacks:
         stacks[key] = [_state(k, (), key)] * (n + 1)
+    fact_masks = [0] * (n + 1)
     for mask, choice in enumerate(choices):
         if mask:
             b = (mask & -mask).bit_length() - 1
@@ -262,8 +323,9 @@ def carried(k: Kernel, choices) -> Iterator[tuple]:
                 missing = missing.copy()
                 true = _extend(k, missing, true, [atom])
                 state[: b + 1] = [(missing, true)] * (b + 1)
+            fact_masks[: b + 1] = [fact_masks[b + 1] | 1 << atom] * (b + 1)
         facts = k.kept_facts(choice.kept)
-        k.facts, k.base = facts, stacks[k.negative][0]
+        k.facts, k.base, k.fact_mask = facts, stacks[k.negative][0], fact_masks[0]
         k.gammas = {key: state[0][1] for key, state in stacks.items()}
         yield choice, facts
 
@@ -285,15 +347,19 @@ def reduct(g: GroundProgram, interp: Interpretation) -> GroundProgram:
     ])
 
 
-def is_stable(g: GroundProgram | Kernel, interp: Interpretation, facts=()) -> bool:
-    """Whether ``interp`` (bools) is the least model of its reduct (with
-    ``facts``); a three-valued ``interp`` (holding ``None``) is not."""
+def is_stable(g: GroundProgram | Kernel, interp: Interpretation | int, facts=()) -> bool:
+    """Whether ``interp`` is the least model of its reduct (with ``facts``):
+    a list of bools, or the ``int`` mask of its true atoms, which
+    ``stable_models`` passes so that no list is built for a candidate it
+    may reject. A three-valued ``interp`` (holding ``None``) is not."""
     k = _load(g, facts)
     try:
-        true = _mask(interp)
+        true = interp if type(interp) is int else _mask(interp)
     except TypeError:  # ``bytes`` refuses None; no scan on the total path
         return False
-    return len(interp) == k.n_atoms and _gamma(k, k.negative & true) == true
+    if type(interp) is not int and len(interp) != k.n_atoms:
+        return False
+    return _gamma(k, k.negative & true) == true
 
 
 # ---------------------------------------------------------------------------
@@ -387,12 +453,11 @@ def _residual(k: Kernel, true: int, not_false: int) -> tuple[int, int]:
     as stable models the undefined parts of the program's (Brass, Dix,
     Freitag & Zukowski), so two total choices with one key share them.
     Reads ``Kernel.by_head``: per atom, (rule id, positive body mask,
-    negative body mask) of each rule with that head, built here on the
-    first call."""
+    negative body mask) of each rule with that head, built here from
+    ``Kernel.masks`` on the first call."""
     if k.by_head is None:
         k.by_head = [[] for _ in range(k.n_atoms)]
-        for ri, (head, pos, neg) in enumerate(k.rules):
-            masks = sum({1 << a for a in pos}), sum({1 << a for a in neg})
+        for ri, (head, masks) in enumerate(zip(k.heads, _rule_masks(k))):
             k.by_head[head].append((ri, *masks))
     undefined, alive, by_head = not_false & ~true, 0, k.by_head
     atoms = undefined
@@ -420,8 +485,9 @@ def stable_models(g: GroundProgram | Kernel, facts=()) -> Iterator[Interpretatio
     undecided atom of ``Kernel.order``, false first: that branch copies the
     counters, and the true one, searched after it, takes them. A decided
     leaf is closed under its reduct and inside its least model, so stable;
-    ``is_stable`` checks it by definition on the one fresh ``bool`` list
-    built from its mask. A search run to the end is stored in
+    ``is_stable`` checks it by definition. Every candidate goes to
+    ``is_stable`` as a mask, and a fresh ``bool`` list is built only for a
+    model yielded. A search run to the end is stored in
     ``Kernel.residuals``; one the consumer stops is not. The consumer may
     load other facts into the kernel between two models, so the search
     loads its own again (``_load``).
@@ -431,16 +497,15 @@ def stable_models(g: GroundProgram | Kernel, facts=()) -> Iterator[Interpretatio
     wf = well_founded_model(k, facts)
     true, not_false = k.wf
     if true == not_false:
-        if is_stable(k, wf, facts):
+        if is_stable(k, true, facts):
             yield wf
         return
     key = _residual(k, true, not_false)
     replay = k.residuals.get(key)
     if replay is not None:
         for part in replay:
-            model = _bools(k.n_atoms, true | part)
-            if is_stable(k, model, facts):
-                yield model
+            if is_stable(k, true | part, facts):
+                yield _bools(k.n_atoms, true | part)
         return
     undefined, found = key[0], []
     # (must, false, missing, atoms to set true, mask to set false); an
@@ -455,16 +520,15 @@ def stable_models(g: GroundProgram | Kernel, facts=()) -> Iterator[Interpretatio
         must, false = node
         decided = must | false
         if decided == k.atoms:
-            model = _bools(k.n_atoms, must)
-            if is_stable(k, model, facts):
+            if is_stable(k, must, facts):
                 found.append(must & undefined)
-                yield model
+                yield _bools(k.n_atoms, must)
                 _load(k, facts)
             continue
         aid = next(a for a in k.order if not decided >> a & 1)
         stack.append((must, false, missing, [aid], 0))
         stack.append((must, false, missing.copy(), [], 1 << aid))
-    if len(k.residuals) >= RESIDUAL_CAP:
+    if len(k.residuals) >= MEMO_CAP:
         k.residuals.clear()
     k.residuals[key] = tuple(found)
 

@@ -260,6 +260,31 @@ def test_check_consistency_witnesses():
     assert report.witness.describe(g) == "{keep villager(b)}"
 
 
+def test_consistency_and_wf_distribution_count_into_stats():
+    """Both count into ``stats`` as the other entry points do: every total
+    choice and its one well-founded model; for a consistency check, the
+    choices before the witness (all of them when there is none), each with
+    the one stable model it stopped at, and a dict that already holds counts
+    is added to."""
+    inconsistent = 0
+    for text in fx.ALL_PROGRAMS.values():
+        g = fx.grd(text)
+        n = 1 << len(g.choice_points)
+        stats = {}
+        c.wf_atom_distribution(g, g.atoms[0], stats=stats)
+        assert stats == {"choices": n, "models": n}
+        stats = {}
+        report = c.check_consistency(g, stats=stats)
+        solved = n
+        if not report.consistent:
+            solved = list(c.total_choices(g)).index(report.witness)
+            inconsistent += 1
+        assert stats == {"choices": solved, "models": solved}
+        c.check_consistency(g, stats=stats)
+        assert stats == {"choices": 2 * solved, "models": 2 * solved}
+    assert inconsistent >= 2
+
+
 # ---------------------------------------------------------------------------
 # interval structure (spot checks; bulk property tests live elsewhere)
 

@@ -72,6 +72,28 @@ def test_is_stable_examples():
     assert not c.is_stable(g, [True] * g.n_atoms)
 
 
+def test_is_stable_reads_a_mask_as_the_list_of_its_bits():
+    """The mask of an interpretation's true atoms answers as the list does,
+    for every interpretation of small programs and any facts; a list of the
+    wrong length is not stable, and neither is a mask with a bit past the
+    last atom."""
+    rng = random.Random(20261121)
+    texts = [t for t in fx.ALL_PROGRAMS.values() if fx.grd(t).n_atoms <= 8]
+    texts += [odd_loop_program(rng) for _ in range(40)]
+    stable = 0
+    for g in map(fx.grd, texts):
+        n = g.n_atoms
+        for facts in ((), tuple(rng.sample(range(n), min(2, n)))):
+            for mask in range(1 << n):
+                interp = [bool(mask >> a & 1) for a in range(n)]
+                got = c.is_stable(g, mask, facts)
+                assert got == c.is_stable(g, interp, facts)
+                assert not c.is_stable(g, interp + [False], facts)
+                stable += got
+            assert not c.is_stable(g, 1 << n, facts)
+    assert stable > 50
+
+
 def test_unsupported_atom_is_not_stable():
     g = c.GroundProgram()
     a = g.intern("a")
@@ -574,17 +596,21 @@ def general_programs():
 def test_credal_sweeps_run_least_models_only_on_cache_misses(monkeypatch):
     """A credal sweep runs no fresh ``_lfp``: the carry starts from one
     ``_state`` per seed key, and every other least model is one extension of
-    the choice's base state inside a ``_gamma`` call that misses the cache.
-    The stable-model search carries its lower bound and issues none of its
-    own."""
-    calls = []  # per ``_gamma`` call: (whether it missed, extensions it ran)
+    the choice's base state inside a ``_gamma`` call that misses the
+    choice's cache and the memo shared across choices (``Kernel.reducts``);
+    a memo hit runs none. The stable-model search carries its lower bound
+    and issues none of its own. The game-credal pool hits the memo, so a
+    memo that never answers fails here."""
+    calls = []  # per ``_gamma`` call: (choice miss, memo hit, extensions run)
     real = models._gamma
 
     def recording(k, key):
         miss = key not in k.gammas
+        memo = key, k.fact_mask & models._relevant(k, key)
+        hit = miss and memo in k.reducts
         before = len(extends)
         true = real(k, key)
-        calls.append((miss, len(extends) - before))
+        calls.append((miss, hit, len(extends) - before))
         return true
 
     lfp = counting(monkeypatch, models, "_lfp")
@@ -594,17 +620,21 @@ def test_credal_sweeps_run_least_models_only_on_cache_misses(monkeypatch):
     monkeypatch.setattr(models, "_gamma", recording)
     programs = list(general_programs())
     assert len(programs) >= 12
-    misses = 0
-    for g in programs:
+    misses = pool_hits = 0
+    pool_from = len(programs) - len(fx.pool("game-credal", 1))
+    for i, g in enumerate(programs):
         del calls[:], lfp[:], states[:]
         try:
             c.inference._sweep(g, tuple, "stable", 20)
         except c.InconsistentProgramError:
             pass
         assert lfp == [] and len(states) == len({0, models.Kernel(g).negative})
-        assert all(extensions == miss for miss, extensions in calls)
-        misses += sum(miss for miss, _ in calls)
-    assert len(searched) > 1000 and misses > 1000
+        assert all(extensions == (miss and not hit) for miss, hit, extensions in calls)
+        misses += sum(miss for miss, _, _ in calls)
+        if i >= pool_from:
+            pool_hits += sum(hit for _, hit, _ in calls)
+    print(f"{pool_hits} memo hits on the pool, of {misses} choice misses in all")
+    assert len(searched) > 1000 and misses > 1000 and pool_hits > misses // 4
 
 
 def test_iterates_and_cached_least_models_are_immutable():

@@ -1071,7 +1071,7 @@ def test_replayed_residuals_match_a_fresh_search_per_choice(monkeypatch):
             assert got == list(c.stable_models(c.Kernel(g), facts))
             if not got and witness is None:
                 witness = choice
-        assert len(k.residuals) <= c.models.RESIDUAL_CAP
+        assert len(k.residuals) <= c.models.MEMO_CAP
         assert c.check_consistency(g).witness == witness
         if witness is not None:
             inconsistent += 1
@@ -1147,6 +1147,113 @@ def test_residuals_that_never_repeat_stay_under_the_cap(monkeypatch):
     for choice, facts in c.models.carried(k, c.total_choices(g)):
         assert len(solve(k, facts)) == 2
         sizes.append(len(k.residuals))
-    assert max(sizes) == c.models.RESIDUAL_CAP < 1 << n
+    assert max(sizes) == c.models.MEMO_CAP < 1 << n
     assert sizes.count(1) == 2  # the first choice, and the first after the drop
     assert counts["partial"] == 1 << n and counts["replayed"] == 0
+
+
+# ---------------------------------------------------------------------------
+# the reduct least models a kernel shares across total choices (``_gamma``'s
+# memo ``Kernel.reducts``), against a fresh ``_lfp`` for every Γ it returns
+
+
+def checked_gammas(monkeypatch):
+    """Wrap ``models._gamma``: every Γ it returns must equal a fresh
+    ``_lfp`` of the loaded facts by that key. Returns a Counter of the
+    choice-cache misses ("missed") and of those the memo answered ("hit")."""
+    counts = Counter()
+    real, lfp, relevant = c.models._gamma, c.models._lfp, c.models._relevant
+
+    def gamma(k, key):
+        if key not in k.gammas:
+            counts["missed"] += 1
+            counts["hit"] += (key, k.fact_mask & relevant(k, key)) in k.reducts
+        true = real(k, key)
+        assert true == lfp(k, k.facts, key)
+        return true
+
+    monkeypatch.setattr(c.models, "_gamma", gamma)
+    return counts
+
+
+def test_shared_reduct_least_models_match_fresh_ones_for_arbitrary_facts(monkeypatch):
+    """One kernel per program, given arbitrary atoms as facts, in stable
+    searches consumed in turn and interleaved with well-founded models:
+    every Γ equals a fresh ``_lfp``, and every answer a fresh kernel's,
+    though most Γ misses are answered by the memo. The facts cover atoms
+    that are no choice atom, choice atoms that head rules and choice atoms
+    under negation."""
+    counts = checked_gammas(monkeypatch)
+    rng = random.Random(20261120)
+    makers = (random_program, odd_loop_program, repeated_literal_program)
+    kinds = Counter()
+    for i in range(240):
+        make = makers[i % 3]
+        g = fx.grd(shared_choice_program(rng, make) if i % 2 else make(rng))
+        k = c.Kernel(g)
+        choice = {cp.ground_atom for cp in g.choice_points}
+        headed = {rule.head for rule in g.rules}
+
+        def facts():
+            drawn = tuple(rng.sample(range(g.n_atoms), rng.randint(0, min(3, g.n_atoms))))
+            for a in drawn:
+                kinds["choice atom" if a in choice else "other atom"] += 1
+                kinds["choice atom heading a rule"] += a in choice and a in headed
+                kinds["choice atom under negation"] += a in choice and k.negative >> a & 1
+            return drawn
+
+        for _ in range(6):
+            f1, f2, f3 = facts(), facts(), facts()
+            turns = itertools.zip_longest(c.stable_models(k, f1), c.stable_models(k, f2))
+            got = ([], [])
+            for turn in turns:
+                for side, model in enumerate(turn):
+                    if model is not None:
+                        got[side].append(model)
+                assert c.well_founded_model(k, f3) == c.well_founded_model(c.Kernel(g), f3)
+            for side, f in enumerate((f1, f2)):
+                assert got[side] == list(c.stable_models(c.Kernel(g), f))
+            assert c.well_founded_model(k, f1) == c.well_founded_model(c.Kernel(g), f1)
+        assert len(k.reducts) <= c.models.MEMO_CAP
+    print(f"memo answered {counts['hit']} of {counts['missed']} Γ misses; {dict(kinds)}")
+    assert min(kinds.values()) > 100 and counts["hit"] > 1000
+
+
+def test_shared_reduct_least_models_match_fresh_ones_in_sweeps(monkeypatch):
+    """A sweep of each program (carried choices, so the fact masks come
+    from ``carried``'s stack) and a consistency check on the same kernel,
+    which stops each search at its first model: every Γ equals a fresh
+    ``_lfp``, and the answers are those of fresh kernels per choice."""
+    counts = checked_gammas(monkeypatch)
+    for text in memo_programs()[::3]:
+        g = fx.grd(text)
+        k = c.Kernel(g)
+        for _, facts in c.models.carried(k, c.total_choices(g)):
+            assert list(c.stable_models(k, facts)) == list(c.stable_models(c.Kernel(g), facts))
+        for _, facts in c.models.carried(k, c.total_choices(g)):
+            first = next(iter(c.stable_models(k, facts)), None)
+            assert first == next(iter(c.stable_models(c.Kernel(g), facts)), None)
+            assert c.well_founded_model(k, facts) == c.well_founded_model(c.Kernel(g), facts)
+    print(f"memo answered {counts['hit']} of {counts['missed']} Γ misses")
+    assert counts["hit"] > 1000
+
+
+def test_reduct_least_models_that_never_repeat_stay_under_the_cap(monkeypatch):
+    """An even loop and 13 choice points whose atoms the rules that ``not
+    p`` keeps alive read: under a key without ``p`` each choice's facts
+    differ where Γ reads them, so every such Γ misses the memo, which is
+    dropped, with the per-key cache, when it reaches its cap. Every Γ is
+    still a fresh ``_lfp``."""
+    counts = checked_gammas(monkeypatch)
+    n = 13
+    lines = ["p :- not q. q :- not p."]
+    lines += [f"1/2::c{i}. r{i} :- c{i}, not p." for i in range(n)]
+    g = fx.grd("\n".join(lines))
+    k, sizes = c.Kernel(g), []
+    for _, facts in c.models.carried(k, c.total_choices(g)):
+        assert len(list(c.stable_models(k, facts))) == 2
+        assert len(k.relevant) <= len(k.reducts)
+        sizes.append(len(k.reducts))
+    assert max(sizes) == c.models.MEMO_CAP < 1 << n
+    assert any(later < earlier for earlier, later in zip(sizes, sizes[1:]))
+    assert counts["missed"] > 1 << n
