@@ -35,13 +35,12 @@ from .grounding import (
 )
 from .models import (
     Kernel,
-    exhaustive_stable_models,
     is_stable,
-    least_model,
     reduct,
     stable_models,
     well_founded_model,
 )
+from .oracle import exhaustive_stable_models, least_model
 from .inference import (
     And,
     ConsistencyReport,

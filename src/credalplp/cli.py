@@ -15,7 +15,7 @@ import sys
 import time
 from fractions import Fraction
 
-from . import bayesnet, grounding, inference, models, syntax
+from . import bayesnet, grounding, inference, models, oracle, syntax
 from .errors import (
     UNDEFINED,
     InconsistentProgramError,
@@ -117,7 +117,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="verify the enumeration against brute-force oracles when small",
     )
     p.add_argument(
-        "--oracle-limit", default=models.DEFAULT_EXHAUSTIVE_LIMIT,
+        "--oracle-limit", default=oracle.DEFAULT_EXHAUSTIVE_LIMIT,
         help="cap on negatively occurring atoms for the exhaustive stable-model oracle",
     )
 
@@ -242,47 +242,33 @@ def _warn_missing(g, query):
         )
 
 
-def _well_founded_by_definition(g) -> list:
-    """The well-founded model of ``g`` by Van Gelder's alternating fixpoint,
-    each Γ the least model of a reduct: T is the least fixpoint of Γ∘Γ, the
-    atoms of Γ(T) outside T are undefined and the rest false."""
-    true = [False] * g.n_atoms
-    while True:
-        can = models.least_model(models.reduct(g, true))
-        nxt = models.least_model(models.reduct(g, can))
-        if nxt == true:
-            return [t or (None if u else False) for t, u in zip(true, can)]
-        true = nxt
-
-
 def _cross_check(g, args):
     """Compare the kernel's well-founded model and stable models of each
     total choice, computed from the least models the sweeps carry
-    (``models.carried``), with their definitions on a program copy: the
-    alternating fixpoint of reduct least models, and the brute-force oracle
-    as far as ``--oracle-limit`` lets it."""
+    (``models.carried``), with their definitions in ``oracle``, given the
+    choice's kept atoms as facts: the alternating fixpoint of reduct least
+    models, and the brute-force oracle as far as ``--oracle-limit`` lets it."""
     kernel = models.Kernel(g)
     choices = inference.total_choices(g, args.max_choices)
-    oracle = True
+    exhaustive = True
     for choice, facts in models.carried(kernel, choices):
-        copy = inference.program_for_choice(g, choice)
         wf = models.well_founded_model(kernel, facts)
-        if wf != _well_founded_by_definition(copy):
+        if wf != oracle.well_founded_model(g, facts):
             raise ValueError(
                 "cross-check: the well-founded model of total choice "
                 f"{choice.describe(g)} differs from the alternating fixpoint"
             )
-        if not oracle:
+        if not exhaustive:
             continue
         try:
-            brute = models.exhaustive_stable_models(copy, args.oracle_limit)
+            brute = oracle.exhaustive_stable_models(g, args.oracle_limit, facts)
         except ResourceGuardError:
             print(
                 f"WARNING cross-check skipped: {kernel.negative.bit_count()} negatively "
                 f"occurring atoms exceeds --oracle-limit {args.oracle_limit}",
                 file=sys.stderr,
             )
-            oracle = False
+            exhaustive = False
             continue
         found = models.stable_models(kernel, facts)
         if sorted(map(tuple, found)) != sorted(map(tuple, brute)):

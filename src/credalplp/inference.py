@@ -18,6 +18,7 @@ lower and upper probabilities coincide.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import islice
 from operator import itemgetter
 from typing import Callable, Iterator, NamedTuple
 
@@ -229,24 +230,25 @@ def program_for_choice(g: GroundProgram, choice: TotalChoice) -> GroundProgram:
     ] + g.rules)
 
 
-def _sweep(g: GroundProgram, project, semantics: str, max_choices, stats=None):
+def _wf(k: Kernel, facts) -> list:
+    return [well_founded_model(k, facts)]
+
+
+def _sweep(g: GroundProgram, project, solve, max_choices, stats=None):
     """Map each set S of ``project`` images to the weight of the total choices
-    whose models (all stable ones, or the well-founded one when ``semantics``
-    is "wf") project onto exactly S. Aborts on the first choice without a
-    stable model; counts choices and models into ``stats``. Weights add up
-    as the choices' integer numerators over their common denominator, with
-    one ``Fraction`` per set at the end."""
+    whose models, ``solve(kernel, kept atoms)`` (``stable_models``, ``_wf`` or
+    the first stable model, read from this module when called, so wrappers
+    put here see them), project onto exactly S. Aborts on the first choice
+    without a model; counts choices and models into ``stats``. Weights add up
+    as integer numerators over one denominator, one ``Fraction`` per set."""
     k = Kernel(g)
     mass: dict[frozenset, int] = {}
     choices = found = 0
     try:
         for choice, facts in carried(k, total_choices(g, max_choices)):
-            if semantics == "wf":
-                models = [well_founded_model(k, facts)]
-            else:
-                models = list(stable_models(k, facts))
-                if not models:
-                    raise InconsistentProgramError(choice, choice.describe(g))
+            models = list(solve(k, facts))
+            if not models:
+                raise InconsistentProgramError(choice, choice.describe(g))
             choices += 1
             found += len(models)
             key = frozenset(map(project, models))
@@ -272,11 +274,11 @@ def _fold(mass, test) -> tuple[Fraction, Fraction]:
     return lower, upper
 
 
-def _bounds(g: GroundProgram, events, semantics, max_choices, stats=None):
+def _bounds(g: GroundProgram, events, solve, max_choices, stats=None):
     """The (lower, upper) probability of each event, in one sweep."""
     tests = [compile_event(e, g) for e in events]
     mass = _sweep(
-        g, lambda m: tuple([test(m) for test in tests]), semantics, max_choices, stats
+        g, lambda m: tuple([test(m) for test in tests]), solve, max_choices, stats
     )
     return [_fold(mass, itemgetter(i)) for i in range(len(events))]
 
@@ -290,13 +292,13 @@ def credal_unconditional(
     return event_bounds(g, [q], max_choices, stats)[0]
 
 
-def _conditional(g: GroundProgram, q: Event, e: Event, semantics, max_choices, stats):
+def _conditional(g: GroundProgram, q: Event, e: Event, solve, max_choices, stats):
     """Conditional bounds [a/(a+d), b/(b+c)] with the degenerate cases of the
     capacity-based conditioning rule; Undefined when evidence has upper
-    probability zero. With one model per choice ("wf"), a = b and c = d, and
-    the rule is P(q and e) / P(e)."""
+    probability zero. With one model per choice (well-founded), a = b and
+    c = d, and the rule is P(q and e) / P(e)."""
     q_test, e_test = compile_event(q, g), compile_event(e, g)
-    mass = _sweep(g, lambda m: (q_test(m), e_test(m)), semantics, max_choices, stats)
+    mass = _sweep(g, lambda m: (q_test(m), e_test(m)), solve, max_choices, stats)
     a, b = _fold(mass, lambda qe: qe[0] and qe[1])
     c, d = _fold(mass, lambda qe: not qe[0] and qe[1])
     if b + d == 0:
@@ -317,7 +319,7 @@ def credal_conditional(
 ):
     """Lower and upper P(q | e) over the stable models of every total choice;
     Undefined when evidence has upper probability zero."""
-    return _conditional(g, q, e, "stable", max_choices, stats)
+    return _conditional(g, q, e, stable_models, max_choices, stats)
 
 
 def wf_query(
@@ -331,7 +333,7 @@ def wf_query(
     match against the well-founded model of every total choice."""
     result = _conditional(
         g, event_from_assignments(q_assignments),
-        event_from_assignments(e_assignments or ()), "wf", max_choices, stats,
+        event_from_assignments(e_assignments or ()), _wf, max_choices, stats,
     )
     return result if result is UNDEFINED else result.lower
 
@@ -340,27 +342,19 @@ def wf_atom_distribution(
     g: GroundProgram, atom: str, max_choices: int = DEFAULT_MAX_CHOICES, stats=None
 ) -> WfDistribution:
     events = [Lit(atom, value) for value in (True, False, None)]
-    return WfDistribution(*(p for p, _ in _bounds(g, events, "wf", max_choices, stats)))
+    return WfDistribution(*(p for p, _ in _bounds(g, events, _wf, max_choices, stats)))
 
 
 def check_consistency(
     g: GroundProgram, max_choices: int = DEFAULT_MAX_CHOICES, stats=None
 ) -> ConsistencyReport:
-    """Its own loop rather than a sweep: it stops at the first stable model of
-    each choice, where a sweep would enumerate them all. Counts into
-    ``stats`` as a sweep does: the choices with a model, and one model for
-    each, also when a witness ends the check."""
-    k = Kernel(g)
-    choices = 0
+    """The sweep with each choice's first stable model only, where a query
+    takes them all; the witness is the choice it aborts on, and its mass is
+    not read. Counts into ``stats`` as a sweep does, one model per choice."""
     try:
-        for choice, facts in carried(k, total_choices(g, max_choices)):
-            if next(iter(stable_models(k, facts)), None) is None:
-                return ConsistencyReport(False, choice)
-            choices += 1
-    finally:
-        if stats is not None:
-            stats["choices"] = stats.get("choices", 0) + choices
-            stats["models"] = stats.get("models", 0) + choices
+        _sweep(g, len, lambda k, f: islice(stable_models(k, f), 1), max_choices, stats)
+    except InconsistentProgramError as exc:
+        return ConsistencyReport(False, exc.witness)
     return ConsistencyReport(True)
 
 
@@ -371,7 +365,7 @@ def event_bounds(
     stats=None,
 ) -> list[CredalInterval]:
     """Lower/upper bounds for several events in one sweep over total choices."""
-    bounds = _bounds(g, events, "stable", max_choices, stats)
+    bounds = _bounds(g, events, stable_models, max_choices, stats)
     return [CredalInterval(lower, upper) for lower, upper in bounds]
 
 

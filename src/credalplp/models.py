@@ -12,13 +12,11 @@ from __future__ import annotations
 from itertools import chain, compress, product
 from typing import Iterator
 
-from .errors import ResourceGuardError
 from .grounding import GroundProgram, GroundRule
 
 Interpretation = list  # list[bool]
 PartialInterpretation = list  # list[bool | None]
 
-DEFAULT_EXHAUSTIVE_LIMIT = 20
 MEMO_CAP = 4096  # entries of each memo kept across choices, all dropped when full
 
 
@@ -185,11 +183,6 @@ def _state(k: Kernel, facts, assumed: int = 0) -> tuple[list[int], int]:
     return missing, _extend(k, missing, 0, [*k.free, *facts, *queue])
 
 
-def _lfp(k: Kernel, facts, assumed: int = 0) -> int:
-    """The true set of ``_state``: the reference least model."""
-    return _state(k, facts, assumed)[1]
-
-
 def _count_false(k: Kernel, missing: list[int], atoms: int) -> list[int]:
     """Count ``atoms`` (a mask) false in the counters ``missing``, down in the
     rules whose negative body holds them; returns the heads at 0. Counters
@@ -328,14 +321,6 @@ def carried(k: Kernel, choices) -> Iterator[tuple]:
         k.facts, k.base, k.fact_mask = facts, stacks[k.negative][0], fact_masks[0]
         k.gammas = {key: state[0][1] for key, state in stacks.items()}
         yield choice, facts
-
-
-def least_model(g: GroundProgram) -> Interpretation:
-    """Least fixpoint of the immediate-consequence operator. The program must
-    be definite."""
-    if any(rule.neg for rule in g.rules):
-        raise ValueError("least_model requires a definite program")
-    return _bools(g.n_atoms, _lfp(Kernel(g), ()))
 
 
 def reduct(g: GroundProgram, interp: Interpretation) -> GroundProgram:
@@ -531,28 +516,3 @@ def stable_models(g: GroundProgram | Kernel, facts=()) -> Iterator[Interpretatio
     if len(k.residuals) >= MEMO_CAP:
         k.residuals.clear()
     k.residuals[key] = tuple(found)
-
-
-def exhaustive_stable_models(
-    g: GroundProgram, limit: int = DEFAULT_EXHAUSTIVE_LIMIT
-) -> list[Interpretation]:
-    """Brute-force oracle. A stable model is the least model of its reduct,
-    and the reduct depends only on which negatively occurring atoms are true:
-    so guess every set N of those atoms and keep the least model of the
-    reduct by N when it gives exactly N. Models come in binary-counting order
-    over all atoms, atom 0 lowest. It takes 2^(negatively occurring atoms)
-    least models, so more than ``limit`` of those atoms is refused."""
-    k = Kernel(g)
-    negative = list(_ids(k, k.negative))
-    if len(negative) > limit:
-        raise ResourceGuardError(
-            f"{len(negative)} negatively occurring atoms exceeds exhaustive "
-            f"limit of {limit}"
-        )
-    out = []
-    for mask in range(1 << len(negative)):
-        guess = sum(1 << a for i, a in enumerate(negative) if (mask >> i) & 1)
-        true = _lfp(k, (), guess)
-        if true & k.negative == guess:
-            out.append(_bools(k.n_atoms, true))
-    return sorted(out, key=lambda m: m[::-1])

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import credalplp as c
-from credalplp import cli, inference, models
+from credalplp import cli, inference, models, oracle
 from credalplp.cli import run
 
 import fixtures as fx
@@ -606,14 +606,40 @@ def test_cross_check_checks_well_founded_models_past_the_oracle_limit(
 
 @pytest.mark.parametrize("name", sorted(fx.ALL_PROGRAMS))
 def test_well_founded_by_definition_matches_the_kernel(name):
-    """The cross-check's alternating fixpoint, run on each total choice's
-    program copy, agrees with the kernel's well-founded model."""
+    """The cross-check's alternating fixpoint (``oracle``), given each total
+    choice's kept atoms as facts, agrees with the kernel's well-founded model."""
     g = fx.grd(fx.ALL_PROGRAMS[name])
     k = models.Kernel(g)
     for choice in inference.total_choices(g):
-        copy = inference.program_for_choice(g, choice)
-        want = models.well_founded_model(k, k.kept_facts(choice.kept))
-        assert cli._well_founded_by_definition(copy) == want
+        facts = k.kept_facts(choice.kept)
+        assert oracle.well_founded_model(g, facts) == models.well_founded_model(k, facts)
+
+
+def test_cross_check_sees_a_fault_in_the_least_model_kernel(plp, capsys, monkeypatch):
+    """The cross-check's definitions share no code with the kernel: with
+    ``models._extend`` firing a rule while one body atom is still missing,
+    ``c`` holds when ``a`` or ``b`` is kept (P = 3/4, where the right answer
+    is 1/4), and the cross-check fails instead of printing it."""
+
+    def early(k, missing, true, queue, false=0):
+        while queue:
+            aid = queue.pop()
+            if false >> aid & 1 and not true >> aid & 1:
+                return None
+            if not true >> aid & 1:
+                true |= 1 << aid
+                for ri in k.pos_watch[aid]:
+                    missing[ri] -= 1
+                    if missing[ri] <= 1:  # one body atom early
+                        queue.append(k.heads[ri])
+        return true
+
+    argv = ["--no-timing", "query", plp("0.5::a. 0.5::b. c :- a, b. d :- not c."), "--q", "c"]
+    assert invoke(capsys, *argv, "--cross-check")[1].splitlines()[2] == "P = 1/4 (0.25)"
+    monkeypatch.setattr(models, "_extend", early)
+    assert invoke(capsys, *argv)[1].splitlines()[2] == "P = 3/4 (0.75)"
+    code, out, err = invoke(capsys, *argv, "--cross-check")
+    assert code == 1 and out == "" and err.startswith("error: cross-check: ")
 
 
 # win-move with 10 probabilistic moves: 18 atoms, 8 of them under negation
@@ -702,7 +728,7 @@ def test_cross_check_runs_on_a_large_definite_program(plp, capsys):
         "path(X, Y) :- edge(X, Y).\n"
         "path(X, Z) :- edge(X, Y), path(Y, Z).\n"
     )
-    assert fx.grd(text).n_atoms > models.DEFAULT_EXHAUSTIVE_LIMIT
+    assert fx.grd(text).n_atoms > oracle.DEFAULT_EXHAUSTIVE_LIMIT
     argv = ["--no-timing", "query", plp(text), "--q", "path(n4, n2)"]
     plain = invoke(capsys, *argv)
     assert plain[0] == 0 and plain[2] == ""

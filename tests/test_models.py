@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import credalplp as c
-from credalplp import models
+from credalplp import models, oracle
 from credalplp.inference import TRUE, FALSE
 from credalplp.models import alternating_iterates
 
@@ -471,12 +471,19 @@ def counting(monkeypatch, module, name, record=None):
     return calls
 
 
+def fresh_gamma(g, facts, key: int) -> int:
+    """Γ by its definition (``oracle``): the least model of ``facts`` plus
+    the rules of ``g`` whose negative body misses the mask ``key``, as a
+    mask."""
+    assumed = {a for a in range(g.n_atoms) if key >> a & 1}
+    return sum(1 << a for a in oracle.reduct_least_model(g, facts, assumed))
+
+
 def test_definite_programs_carry_one_least_model_across_total_choices(monkeypatch):
     """The sweep's carry starts each seed key from one ``_state``, and on a
     definite program (one seed key: no atom occurs negatively) each later
     total choice costs one extension by one atom, its lowest kept bit's;
     nothing else runs a least model."""
-    lfp = counting(monkeypatch, models, "_lfp")
     states = counting(monkeypatch, models, "_state", lambda k, facts, key: key)
     extends = counting(
         monkeypatch, models, "_extend", lambda k, missing, true, queue, *_: list(queue)
@@ -496,12 +503,11 @@ def test_definite_programs_carry_one_least_model_across_total_choices(monkeypatc
             lambda: c.wf_query(g, [(atom, "true")]),
             lambda: c.check_consistency(g),
         ):
-            del lfp[:], states[:], extends[:]
+            del states[:], extends[:]
             query()
             assert states == [0]
             # the base state's own queue, then one atom per later choice
             assert len(extends) == 1 << n and extends[1:] == added
-            assert lfp == []
 
 
 def recorded_kernels(monkeypatch):
@@ -521,7 +527,8 @@ def recorded_kernels(monkeypatch):
 def test_cache_after_a_sweep_holds_the_last_choice_only(monkeypatch, name, semantics):
     g = fx.grd(fx.ALL_PROGRAMS[name])
     kernels = recorded_kernels(monkeypatch)
-    c.inference._sweep(g, tuple, semantics, 20)
+    solve = {"stable": c.inference.stable_models, "wf": c.inference._wf}[semantics]
+    c.inference._sweep(g, tuple, solve, 20)
     (k,) = kernels
     last = list(c.total_choices(g))[-1]
     facts = k.kept_facts(last.kept)
@@ -537,20 +544,7 @@ def test_cache_after_a_sweep_holds_the_last_choice_only(monkeypatch, name, seman
     # by ``_state`` for these facts alone
     assert k.base == fresh.base and k.base[1] == k.gammas[k.negative]
     for key, true in k.gammas.items():
-        assert key & ~k.negative == 0 and true == models._lfp(k, facts, key)
-
-
-def test_oracle_and_least_model_bypass_the_cache(monkeypatch):
-    def refuse(*args):
-        raise AssertionError("cached least model requested")
-
-    monkeypatch.setattr(models, "_gamma", refuse)
-    for text in fx.ALL_PROGRAMS.values():
-        g = fx.grd(text)
-        if g.n_atoms <= 12:
-            c.exhaustive_stable_models(g)
-        if not any(rule.neg for rule in g.rules):
-            c.least_model(g)
+        assert key & ~k.negative == 0 and true == fresh_gamma(g, facts, key)
 
 
 def test_propagate_caches_only_its_can_bound(monkeypatch):
@@ -579,8 +573,10 @@ def test_propagate_caches_only_its_can_bound(monkeypatch):
     # are all still there, and it is closed under the rules that ``false``
     # does not block
     assert k.facts == () and before.items() <= k.gammas.items()
-    closed = models._lfp(k, [a for a in range(g.n_atoms) if must >> a & 1], ~false)
-    assert closed == must and not must & false
+    true = [a for a in range(g.n_atoms) if must >> a & 1]
+    not_false = {a for a in range(g.n_atoms) if not false >> a & 1}
+    assert oracle.reduct_least_model(g, true, not_false) == set(true)
+    assert not must & false
 
 
 def general_programs():
@@ -594,8 +590,8 @@ def general_programs():
 
 
 def test_credal_sweeps_run_least_models_only_on_cache_misses(monkeypatch):
-    """A credal sweep runs no fresh ``_lfp``: the carry starts from one
-    ``_state`` per seed key, and every other least model is one extension of
+    """A credal sweep runs no least model from scratch but the carry's one
+    ``_state`` per seed key: every other least model is one extension of
     the choice's base state inside a ``_gamma`` call that misses the
     choice's cache and the memo shared across choices (``Kernel.reducts``);
     a memo hit runs none. The stable-model search carries its lower bound
@@ -613,7 +609,6 @@ def test_credal_sweeps_run_least_models_only_on_cache_misses(monkeypatch):
         calls.append((miss, hit, len(extends) - before))
         return true
 
-    lfp = counting(monkeypatch, models, "_lfp")
     states = counting(monkeypatch, models, "_state")
     extends = counting(monkeypatch, models, "_extend")
     searched = counting(monkeypatch, models, "_propagate")
@@ -623,12 +618,12 @@ def test_credal_sweeps_run_least_models_only_on_cache_misses(monkeypatch):
     misses = pool_hits = 0
     pool_from = len(programs) - len(fx.pool("game-credal", 1))
     for i, g in enumerate(programs):
-        del calls[:], lfp[:], states[:]
+        del calls[:], states[:]
         try:
-            c.inference._sweep(g, tuple, "stable", 20)
+            c.inference._sweep(g, tuple, c.inference.stable_models, 20)
         except c.InconsistentProgramError:
             pass
-        assert lfp == [] and len(states) == len({0, models.Kernel(g).negative})
+        assert len(states) == len({0, models.Kernel(g).negative})
         assert all(extensions == (miss and not hit) for miss, hit, extensions in calls)
         misses += sum(miss for miss, _, _ in calls)
         if i >= pool_from:

@@ -16,9 +16,10 @@ from fractions import Fraction
 import pytest
 
 import credalplp as c
+from credalplp import oracle
 
 import fixtures as fx
-from test_models import counting
+from test_models import counting, fresh_gamma
 
 ATOMS = ["a", "b", "d", "e", "f", "h"]
 
@@ -102,18 +103,6 @@ def test_interval_sanity_and_weight_normalization_random():
             assert 0 <= iv.lower <= iv.upper <= 1
 
 
-def test_enumerator_matches_exhaustive_random():
-    rng = random.Random(99)
-    for _ in range(200):
-        g = fx.grd(random_program(rng))
-        assert g.n_atoms <= 20
-        for choice in c.total_choices(g):
-            gc = c.program_for_choice(g, choice)
-            got = sorted(map(tuple, c.stable_models(gc)))
-            want = sorted(map(tuple, c.exhaustive_stable_models(gc)))
-            assert got == want
-
-
 def test_wf_literals_hold_in_stable_models_random():
     rng = random.Random(5)
     for _ in range(100):
@@ -158,44 +147,7 @@ def test_interval_sanity_fixtures(name):
 
 # ---------------------------------------------------------------------------
 # the compiled kernel with kept choice atoms as facts, against the per-choice
-# program copy and a naive oracle that shares no code with the kernel
-
-
-def naive_least_model(g):
-    """T_P iterated from the empty set until nothing new is derived."""
-    true = set()
-    while True:
-        derived = {r.head for r in g.rules if all(p in true for p in r.pos)}
-        if derived == true:
-            return [aid in true for aid in range(g.n_atoms)]
-        true = derived
-
-
-def naive_stable_models(g):
-    out = []
-    for bits in itertools.product((False, True), repeat=g.n_atoms):
-        interp = list(bits)
-        if naive_least_model(c.reduct(g, interp)) == interp:
-            out.append(interp)
-    return out
-
-
-def naive_well_founded_model(g):
-    """Alternating fixpoint of the Gelfond-Lifschitz operator: iterate it
-    twice from all-false (the true atoms) and from all-true (the atoms that
-    are not false)."""
-
-    def gamma(interp):
-        return naive_least_model(c.reduct(g, interp))
-
-    bounds = []
-    for start in (False, True):
-        interp = [start] * g.n_atoms
-        while (nxt := gamma(gamma(interp))) != interp:
-            interp = nxt
-        bounds.append(interp)
-    true, not_false = bounds
-    return [True if t else None if u else False for t, u in zip(true, not_false)]
+# program copy and the definitions in ``oracle``, which share no code with it
 
 
 def edge_case_program(rng: random.Random) -> str:
@@ -220,6 +172,8 @@ def differential_programs():
     rng = random.Random(20261018)
     for i in range(60):
         yield fx.grd(edge_case_program(rng) if i % 3 == 0 else random_program(rng))
+    rng = random.Random(99)
+    yield from (fx.grd(random_program(rng)) for _ in range(200))
 
 
 def test_kernel_with_kept_facts_matches_program_copy_and_oracle():
@@ -232,12 +186,11 @@ def test_kernel_with_kept_facts_matches_program_copy_and_oracle():
             wf = c.well_founded_model(kernel, facts)
             assert models == list(c.stable_models(gc))
             assert wf == c.well_founded_model(gc)
-            oracle = naive_stable_models(gc)
-            assert sorted(map(tuple, models)) == sorted(map(tuple, oracle))
-            brute = c.exhaustive_stable_models(gc)
-            assert sorted(map(tuple, brute)) == sorted(map(tuple, oracle))
-            assert all(c.is_stable(kernel, interp, facts) for interp in oracle)
-            assert wf == naive_well_founded_model(gc)
+            brute = oracle.exhaustive_stable_models(g, facts=facts)
+            assert brute == c.exhaustive_stable_models(gc)
+            assert sorted(map(tuple, models)) == sorted(map(tuple, brute))
+            assert all(c.is_stable(kernel, interp, facts) for interp in brute)
+            assert wf == oracle.well_founded_model(g, facts)
 
 
 def stratified_program(rng: random.Random) -> str:
@@ -263,17 +216,18 @@ def odd_loop_program(rng: random.Random) -> str:
 
 
 def test_cached_reduct_least_models_match_fresh_ones(monkeypatch):
-    """Every cached least model equals a fresh ``_lfp``, and the models,
-    their order and the iterates equal those of an uncached run."""
-    cached, lfp = c.models._gamma, c.models._lfp
+    """Every cached least model equals Γ by its definition, and the models,
+    their order and the iterates equal those of a run that takes every Γ
+    from the definition, for ``g``, the program being solved."""
+    cached = c.models._gamma
 
     def checked(k, assumed):
         true = cached(k, assumed)
-        assert true == lfp(k, k.facts, assumed)
+        assert true == fresh_gamma(g, k.facts, assumed)
         return true
 
     def uncached(k, assumed):
-        return lfp(k, k.facts, assumed)
+        return fresh_gamma(g, k.facts, assumed)
 
     def solve(g):
         k = c.Kernel(g)
@@ -310,16 +264,11 @@ def test_cached_reduct_least_models_match_fresh_ones(monkeypatch):
     assert kinds == {"acyclic", "stratified", "general"} and empty > 0
 
 
-def reference_iterates(k, start, facts):
-    """Iterates of Γ∘Γ from the mask ``start`` by the definition: each Γ a
-    fresh ``_lfp`` of the whole set, with no cache and no skipped call."""
-    lfp = c.models._lfp
-    out = [start]
-    while True:
-        nxt = lfp(k, facts, lfp(k, facts, out[-1]))
-        if nxt == out[-1]:
-            return out
-        out.append(nxt)
+def reference_iterates(g, start, facts):
+    """Iterates of Γ∘Γ from the mask ``start`` by the definition
+    (``oracle``), as masks: no cache and no skipped call."""
+    start = {a for a in range(g.n_atoms) if start >> a & 1}
+    return [mask(s) for s in oracle.alternating_iterates(g, facts, start)]
 
 
 def test_alternating_iterates_match_the_plain_loop(monkeypatch):
@@ -339,7 +288,7 @@ def test_alternating_iterates_match_the_plain_loop(monkeypatch):
         for choice in c.total_choices(g):
             facts = k.kept_facts(choice.kept)
             for start in (0, k.atoms):
-                want = reference_iterates(k, start, facts)
+                want = reference_iterates(g, start, facts)
                 c.models._load(k, facts)
                 del gammas[:], extends[:]
                 assert c.models.alternating_iterates(k, start, facts) == want
@@ -466,14 +415,10 @@ def test_sweep_mass_is_the_fraction_sum_of_choice_weights():
     for _ in range(80):
         g = fx.grd(mixed_weight_program(rng))
         choices = list(c.total_choices(g))
-        for semantics in ("stable", "wf"):
+        for solve in (c.stable_models, c.inference._wf):
             want = {}
             for choice in choices:
-                gc = c.program_for_choice(g, choice)
-                if semantics == "wf":
-                    models = [c.well_founded_model(gc)]
-                else:
-                    models = list(c.stable_models(gc))
+                models = list(solve(c.Kernel(c.program_for_choice(g, choice)), ()))
                 if not models:
                     want = None
                     break
@@ -482,9 +427,9 @@ def test_sweep_mass_is_the_fraction_sum_of_choice_weights():
             if want is None:
                 inconsistent += 1
                 with pytest.raises(c.InconsistentProgramError):
-                    c.inference._sweep(g, tuple, semantics, 20)
+                    c.inference._sweep(g, tuple, solve, 20)
                 continue
-            mass = c.inference._sweep(g, tuple, semantics, 20)
+            mass = c.inference._sweep(g, tuple, solve, 20)
             assert mass == want
             assert all(type(weight) is Fraction for weight in mass.values())
     assert 0 < inconsistent < 80
@@ -536,7 +481,7 @@ def reference_wf(g, q_assignments, e_assignments, atom):
     dist = {"true": Fraction(0), "false": Fraction(0), "undefined": Fraction(0)}
     for choice in c.total_choices(g):
         gc = c.program_for_choice(g, choice)
-        wf = naive_well_founded_model(gc)
+        wf = oracle.well_founded_model(gc)
         value = {a: names[wf[aid]] for aid, a in enumerate(gc.atoms)}
         if all(value.get(a, "false") == v for a, v in e_assignments):
             p_e += choice.weight
@@ -641,7 +586,7 @@ def test_base_counts_positive_atoms_and_assumed_negative_ones_per_rule():
     the negatively occurring atoms outside ``assumed`` false there: it ends
     with, per rule, its distinct positive body atoms outside the least model
     plus its distinct negative ones assumed true, and the least model is
-    the plain set fixpoint's."""
+    the oracle's set fixpoint."""
     rng = random.Random(20261105)
     makers = (random_program, repeated_literal_program)
     texts = [*fx.ALL_PROGRAMS.values(), *(makers[i % 2](rng) for i in range(200))]
@@ -654,8 +599,7 @@ def test_base_counts_positive_atoms_and_assumed_negative_ones_per_rule():
         for bits in (0, k.negative, some):
             missing, true = c.models._state(k, (), bits)
             assumed = {a for a in range(g.n_atoms) if bits >> a & 1}
-            assert true == c.models._lfp(k, (), bits)
-            assert true == sum(1 << a for a in plain_least_model(g, (), assumed))
+            assert true == mask(oracle.reduct_least_model(g, (), assumed))
             want = [
                 len({a for a in r.pos if not true >> a & 1}) + len(set(r.neg) & assumed)
                 for r in g.rules
@@ -686,7 +630,7 @@ def test_carried_least_models_match_fresh_ones_and_a_plain_reference_loop():
             assert facts is k.facts and facts == k.kept_facts(choice.kept)
             assert set(k.gammas) == {0, k.negative}
             for key, true in k.gammas.items():
-                assert true == c.models._lfp(k, facts, key)
+                assert true == fresh_gamma(g, facts, key)
             seen.append(choice)
         assert seen == choices
 
@@ -736,11 +680,11 @@ def key_subsets(rng: random.Random, negative: int):
 
 def test_every_reduct_least_model_extends_the_choices_base_state():
     """On every carried choice, Γ of each key (a subset of the negatively
-    occurring atoms) is the fresh ``_lfp`` by that key, though every miss
+    occurring atoms) is Γ by its definition, though every miss
     extends the choice's base state. One kernel driven with the facts of two
     choices, A, then B, then A again, answers as fresh kernels do, so a base
     state left from other facts would show."""
-    gamma, lfp = c.models._gamma, c.models._lfp
+    gamma = c.models._gamma
     rng = random.Random(20261107)
     makers = (stratified_program, odd_loop_program, random_program, repeated_literal_program)
     texts = [KEPT_HEAD_IN_LOOP, *fx.ALL_PROGRAMS.values(), *fx.pool("game-credal", 1)]
@@ -751,7 +695,7 @@ def test_every_reduct_least_model_extends_the_choices_base_state():
         sampled += k.negative.bit_count() > 6
         for _, facts in c.models.carried(k, c.total_choices(g, 20)):
             for key in key_subsets(rng, k.negative):
-                assert gamma(k, key) == lfp(k, facts, key)
+                assert gamma(k, key) == fresh_gamma(g, facts, key)
         choices = list(c.total_choices(g, 20))
         a, b = (k.kept_facts(choice.kept) for choice in (choices[0], choices[-1]))
         driven = c.Kernel(g)
@@ -760,41 +704,14 @@ def test_every_reduct_least_model_extends_the_choices_base_state():
             c.models._load(driven, facts)
             fresh = c.models._load(c.Kernel(g), facts)
             for key in keys:
-                want = lfp(k, facts, key)
+                want = fresh_gamma(g, facts, key)
                 assert gamma(driven, key) == gamma(fresh, key) == want
-        switched += any(lfp(k, a, key) != lfp(k, b, key) for key in keys)
+        switched += any(fresh_gamma(g, a, key) != fresh_gamma(g, b, key) for key in keys)
     assert sampled >= 8 and switched > 50
 
 
 # ---------------------------------------------------------------------------
-# the kernel's atom sets, int bitmasks, against a plain set fixpoint that runs
-# no ``models`` code
-
-
-def plain_least_model(g, facts, assumed: set) -> set:
-    """The least model of ``facts`` plus the rules of ``g`` whose negative
-    body misses ``assumed``, negative literals stripped: rounds of a plain
-    set fixpoint."""
-    true = set(facts)
-    while True:
-        heads = {
-            r.head for r in g.rules if set(r.pos) <= true and not assumed & set(r.neg)
-        }
-        if heads <= true:
-            return true
-        true |= heads
-
-
-def plain_well_founded(g, facts) -> list:
-    """Van Gelder's alternating fixpoint over ``plain_least_model``."""
-    true = set()
-    while True:
-        can = plain_least_model(g, facts, true)
-        nxt = plain_least_model(g, facts, can)
-        if nxt == true:
-            return [True if a in true else None if a in can else False
-                    for a in range(g.n_atoms)]
-        true = nxt
+# the kernel's atom sets, int bitmasks, against the oracle's set fixpoint
 
 
 def mask(atoms) -> int:
@@ -819,9 +736,9 @@ def wide_program(rng: random.Random, facts: bool) -> str:
 
 
 def test_bitmask_kernel_matches_a_plain_set_fixpoint(monkeypatch):
-    """``_lfp``, every carried base state (counters and true set), every
-    cached Γ and the well-founded model of each total choice equal a plain
-    set fixpoint over ``g.rules``, on programs past 64 atoms, with atom 0 in
+    """Every carried base state (counters and true set), every cached Γ and
+    the well-founded model of each total choice equal the oracle's set
+    fixpoint over ``g.rules``, on programs past 64 atoms, with atom 0 in
     some least models and other least models empty. An empty least model is
     the mask 0, which is falsy: its second lookup is still a cache hit, so
     each key costs one ``_extend`` per choice."""
@@ -838,7 +755,7 @@ def test_bitmask_kernel_matches_a_plain_set_fixpoint(monkeypatch):
         assert k.negative == mask(negative) and k.atoms == mask(range(g.n_atoms))
         for _, facts in c.models.carried(k, c.total_choices(g)):
             missing, true = k.base
-            want = plain_least_model(g, facts, negative)
+            want = oracle.reduct_least_model(g, facts, negative)
             assert true == mask(want)
             assert missing == [len(set(r.pos) - want) + len(set(r.neg) & negative)
                                for r in g.rules]
@@ -846,10 +763,9 @@ def test_bitmask_kernel_matches_a_plain_set_fixpoint(monkeypatch):
             keys.append(sum(1 << a for a in range(g.n_atoms) if rng.random() < 0.5))
             for key in keys:
                 assumed = {a for a in range(g.n_atoms) if key >> a & 1}
-                want = plain_least_model(g, facts, assumed)
+                want = oracle.reduct_least_model(g, facts, assumed)
                 empty += not want
                 zero += 0 in want
-                assert c.models._lfp(k, facts, key) == mask(want)
                 if key & ~k.negative:
                     continue  # not a key: Γ reads only the negative atoms
                 del extends[:]
@@ -858,10 +774,9 @@ def test_bitmask_kernel_matches_a_plain_set_fixpoint(monkeypatch):
                 assert first == c.models._gamma(k, key) == mask(want)
                 assert len(extends) == misses <= 1
                 empty_misses += misses and not want
-            assert c.well_founded_model(k, facts) == plain_well_founded(g, facts)
+            assert c.well_founded_model(k, facts) == oracle.well_founded_model(g, facts)
             for key, true in k.gammas.items():
-                assumed = {a for a in range(g.n_atoms) if key >> a & 1}
-                assert true == mask(plain_least_model(g, facts, assumed))
+                assert true == fresh_gamma(g, facts, key)
     assert wide >= 12 and empty > 0 and empty_misses > 0 and zero > 0
 
 
@@ -870,12 +785,12 @@ def test_bitmask_kernel_matches_a_plain_set_fixpoint(monkeypatch):
 # the search that computed the bound afresh in every propagation round
 
 
-def reference_must(k, facts, assign):
+def reference_must(g, facts, assign):
     """``must`` by its definition: the least model of the facts and true atoms
     under the rules whose negative body is all false."""
     true = [a for a, v in enumerate(assign) if v]
-    not_false = sum(1 << a for a, v in enumerate(assign) if v is not False)
-    return c.models._lfp(k, [*facts, *true], not_false)
+    not_false = {a for a, v in enumerate(assign) if v is not False}
+    return mask(oracle.reduct_least_model(g, [*facts, *true], not_false))
 
 
 def reference_counters(g, assign, must):
@@ -888,7 +803,7 @@ def reference_counters(g, assign, must):
     ]
 
 
-def fresh_must_search(k, facts, nodes):
+def fresh_must_search(g, k, facts, nodes):
     """The stable-model search with a fresh ``must`` in every round of
     propagation; appends (assignment on arrival, assignment after propagation
     or None when it fails) to ``nodes`` at every node it propagates: all but
@@ -896,7 +811,7 @@ def fresh_must_search(k, facts, nodes):
 
     def propagate(assign):
         while True:
-            must = reference_must(k, facts, assign)
+            must = reference_must(g, facts, assign)
             true = sum(1 << a for a, v in enumerate(assign) if v)
             false = sum(1 << a for a, v in enumerate(assign) if v is False)
             can = c.models._gamma(k, k.negative & true)
@@ -960,14 +875,14 @@ def test_carried_search_bound_matches_a_fresh_one_node_by_node(monkeypatch):
 
     def checked(k, missing, must, false, queue, new):
         parent = assignment(k.n_atoms, must, false)
-        assert must == reference_must(k, k.facts, parent)
+        assert must == reference_must(program[0], k.facts, parent)
         assert missing == reference_counters(program[0], parent, must)
         arrival = assignment(k.n_atoms, must | sum(1 << a for a in queue), false | new)
         narrowed = real(k, missing, must, false, queue, new)
         after = None
         if narrowed is not None:
             after = assignment(k.n_atoms, *narrowed)
-            assert narrowed[0] == reference_must(k, k.facts, after)
+            assert narrowed[0] == reference_must(program[0], k.facts, after)
             assert missing == reference_counters(program[0], after, narrowed[0])
         nodes.append((arrival, after))
         return narrowed
@@ -993,7 +908,7 @@ def test_carried_search_bound_matches_a_fresh_one_node_by_node(monkeypatch):
             k = c.Kernel(g)
             facts = k.kept_facts(choice.kept)
             want_nodes = []
-            want = list(fresh_must_search(fresh, facts, want_nodes))
+            want = list(fresh_must_search(g, fresh, facts, want_nodes))
             del nodes[:]
             assert list(c.stable_models(k, facts)) == want
             assert nodes == want_nodes
@@ -1154,42 +1069,44 @@ def test_residuals_that_never_repeat_stay_under_the_cap(monkeypatch):
 
 # ---------------------------------------------------------------------------
 # the reduct least models a kernel shares across total choices (``_gamma``'s
-# memo ``Kernel.reducts``), against a fresh ``_lfp`` for every Γ it returns
+# memo ``Kernel.reducts``), against the oracle for every Γ it returns
 
 
 def checked_gammas(monkeypatch):
-    """Wrap ``models._gamma``: every Γ it returns must equal a fresh
-    ``_lfp`` of the loaded facts by that key. Returns a Counter of the
+    """Wrap ``models._gamma``: every Γ it returns must equal Γ by its
+    definition for the loaded facts, by that key, on the program the caller
+    puts in the returned list. Returns that list and a Counter of the
     choice-cache misses ("missed") and of those the memo answered ("hit")."""
-    counts = Counter()
-    real, lfp, relevant = c.models._gamma, c.models._lfp, c.models._relevant
+    counts, program = Counter(), []
+    real, relevant = c.models._gamma, c.models._relevant
 
     def gamma(k, key):
         if key not in k.gammas:
             counts["missed"] += 1
             counts["hit"] += (key, k.fact_mask & relevant(k, key)) in k.reducts
         true = real(k, key)
-        assert true == lfp(k, k.facts, key)
+        assert true == fresh_gamma(program[0], k.facts, key)
         return true
 
     monkeypatch.setattr(c.models, "_gamma", gamma)
-    return counts
+    return counts, program
 
 
 def test_shared_reduct_least_models_match_fresh_ones_for_arbitrary_facts(monkeypatch):
     """One kernel per program, given arbitrary atoms as facts, in stable
     searches consumed in turn and interleaved with well-founded models:
-    every Γ equals a fresh ``_lfp``, and every answer a fresh kernel's,
+    every Γ equals the oracle's, and every answer a fresh kernel's,
     though most Γ misses are answered by the memo. The facts cover atoms
     that are no choice atom, choice atoms that head rules and choice atoms
     under negation."""
-    counts = checked_gammas(monkeypatch)
+    counts, program = checked_gammas(monkeypatch)
     rng = random.Random(20261120)
     makers = (random_program, odd_loop_program, repeated_literal_program)
     kinds = Counter()
     for i in range(240):
         make = makers[i % 3]
         g = fx.grd(shared_choice_program(rng, make) if i % 2 else make(rng))
+        program[:] = [g]
         k = c.Kernel(g)
         choice = {cp.ground_atom for cp in g.choice_points}
         headed = {rule.head for rule in g.rules}
@@ -1222,11 +1139,13 @@ def test_shared_reduct_least_models_match_fresh_ones_for_arbitrary_facts(monkeyp
 def test_shared_reduct_least_models_match_fresh_ones_in_sweeps(monkeypatch):
     """A sweep of each program (carried choices, so the fact masks come
     from ``carried``'s stack) and a consistency check on the same kernel,
-    which stops each search at its first model: every Γ equals a fresh
-    ``_lfp``, and the answers are those of fresh kernels per choice."""
-    counts = checked_gammas(monkeypatch)
-    for text in memo_programs()[::3]:
+    which stops each search at its first model: every Γ equals the
+    oracle's, and the answers are those of fresh kernels per choice."""
+    texts = memo_programs()[::3]
+    counts, program = checked_gammas(monkeypatch)
+    for text in texts:
         g = fx.grd(text)
+        program[:] = [g]
         k = c.Kernel(g)
         for _, facts in c.models.carried(k, c.total_choices(g)):
             assert list(c.stable_models(k, facts)) == list(c.stable_models(c.Kernel(g), facts))
@@ -1243,12 +1162,13 @@ def test_reduct_least_models_that_never_repeat_stay_under_the_cap(monkeypatch):
     p`` keeps alive read: under a key without ``p`` each choice's facts
     differ where Γ reads them, so every such Γ misses the memo, which is
     dropped, with the per-key cache, when it reaches its cap. Every Γ is
-    still a fresh ``_lfp``."""
-    counts = checked_gammas(monkeypatch)
+    still the oracle's."""
+    counts, program = checked_gammas(monkeypatch)
     n = 13
     lines = ["p :- not q. q :- not p."]
     lines += [f"1/2::c{i}. r{i} :- c{i}, not p." for i in range(n)]
     g = fx.grd("\n".join(lines))
+    program[:] = [g]
     k, sizes = c.Kernel(g), []
     for _, facts in c.models.carried(k, c.total_choices(g)):
         assert len(list(c.stable_models(k, facts))) == 2

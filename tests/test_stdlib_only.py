@@ -28,6 +28,20 @@ def test_engine_imports_only_the_standard_library():
     assert foreign == []
 
 
+def test_the_oracle_imports_no_engine_module():
+    """``oracle`` is what the engine is checked against, so it runs no engine
+    code: it imports ``grounding``, and no ``models``, ``inference``, ``cli``
+    or ``bayesnet`` in any form (``from . import models``, ``from .models
+    import ...``, ``import credalplp.models``)."""
+    names = set()
+    for node in ast.walk(ast.parse((SRC / "oracle.py").read_text(encoding="utf-8"))):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            module = getattr(node, "module", None) or ""
+            names |= {module, *(f"{module}.{alias.name}" for alias in node.names)}
+    parts = {part for name in names for part in name.split(".")}
+    assert "grounding" in parts and not parts & {"models", "inference", "cli", "bayesnet"}
+
+
 def test_starting_the_cli_loads_neither_dataclasses_nor_inspect():
     """Each CLI run starts with ``import credalplp.cli``, and these two would
     be about half of it. Only the modules that the import itself adds
