@@ -208,6 +208,6 @@ def test_acceptance_12_oracle_equivalence():
                 got = sorted(map(tuple, c.stable_models(gc)))
                 want = sorted(map(tuple, c.exhaustive_stable_models(gc)))
                 assert got == want
-        test_properties.test_kernel_with_kept_facts_matches_program_copy_and_oracle()
+        test_properties.test_enumerator_matches_exhaustive_random()
         test_properties.test_wf_literals_hold_in_stable_models_random()
         test_properties.test_stratified_collapse_random()

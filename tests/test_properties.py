@@ -103,6 +103,18 @@ def test_interval_sanity_and_weight_normalization_random():
             assert 0 <= iv.lower <= iv.upper <= 1
 
 
+def test_enumerator_matches_exhaustive_random():
+    rng = random.Random(99)
+    for _ in range(200):
+        g = fx.grd(random_program(rng))
+        assert g.n_atoms <= 20
+        for choice in c.total_choices(g):
+            gc = c.program_for_choice(g, choice)
+            got = sorted(map(tuple, c.stable_models(gc)))
+            want = sorted(map(tuple, c.exhaustive_stable_models(gc)))
+            assert got == want
+
+
 def test_wf_literals_hold_in_stable_models_random():
     rng = random.Random(5)
     for _ in range(100):
@@ -172,8 +184,6 @@ def differential_programs():
     rng = random.Random(20261018)
     for i in range(60):
         yield fx.grd(edge_case_program(rng) if i % 3 == 0 else random_program(rng))
-    rng = random.Random(99)
-    yield from (fx.grd(random_program(rng)) for _ in range(200))
 
 
 def test_kernel_with_kept_facts_matches_program_copy_and_oracle():
