@@ -246,14 +246,15 @@ def _cross_check(g, args):
     """Compare the kernel's well-founded model and stable models of each
     total choice, computed from the least models the sweeps carry
     (``models.carried``), with their definitions in ``oracle``, given the
-    choice's kept atoms as facts: the alternating fixpoint of reduct least
-    models, and the brute-force oracle as far as ``--oracle-limit`` lets it."""
+    atoms the choice keeps (read from it here): the alternating fixpoint of
+    reduct least models, and the brute-force oracle to ``--oracle-limit``."""
     kernel = models.Kernel(g)
     choices = inference.total_choices(g, args.max_choices)
     exhaustive = True
     for choice, facts in models.carried(kernel, choices):
+        kept = [cp.ground_atom for cp, on in zip(g.choice_points, choice.kept) if on]
         wf = models.well_founded_model(kernel, facts)
-        if wf != oracle.well_founded_model(g, facts):
+        if wf != oracle.well_founded_model(g, kept):
             raise ValueError(
                 "cross-check: the well-founded model of total choice "
                 f"{choice.describe(g)} differs from the alternating fixpoint"
@@ -261,7 +262,7 @@ def _cross_check(g, args):
         if not exhaustive:
             continue
         try:
-            brute = oracle.exhaustive_stable_models(g, args.oracle_limit, facts)
+            brute = oracle.exhaustive_stable_models(g, args.oracle_limit, kept)
         except ResourceGuardError:
             print(
                 f"WARNING cross-check skipped: {kernel.negative.bit_count()} negatively "

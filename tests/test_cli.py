@@ -604,6 +604,22 @@ def test_cross_check_checks_well_founded_models_past_the_oracle_limit(
     )
 
 
+def test_cross_check_reads_the_kept_atoms_from_the_choice(plp, capsys, monkeypatch):
+    """The oracle's facts come from each total choice itself, not from the
+    facts ``carried`` yields: with those one kept atom short, the kernel
+    answers for the wrong facts and the cross-check fails."""
+    real = models.carried
+    monkeypatch.setattr(
+        models, "carried",
+        lambda k, choices: ((ch, facts[:-1]) for ch, facts in real(k, choices)),
+    )
+    code, out, err = invoke(
+        capsys, "query", plp(fx.WINS), "--q", "wins(b)", "--semantics", "credal",
+        "--cross-check",
+    )
+    assert code == 1 and out == "" and err.startswith("error: cross-check: ")
+
+
 @pytest.mark.parametrize("name", sorted(fx.ALL_PROGRAMS))
 def test_well_founded_by_definition_matches_the_kernel(name):
     """The cross-check's alternating fixpoint (``oracle``), given each total

@@ -474,7 +474,8 @@ def counting(monkeypatch, module, name, record=None):
 def fresh_gamma(g, facts, key: int) -> int:
     """Γ by its definition (``oracle``): the least model of ``facts`` plus
     the rules of ``g`` whose negative body misses the mask ``key``, as a
-    mask."""
+    mask. ``g`` is a ground program or a ``Kernel``, whose ``rules`` are
+    the program's own."""
     assumed = {a for a in range(g.n_atoms) if key >> a & 1}
     return sum(1 << a for a in oracle.reduct_least_model(g, facts, assumed))
 

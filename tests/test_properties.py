@@ -196,10 +196,20 @@ def test_kernel_with_kept_facts_matches_program_copy_and_oracle():
             wf = c.well_founded_model(kernel, facts)
             assert models == list(c.stable_models(gc))
             assert wf == c.well_founded_model(gc)
+            # every set of atoms that is the least model of its own reduct
+            subsets = (
+                set(itertools.compress(range(gc.n_atoms), bits))
+                for bits in itertools.product((False, True), repeat=gc.n_atoms)
+            )
+            full = [
+                [a in s for a in range(gc.n_atoms)]
+                for s in subsets if oracle.reduct_least_model(gc, (), s) == s
+            ]
             brute = oracle.exhaustive_stable_models(g, facts=facts)
             assert brute == c.exhaustive_stable_models(gc)
-            assert sorted(map(tuple, models)) == sorted(map(tuple, brute))
-            assert all(c.is_stable(kernel, interp, facts) for interp in brute)
+            assert sorted(map(tuple, models)) == sorted(map(tuple, full))
+            assert sorted(map(tuple, brute)) == sorted(map(tuple, full))
+            assert all(c.is_stable(kernel, interp, facts) for interp in full)
             assert wf == oracle.well_founded_model(g, facts)
 
 
@@ -228,16 +238,16 @@ def odd_loop_program(rng: random.Random) -> str:
 def test_cached_reduct_least_models_match_fresh_ones(monkeypatch):
     """Every cached least model equals Γ by its definition, and the models,
     their order and the iterates equal those of a run that takes every Γ
-    from the definition, for ``g``, the program being solved."""
+    from the definition."""
     cached = c.models._gamma
 
     def checked(k, assumed):
         true = cached(k, assumed)
-        assert true == fresh_gamma(g, k.facts, assumed)
+        assert true == fresh_gamma(k, k.facts, assumed)
         return true
 
     def uncached(k, assumed):
-        return fresh_gamma(g, k.facts, assumed)
+        return fresh_gamma(k, k.facts, assumed)
 
     def solve(g):
         k = c.Kernel(g)
@@ -876,7 +886,7 @@ def test_carried_search_bound_matches_a_fresh_one_node_by_node(monkeypatch):
     residual memo makes every search run node by node (replays are checked
     in ``test_replayed_residuals_match_a_fresh_search_per_choice``)."""
     real = c.models._propagate
-    nodes, program = [], []
+    nodes = []
 
     def assignment(n, must, false):
         return [
@@ -885,15 +895,15 @@ def test_carried_search_bound_matches_a_fresh_one_node_by_node(monkeypatch):
 
     def checked(k, missing, must, false, queue, new):
         parent = assignment(k.n_atoms, must, false)
-        assert must == reference_must(program[0], k.facts, parent)
-        assert missing == reference_counters(program[0], parent, must)
+        assert must == reference_must(k, k.facts, parent)
+        assert missing == reference_counters(k, parent, must)
         arrival = assignment(k.n_atoms, must | sum(1 << a for a in queue), false | new)
         narrowed = real(k, missing, must, false, queue, new)
         after = None
         if narrowed is not None:
             after = assignment(k.n_atoms, *narrowed)
-            assert narrowed[0] == reference_must(program[0], k.facts, after)
-            assert missing == reference_counters(program[0], after, narrowed[0])
+            assert narrowed[0] == reference_must(k, k.facts, after)
+            assert missing == reference_counters(k, after, narrowed[0])
         nodes.append((arrival, after))
         return narrowed
 
@@ -908,7 +918,6 @@ def test_carried_search_bound_matches_a_fresh_one_node_by_node(monkeypatch):
     searched = failed = empty = repeated = 0
     for text in texts:
         g = fx.grd(text)
-        program[:] = [g]
         repeated += any(
             len(set(rule.pos)) < len(rule.pos) or len(set(rule.neg)) < len(rule.neg)
             for rule in g.rules
@@ -1084,10 +1093,9 @@ def test_residuals_that_never_repeat_stay_under_the_cap(monkeypatch):
 
 def checked_gammas(monkeypatch):
     """Wrap ``models._gamma``: every Γ it returns must equal Γ by its
-    definition for the loaded facts, by that key, on the program the caller
-    puts in the returned list. Returns that list and a Counter of the
+    definition for the loaded facts, by that key. Returns a Counter of the
     choice-cache misses ("missed") and of those the memo answered ("hit")."""
-    counts, program = Counter(), []
+    counts = Counter()
     real, relevant = c.models._gamma, c.models._relevant
 
     def gamma(k, key):
@@ -1095,11 +1103,11 @@ def checked_gammas(monkeypatch):
             counts["missed"] += 1
             counts["hit"] += (key, k.fact_mask & relevant(k, key)) in k.reducts
         true = real(k, key)
-        assert true == fresh_gamma(program[0], k.facts, key)
+        assert true == fresh_gamma(k, k.facts, key)
         return true
 
     monkeypatch.setattr(c.models, "_gamma", gamma)
-    return counts, program
+    return counts
 
 
 def test_shared_reduct_least_models_match_fresh_ones_for_arbitrary_facts(monkeypatch):
@@ -1109,14 +1117,13 @@ def test_shared_reduct_least_models_match_fresh_ones_for_arbitrary_facts(monkeyp
     though most Γ misses are answered by the memo. The facts cover atoms
     that are no choice atom, choice atoms that head rules and choice atoms
     under negation."""
-    counts, program = checked_gammas(monkeypatch)
+    counts = checked_gammas(monkeypatch)
     rng = random.Random(20261120)
     makers = (random_program, odd_loop_program, repeated_literal_program)
     kinds = Counter()
     for i in range(240):
         make = makers[i % 3]
         g = fx.grd(shared_choice_program(rng, make) if i % 2 else make(rng))
-        program[:] = [g]
         k = c.Kernel(g)
         choice = {cp.ground_atom for cp in g.choice_points}
         headed = {rule.head for rule in g.rules}
@@ -1152,10 +1159,9 @@ def test_shared_reduct_least_models_match_fresh_ones_in_sweeps(monkeypatch):
     which stops each search at its first model: every Γ equals the
     oracle's, and the answers are those of fresh kernels per choice."""
     texts = memo_programs()[::3]
-    counts, program = checked_gammas(monkeypatch)
+    counts = checked_gammas(monkeypatch)
     for text in texts:
         g = fx.grd(text)
-        program[:] = [g]
         k = c.Kernel(g)
         for _, facts in c.models.carried(k, c.total_choices(g)):
             assert list(c.stable_models(k, facts)) == list(c.stable_models(c.Kernel(g), facts))
@@ -1173,12 +1179,11 @@ def test_reduct_least_models_that_never_repeat_stay_under_the_cap(monkeypatch):
     differ where Γ reads them, so every such Γ misses the memo, which is
     dropped, with the per-key cache, when it reaches its cap. Every Γ is
     still the oracle's."""
-    counts, program = checked_gammas(monkeypatch)
+    counts = checked_gammas(monkeypatch)
     n = 13
     lines = ["p :- not q. q :- not p."]
     lines += [f"1/2::c{i}. r{i} :- c{i}, not p." for i in range(n)]
     g = fx.grd("\n".join(lines))
-    program[:] = [g]
     k, sizes = c.Kernel(g), []
     for _, facts in c.models.carried(k, c.total_choices(g)):
         assert len(list(c.stable_models(k, facts))) == 2
