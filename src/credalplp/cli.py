@@ -244,15 +244,15 @@ def _warn_missing(g, query):
 
 def _cross_check(g, args):
     """Compare the kernel's well-founded model and stable models of each
-    total choice, computed from the least models the sweeps carry
-    (``models.carried``), with their definitions in ``oracle``, given the
-    atoms the choice keeps (read from it here): the alternating fixpoint of
-    reduct least models, and the brute-force oracle to ``--oracle-limit``."""
+    total choice, loaded as a sweep loads it (``Kernel.kept_facts``), with
+    their definitions in ``oracle``, given the atoms the choice keeps (read
+    from it here): the alternating fixpoint of reduct least models, and the
+    brute-force oracle to ``--oracle-limit``."""
     kernel = models.Kernel(g)
-    choices = inference.total_choices(g, args.max_choices)
     exhaustive = True
-    for choice, facts in models.carried(kernel, choices):
+    for choice in inference.total_choices(g, args.max_choices):
         kept = [cp.ground_atom for cp, on in zip(g.choice_points, choice.kept) if on]
+        facts = kernel.kept_facts(choice.kept)
         wf = models.well_founded_model(kernel, facts)
         if wf != oracle.well_founded_model(g, kept):
             raise ValueError(

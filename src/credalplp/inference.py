@@ -27,7 +27,6 @@ from .grounding import GroundProgram, GroundRule
 from .models import (
     Kernel,
     PartialInterpretation,
-    carried,
     stable_models,
     well_founded_model,
 )
@@ -245,8 +244,8 @@ def _sweep(g: GroundProgram, project, solve, max_choices, stats=None):
     mass: dict[frozenset, int] = {}
     choices = found = 0
     try:
-        for choice, facts in carried(k, total_choices(g, max_choices)):
-            models = list(solve(k, facts))
+        for choice in total_choices(g, max_choices):
+            models = list(solve(k, k.kept_facts(choice.kept)))
             if not models:
                 raise InconsistentProgramError(choice, choice.describe(g))
             choices += 1

@@ -9,7 +9,9 @@ set is an immutable ``int`` mask, atom id i as bit i.
 
 from __future__ import annotations
 
+from functools import reduce
 from itertools import chain, compress, product
+from operator import or_
 from typing import Iterator
 
 from .grounding import GroundProgram, GroundRule
@@ -36,17 +38,17 @@ class Kernel:
     use, the branching order of the search. Kept choice atoms are extra
     facts: no choice copies the program.
 
-    It also holds one total choice, the one being solved: its ``facts``
-    (and their mask, ``fact_mask``), the cache ``gammas`` of its reduct
-    least models (see ``_gamma``) and ``base``, replaced together when
-    ``_load`` brings other facts or ``carried`` the next choice of a sweep;
-    nothing else assigns them.
+    It also holds one total choice, the one being solved: the mask of its
+    kept atoms, ``fact_mask`` (None before the first), the cache ``gammas``
+    of its reduct least models (see ``_gamma``) and ``base``, replaced
+    together, with the ``stacks`` they are read from, only by ``_load``.
     ``gammas`` is keyed by the negatively occurring atoms each model assumed
     true, a subset of ``negative``; ``base`` is the counters and true set of
     the least model that assumed them all true, Γ(``negative``), which every
-    other entry extends unless ``reducts`` holds it. ``alternating_iterates`` compares the keys to skip
-    the calls whose answer it already holds. ``kept_facts`` returns a tuple,
-    so the facts a sweep passes on are the very object loaded. ``atoms``
+    other entry extends unless ``reducts`` holds it.
+    ``alternating_iterates`` compares the keys to skip the calls whose
+    answer it already holds. ``kept_facts`` gives a choice's facts as a
+    mask, ORed from ``choice_bits``, one bit per choice point. ``atoms``
     (all atom ids) starts the downward iterates of ``well_founded_model``.
     The choice's state also holds ``wf``, the true and the not-false masks
     of its well-founded model, which ``well_founded_model`` leaves there
@@ -88,11 +90,11 @@ class Kernel:
                 neg_watch[a].append(ri)
         self.negative = _mask(map(bool, neg_watch))
         self.atoms = (1 << n) - 1
-        self.facts: tuple[int, ...] | None = None
-        self.fact_mask = 0
+        self.fact_mask: int | None = None  # no choice loaded yet
+        self.stacks: dict[int, list[tuple[list[int], int]]] | None = None
         self.gammas: dict[int, int] = {}
         self.base: tuple[list[int], int] | None = None
-        self.choice_atoms = [cp.ground_atom for cp in g.choice_points]
+        self.choice_bits = [1 << cp.ground_atom for cp in g.choice_points]
         self.wf = (0, 0)
         self.residuals: dict[tuple[int, int], tuple[int, ...]] = {}
         self.reducts: dict[tuple[int, int], int] = {}
@@ -121,10 +123,11 @@ class Kernel:
             )
         return self._order
 
-    def kept_facts(self, kept) -> tuple[int, ...]:
-        """Atoms of the choice points a total choice keeps (``kept`` is
-        indexed by choice-point id)."""
-        return tuple(compress(self.choice_atoms, kept))
+    def kept_facts(self, kept) -> int:
+        """The mask of the atoms of the choice points a total choice keeps
+        (``kept`` is indexed by choice-point id): its ``choice_bits`` ORed
+        (several choice points may share one atom)."""
+        return reduce(or_, compress(self.choice_bits, kept), 0)
 
 
 _BYTE_BOOLS = [bits[::-1] for bits in product((False, True), repeat=8)]  # low bit first
@@ -171,16 +174,16 @@ def _extend(k: Kernel, missing, true: int, queue, false: int = 0) -> int | None:
     return true
 
 
-def _state(k: Kernel, facts, assumed: int = 0) -> tuple[list[int], int]:
-    """The counters and true set of the least model of ``facts`` plus the
-    rules whose negative body misses ``assumed``, negative literals
-    stripped, computed from scratch: the least model of the reduct when
-    ``assumed`` is the true set of an interpretation. Starts from
-    ``Kernel.blocked`` and its ``free`` heads, with the negatively occurring
-    atoms outside ``assumed`` counted false. Linear in total body size."""
+def _state(k: Kernel, assumed: int = 0) -> tuple[list[int], int]:
+    """The counters and true set of the least model of the rules whose
+    negative body misses ``assumed``, negative literals stripped, computed
+    from scratch: the least model of the reduct when ``assumed`` is the true
+    set of an interpretation, with no facts. Starts from ``Kernel.blocked``
+    and its ``free`` heads, with the negatively occurring atoms outside
+    ``assumed`` counted false. Linear in total body size."""
     missing = k.blocked.copy()
     queue = _count_false(k, missing, k.negative & ~assumed)
-    return missing, _extend(k, missing, 0, [*k.free, *facts, *queue])
+    return missing, _extend(k, missing, 0, [*k.free, *queue])
 
 
 def _count_false(k: Kernel, missing: list[int], atoms: int) -> list[int]:
@@ -200,19 +203,43 @@ def _count_false(k: Kernel, missing: list[int], atoms: int) -> list[int]:
 
 def _load(g: GroundProgram | Kernel, facts) -> Kernel:
     """The kernel of ``g`` (compiled if ``g`` is a program), holding the
-    total choice whose kept atoms are ``facts``: other facts than those it
-    holds replace ``facts``, ``fact_mask``, ``gammas`` and ``base``
-    together, with Γ(``k.negative``) of the new facts run once as the base
-    and its only entry. The one way into a total choice outside a sweep
-    (``carried``)."""
+    total choice whose kept atoms are ``facts`` (atom ids, or their mask):
+    the one way into a total choice.
+
+    Adding a fact only grows a least model, so each seed key, ∅ and
+    ``k.negative`` (one key if no atom occurs negatively), has a stack in
+    ``k.stacks`` whose level j holds the counters and true set of the least
+    model of the loaded facts with id >= j under that key; the first load
+    builds the stacks from ``_state``, with no facts. Other facts keep every
+    level above the highest bit where their mask differs from the loaded
+    one; below it, each level, high to low, is the one above it, extended
+    by its own atom if that is a fact. Choice atoms have the lowest ids, in
+    choice-point order, so a sweep in binary-counting order costs at most
+    one single-atom extension per key per choice. The facts then replace
+    ``fact_mask``, ``base`` (level 0 of the ``k.negative`` stack, shared)
+    and ``gammas`` (level 0 of each stack) together."""
     k = g if isinstance(g, Kernel) else Kernel(g)
-    if facts is not k.facts:
-        facts = tuple(facts)
-        if facts != k.facts:
-            k.base = _state(k, facts, k.negative)
-            k.gammas = {k.negative: k.base[1]}
-            k.fact_mask = sum({1 << a for a in facts})
-        k.facts = facts
+    if facts == k.fact_mask:
+        return k
+    mask = facts if type(facts) is int else sum({1 << a for a in facts})
+    if k.stacks is None:
+        k.stacks = {
+            key: [_state(k, key)] * (k.n_atoms + 1)
+            for key in dict.fromkeys((0, k.negative))
+        }
+        k.fact_mask = 0
+    elif mask == k.fact_mask:
+        return k
+    top = (mask ^ k.fact_mask).bit_length()
+    for stack in k.stacks.values():
+        state = stack[top]
+        for aid in range(top - 1, -1, -1):
+            if mask >> aid & 1:
+                missing = state[0].copy()
+                state = missing, _extend(k, missing, state[1], [aid])
+            stack[aid] = state
+    k.fact_mask, k.base = mask, k.stacks[k.negative][0]
+    k.gammas = {key: stack[0][1] for key, stack in k.stacks.items()}
     return k
 
 
@@ -243,8 +270,8 @@ def _gamma(k: Kernel, key: int) -> int:
     """The least model of the reduct by any set whose negatively occurring
     atoms are ``key``, a subset of ``k.negative`` (Van Gelder's Γ), for the
     loaded total choice, cached in ``k``: two sets with one key have one
-    answer. In a sweep, ``carried`` has already put the keys ∅ and
-    ``k.negative`` and the base state there.
+    answer. ``_load`` has already put the keys ∅ and ``k.negative`` and
+    the base state there.
 
     A miss first asks ``k.reducts``, the memo shared by all choices, under
     ``(key, facts & R)``, where R (``_relevant``, cached per key in
@@ -254,13 +281,12 @@ def _gamma(k: Kernel, key: int) -> int:
     only itself, and Γ(key) = Γ'(key) | (facts & ~R), where Γ' is the least
     model of the facts in R alone under the same rules, fixed by the key and
     those facts. The memo holds Γ'; choices that differ only outside R share
-    it. On a memo miss,
-    the atoms of ``k.negative`` outside ``key`` are counted false in a copy
-    of the base state Γ(``k.negative``) (``k.base``) and the copy is
-    extended: un-assuming atoms only unblocks rules, so the least model
-    only grows. So no Γ of a sweep starts from ``Kernel.blocked``
-    (``_state``). The memo is dropped, with ``k.relevant``, when it holds
-    ``MEMO_CAP`` entries."""
+    it. On a memo miss, the atoms of ``k.negative`` outside ``key`` are
+    counted false in a copy of the base state Γ(``k.negative``)
+    (``k.base``) and the copy is extended: un-assuming atoms only unblocks
+    rules, so the least model only grows. So no Γ starts from
+    ``Kernel.blocked`` (``_state``). The memo is dropped, with
+    ``k.relevant``, when it holds ``MEMO_CAP`` entries."""
     true = k.gammas.get(key)
     if true is None:  # not ``if not true``: an empty least model is 0
         relevant = k.relevant.get(key)
@@ -279,48 +305,6 @@ def _gamma(k: Kernel, key: int) -> int:
             k.reducts[memo] = part
         true = k.gammas[key] = part | loose
     return true
-
-
-def carried(k: Kernel, choices) -> Iterator[tuple]:
-    """Each total choice of ``choices`` (``inference.total_choices``, in its
-    binary-counting order) with its kept atoms, once ``k``'s cache holds that
-    choice's first two reduct least models, those of the well-founded model:
-    Γ(∅) and Γ(``k.negative``), keyed ∅ and ``k.negative``.
-
-    For one key, adding a fact only grows the least model. In
-    binary-counting order the choice whose lowest kept bit is b keeps the
-    atoms of the choice before it at the bits above b, plus atom b; so each
-    key has a stack whose ``state[j]`` is the counters and true set of the
-    kept atoms at bits >= j (the base state, with no kept atoms, at
-    ``state[n]``). A choice copies ``state[b + 1]``, extends the copy by atom
-    b and points ``state[0..b]`` at the result. That is one least model per
-    key for the first choice and one extension per key for each later one;
-    a stack holds at most n + 1 states. The ``k.negative`` stack's
-    ``state[0]`` is also the choice's ``k.base``, shared, not copied: every
-    other Γ of the choice extends a copy of it or comes from the memo
-    (``_gamma``). The mask of
-    the kept atoms has a stack of its own, ``fact_masks``. Each choice is
-    loaded here, with the kept atoms as ``k.facts``, so the yielded facts
-    are the very object ``_load`` finds there."""
-    n = len(k.choice_atoms)
-    stacks = dict.fromkeys((0, k.negative))  # one key if no negation
-    for key in stacks:
-        stacks[key] = [_state(k, (), key)] * (n + 1)
-    fact_masks = [0] * (n + 1)
-    for mask, choice in enumerate(choices):
-        if mask:
-            b = (mask & -mask).bit_length() - 1
-            atom = k.choice_atoms[b]
-            for state in stacks.values():
-                missing, true = state[b + 1]
-                missing = missing.copy()
-                true = _extend(k, missing, true, [atom])
-                state[: b + 1] = [(missing, true)] * (b + 1)
-            fact_masks[: b + 1] = [fact_masks[b + 1] | 1 << atom] * (b + 1)
-        facts = k.kept_facts(choice.kept)
-        k.facts, k.base, k.fact_mask = facts, stacks[k.negative][0], fact_masks[0]
-        k.gammas = {key: state[0][1] for key, state in stacks.items()}
-        yield choice, facts
 
 
 def reduct(g: GroundProgram, interp: Interpretation) -> GroundProgram:
@@ -386,8 +370,8 @@ def well_founded_model(g: GroundProgram | Kernel, facts=()) -> PartialInterpreta
     fixpoint of those down from all atoms (``Kernel.atoms``) undefined, and
     every other atom false. The two fixpoints are left in ``Kernel.wf``."""
     k = _load(g, facts)
-    lfp = alternating_iterates(k, 0, k.facts)[-1]
-    gfp = alternating_iterates(k, k.atoms, k.facts)[-1]
+    lfp = alternating_iterates(k, 0, k.fact_mask)[-1]
+    gfp = alternating_iterates(k, k.atoms, k.fact_mask)[-1]
     k.wf = lfp, gfp
     model: PartialInterpretation = _bools(k.n_atoms, lfp)
     if gfp != lfp:
@@ -478,7 +462,7 @@ def stable_models(g: GroundProgram | Kernel, facts=()) -> Iterator[Interpretatio
     loads its own again (``_load``).
     """
     k = _load(g, facts)
-    facts = k.facts
+    facts = k.fact_mask
     wf = well_founded_model(k, facts)
     true, not_false = k.wf
     if true == not_false:

@@ -553,19 +553,26 @@ def test_cross_check_mismatch_is_a_user_error(plp, capsys, monkeypatch):
     assert err.startswith("error: cross-check") and err.count("\n") == 1
 
 
+def empty_seeded_gamma(monkeypatch, facts: int) -> None:
+    """Make ``models._load`` seed an empty Γ(∅) each time it loads the
+    facts (a mask) ``facts`` in place of others."""
+    real = models._load
+
+    def corrupted(g, loaded):
+        gammas = getattr(g, "gammas", None)
+        k = real(g, loaded)
+        if k.gammas is not gammas and k.fact_mask == facts:
+            k.gammas[0] = 0
+        return k
+
+    monkeypatch.setattr(models, "_load", corrupted)
+
+
 def test_cross_check_searches_from_the_carried_least_models(plp, capsys, monkeypatch):
     """The cross-check checks the search the answers come from, seeded by
-    ``models.carried``: an empty Γ(∅) seeded for the first total choice is
+    ``models._load``: an empty Γ(∅) seeded for the first total choice is
     seen."""
-    real = models.carried
-
-    def corrupted(k, choices):
-        for i, (choice, facts) in enumerate(real(k, choices)):
-            if i == 0:
-                k.gammas[0] = 0
-            yield choice, facts
-
-    monkeypatch.setattr(models, "carried", corrupted)
+    empty_seeded_gamma(monkeypatch, 0)
     code, out, err = invoke(
         capsys, "query", plp(fx.WINS), "--q", "wins(b)",
         "--semantics", "credal", "--cross-check",
@@ -579,21 +586,15 @@ def test_cross_check_checks_well_founded_models_past_the_oracle_limit(
 ):
     """Where ``--oracle-limit`` skips the stable-model oracle, every total
     choice's well-founded model is still checked: an empty Γ(∅) seeded for
-    the second total choice is seen."""
-    real = models.carried
-
-    def corrupted(k, choices):
-        for i, (choice, facts) in enumerate(real(k, choices)):
-            if i == 1:
-                k.gammas[0] = 0
-            yield choice, facts
-
+    the second total choice, which keeps only the first choice point's atom,
+    is seen."""
     argv = [
         "query", plp(fx.WINS), "--q", "wins(b)", "--semantics", "wf",
         "--cross-check", "--oracle-limit", "2",
     ]
     assert invoke(capsys, *argv)[0] == 0
-    monkeypatch.setattr(models, "carried", corrupted)
+    second = 1 << fx.grd(fx.WINS).choice_points[0].ground_atom
+    empty_seeded_gamma(monkeypatch, second)
     code, out, err = invoke(capsys, *argv)
     assert code == 1 and out == ""
     skipped, error = err.splitlines()
@@ -605,13 +606,13 @@ def test_cross_check_checks_well_founded_models_past_the_oracle_limit(
 
 
 def test_cross_check_reads_the_kept_atoms_from_the_choice(plp, capsys, monkeypatch):
-    """The oracle's facts come from each total choice itself, not from the
-    facts ``carried`` yields: with those one kept atom short, the kernel
+    """The oracle's facts come from each total choice itself, not from
+    ``Kernel.kept_facts``: with those one kept atom short, the kernel
     answers for the wrong facts and the cross-check fails."""
-    real = models.carried
+    real = models.Kernel.kept_facts
     monkeypatch.setattr(
-        models, "carried",
-        lambda k, choices: ((ch, facts[:-1]) for ch, facts in real(k, choices)),
+        models.Kernel, "kept_facts",
+        lambda k, kept: (facts := real(k, kept)) & (facts - 1),
     )
     code, out, err = invoke(
         capsys, "query", plp(fx.WINS), "--q", "wins(b)", "--semantics", "credal",
@@ -627,8 +628,9 @@ def test_well_founded_by_definition_matches_the_kernel(name):
     g = fx.grd(fx.ALL_PROGRAMS[name])
     k = models.Kernel(g)
     for choice in inference.total_choices(g):
+        kept = [cp.ground_atom for cp, on in zip(g.choice_points, choice.kept) if on]
         facts = k.kept_facts(choice.kept)
-        assert oracle.well_founded_model(g, facts) == models.well_founded_model(k, facts)
+        assert oracle.well_founded_model(g, kept) == models.well_founded_model(k, facts)
 
 
 def test_cross_check_sees_a_fault_in_the_least_model_kernel(plp, capsys, monkeypatch):

@@ -471,21 +471,33 @@ def counting(monkeypatch, module, name, record=None):
     return calls
 
 
-def fresh_gamma(g, facts, key: int) -> int:
-    """Γ by its definition (``oracle``): the least model of ``facts`` plus
-    the rules of ``g`` whose negative body misses the mask ``key``, as a
-    mask. ``g`` is a ground program or a ``Kernel``, whose ``rules`` are
-    the program's own."""
-    assumed = {a for a in range(g.n_atoms) if key >> a & 1}
-    return sum(1 << a for a in oracle.reduct_least_model(g, facts, assumed))
+def ids(mask: int) -> set[int]:
+    """The atom ids of ``mask``."""
+    return {a for a in range(mask.bit_length()) if mask >> a & 1}
+
+
+def kept_atoms(g, choice) -> list[int]:
+    """The atoms a total choice keeps, read from the choice and the choice
+    points, not from the kernel."""
+    return [cp.ground_atom for cp, on in zip(g.choice_points, choice.kept) if on]
+
+
+def fresh_gamma(g, facts: int, key: int) -> int:
+    """Γ by its definition (``oracle``): the least model of the facts (a
+    mask) plus the rules of ``g`` whose negative body misses the mask
+    ``key``, as a mask. ``g`` is a ground program or a ``Kernel``, whose
+    ``rules`` are the program's own."""
+    return sum(1 << a for a in oracle.reduct_least_model(g, ids(facts), ids(key)))
 
 
 def test_definite_programs_carry_one_least_model_across_total_choices(monkeypatch):
-    """The sweep's carry starts each seed key from one ``_state``, and on a
-    definite program (one seed key: no atom occurs negatively) each later
-    total choice costs one extension by one atom, its lowest kept bit's;
-    nothing else runs a least model."""
-    states = counting(monkeypatch, models, "_state", lambda k, facts, key: key)
+    """A sweep's first ``_load`` starts each seed key from one ``_state``,
+    and on a definite program (one seed key: no atom occurs negatively) each
+    later total choice costs at most one extension by one atom, its lowest
+    kept bit's; nothing else runs a least model. Where several choice points
+    share one atom (``duplicate_facts``), a choice that keeps the atoms of
+    the one before it costs none."""
+    states = counting(monkeypatch, models, "_state", lambda k, key: key)
     extends = counting(
         monkeypatch, models, "_extend", lambda k, missing, true, queue, *_: list(queue)
     )
@@ -493,6 +505,7 @@ def test_definite_programs_carry_one_least_model_across_total_choices(monkeypatc
     programs = [fx.grd(text) for text in texts]
     programs = [g for g in programs if not any(rule.neg for rule in g.rules)]
     assert len(programs[-1].choice_points) == 10 and len(programs) >= 6
+    shared = 0
     for g in programs:
         n = len(g.choice_points)
         atoms = [cp.ground_atom for cp in g.choice_points]
@@ -508,7 +521,14 @@ def test_definite_programs_carry_one_least_model_across_total_choices(monkeypatc
             query()
             assert states == [0]
             # the base state's own queue, then one atom per later choice
-            assert len(extends) == 1 << n and extends[1:] == added
+            if len(set(atoms)) == n:
+                assert len(extends) == 1 << n and extends[1:] == added
+            else:  # duplicate_facts: 5 choice points over 3 atoms
+                shared += 1
+                assert all(len(queue) == 1 for queue in extends[1:])
+                # the base state's, then 11 for the 31 later choices
+                assert len(extends) == 12 and len(added) == 31
+    assert shared == 3
 
 
 def recorded_kernels(monkeypatch):
@@ -539,11 +559,12 @@ def test_cache_after_a_sweep_holds_the_last_choice_only(monkeypatch, name, seman
         c.well_founded_model(fresh, facts)
     else:
         list(c.stable_models(fresh, facts))
-    assert k.facts == fresh.facts == tuple(facts)
+    assert k.fact_mask == fresh.fact_mask == facts
     assert k.gammas == fresh.gammas and k.gammas
-    # the base state too: the carry's, shared with its stack, and one built
-    # by ``_state`` for these facts alone
+    # the base state too: the sweep's, shared with level 0 of its stack, and
+    # a fresh kernel's, loaded with these facts alone
     assert k.base == fresh.base and k.base[1] == k.gammas[k.negative]
+    assert k.base is k.stacks[k.negative][0]
     for key, true in k.gammas.items():
         assert key & ~k.negative == 0 and true == fresh_gamma(g, facts, key)
 
@@ -573,7 +594,7 @@ def test_propagate_caches_only_its_can_bound(monkeypatch):
     # ``must`` is carried, never cached: the entries of the choice's own facts
     # are all still there, and it is closed under the rules that ``false``
     # does not block
-    assert k.facts == () and before.items() <= k.gammas.items()
+    assert k.fact_mask == 0 and before.items() <= k.gammas.items()
     true = [a for a in range(g.n_atoms) if must >> a & 1]
     not_false = {a for a in range(g.n_atoms) if not false >> a & 1}
     assert oracle.reduct_least_model(g, true, not_false) == set(true)
@@ -591,8 +612,8 @@ def general_programs():
 
 
 def test_credal_sweeps_run_least_models_only_on_cache_misses(monkeypatch):
-    """A credal sweep runs no least model from scratch but the carry's one
-    ``_state`` per seed key: every other least model is one extension of
+    """A credal sweep runs no least model from scratch but its first
+    ``_load``'s one ``_state`` per seed key: every other least model is one extension of
     the choice's base state inside a ``_gamma`` call that misses the
     choice's cache and the memo shared across choices (``Kernel.reducts``);
     a memo hit runs none. The stable-model search carries its lower bound
@@ -634,9 +655,9 @@ def test_credal_sweeps_run_least_models_only_on_cache_misses(monkeypatch):
 
 
 def test_iterates_and_cached_least_models_are_immutable():
-    """Iterates, cache entries and carried states are ints, so no caller can
-    change what the kernel holds; a set given as the start is read, not
-    kept."""
+    """Iterates, cache entries and the true sets of loaded states are ints,
+    so no caller can change what the kernel holds; a set given as the start
+    is read, not kept."""
     for text in ("a :- not b. b :- not a.", fx.SMOKERS_DET, fx.GAME):
         g = fx.grd(text)
         k = models.Kernel(g)
@@ -647,7 +668,8 @@ def test_iterates_and_cached_least_models_are_immutable():
             start.add(g.n_atoms)  # the caller's set is not an iterate
             assert not iterates[-1] >> g.n_atoms
         assert all(type(true) is int for true in k.gammas.values())
-        for _ in models.carried(k, c.total_choices(g)):
+        for choice in c.total_choices(g):
+            models._load(k, k.kept_facts(choice.kept))
             _, true = k.base
             assert type(true) is int and k.gammas[k.negative] is true
 

@@ -19,7 +19,7 @@ import credalplp as c
 from credalplp import oracle
 
 import fixtures as fx
-from test_models import counting, fresh_gamma
+from test_models import counting, fresh_gamma, ids, kept_atoms
 
 ATOMS = ["a", "b", "d", "e", "f", "h"]
 
@@ -190,7 +190,7 @@ def test_kernel_with_kept_facts_matches_program_copy_and_oracle():
     for g in differential_programs():
         kernel = c.Kernel(g)
         for choice in c.total_choices(g):
-            facts = kernel.kept_facts(choice.kept)
+            facts, kept = kernel.kept_facts(choice.kept), kept_atoms(g, choice)
             gc = c.program_for_choice(g, choice)
             models = list(c.stable_models(kernel, facts))
             wf = c.well_founded_model(kernel, facts)
@@ -205,12 +205,12 @@ def test_kernel_with_kept_facts_matches_program_copy_and_oracle():
                 [a in s for a in range(gc.n_atoms)]
                 for s in subsets if oracle.reduct_least_model(gc, (), s) == s
             ]
-            brute = oracle.exhaustive_stable_models(g, facts=facts)
+            brute = oracle.exhaustive_stable_models(g, facts=kept)
             assert brute == c.exhaustive_stable_models(gc)
             assert sorted(map(tuple, models)) == sorted(map(tuple, full))
             assert sorted(map(tuple, brute)) == sorted(map(tuple, full))
             assert all(c.is_stable(kernel, interp, facts) for interp in full)
-            assert wf == oracle.well_founded_model(g, facts)
+            assert wf == oracle.well_founded_model(g, kept)
 
 
 def stratified_program(rng: random.Random) -> str:
@@ -243,11 +243,11 @@ def test_cached_reduct_least_models_match_fresh_ones(monkeypatch):
 
     def checked(k, assumed):
         true = cached(k, assumed)
-        assert true == fresh_gamma(k, k.facts, assumed)
+        assert true == fresh_gamma(k, k.fact_mask, assumed)
         return true
 
     def uncached(k, assumed):
-        return fresh_gamma(k, k.facts, assumed)
+        return fresh_gamma(k, k.fact_mask, assumed)
 
     def solve(g):
         k = c.Kernel(g)
@@ -285,10 +285,10 @@ def test_cached_reduct_least_models_match_fresh_ones(monkeypatch):
 
 
 def reference_iterates(g, start, facts):
-    """Iterates of Γ∘Γ from the mask ``start`` by the definition
-    (``oracle``), as masks: no cache and no skipped call."""
-    start = {a for a in range(g.n_atoms) if start >> a & 1}
-    return [mask(s) for s in oracle.alternating_iterates(g, facts, start)]
+    """Iterates of Γ∘Γ from the mask ``start``, with the facts of the mask
+    ``facts``, by the definition (``oracle``), as masks: no cache and no
+    skipped call."""
+    return [mask(s) for s in oracle.alternating_iterates(g, ids(facts), ids(start))]
 
 
 def test_alternating_iterates_match_the_plain_loop(monkeypatch):
@@ -617,7 +617,7 @@ def test_base_counts_positive_atoms_and_assumed_negative_ones_per_rule():
         assert k.free == [r.head for r in g.rules if not r.pos and not r.neg]
         some = sum(1 << a for a in range(g.n_atoms) if rng.random() < 0.5)
         for bits in (0, k.negative, some):
-            missing, true = c.models._state(k, (), bits)
+            missing, true = c.models._state(k, bits)
             assumed = {a for a in range(g.n_atoms) if bits >> a & 1}
             assert true == mask(oracle.reduct_least_model(g, (), assumed))
             want = [
@@ -641,18 +641,17 @@ def test_carried_least_models_match_fresh_ones_and_a_plain_reference_loop():
         choices = list(c.total_choices(g))
         copies = [c.program_for_choice(g, choice) for choice in choices]
 
-        # at every total choice the carry seeds Γ(∅) and Γ(negative), checked
-        # here before the next choice re-seeds the cache
+        # loading each total choice in turn seeds Γ(∅) and Γ(negative),
+        # checked here before the next choice re-seeds the cache
         k = c.Kernel(g)
         negation.add(bool(k.negative))
-        seen = []
-        for choice, facts in c.models.carried(k, c.total_choices(g, 20)):
-            assert facts is k.facts and facts == k.kept_facts(choice.kept)
+        for choice in choices:
+            facts = k.kept_facts(choice.kept)
+            assert facts == mask(kept_atoms(g, choice))
+            assert c.models._load(k, facts).fact_mask == facts
             assert set(k.gammas) == {0, k.negative}
             for key, true in k.gammas.items():
                 assert true == fresh_gamma(g, facts, key)
-            seen.append(choice)
-        assert seen == choices
 
         events = [random_event(rng), random_event(rng), c.Not(random_event(rng))]
         want = reference_credal(g, events)
@@ -687,6 +686,50 @@ def test_carried_least_models_match_fresh_ones_and_a_plain_reference_loop():
     assert negation == {False, True} and 0 < inconsistent < 200 and headed >= 100
 
 
+def test_arbitrary_load_orders_match_fresh_kernels_and_the_oracle():
+    """One kernel given a random sequence of fact sets, as atom ids (in any
+    order, with repeats) or as masks: atoms of choice points or not, the set
+    before again, subsets and supersets of it. After each ``_load``, level j
+    of each seed key's stack is the least model of the facts with id >= j
+    under that key, with its counters; ``base`` and the two seeded
+    ``gammas`` entries are a fresh kernel's; and the stable models are the
+    oracle's."""
+    rng = random.Random(3)
+    makers = (random_program, stratified_program, definite_program, odd_loop_program)
+    moves, loads = Counter(), 0
+    for i in range(400):
+        g = fx.grd(makers[i % 4](rng))
+        k, facts = c.Kernel(g), set()
+        for _ in range(12):
+            move = rng.choice(("again", "subset", "superset", "any"))
+            moves[move] += 1
+            drawn = set(rng.sample(range(g.n_atoms), rng.randint(0, g.n_atoms)))
+            if move == "subset":
+                facts &= drawn
+            elif move == "superset":
+                facts |= drawn
+            elif move == "any":
+                facts = drawn
+            given = rng.choice((mask(facts), [*facts, *facts][::-1]))
+            c.models._load(k, given)
+            loads += 1
+            assert k.fact_mask == mask(facts) and set(k.stacks) == {0, k.negative}
+            for key, stack in k.stacks.items():
+                assert len(stack) == g.n_atoms + 1
+                for j, (missing, true) in enumerate(stack):
+                    want = oracle.reduct_least_model(g, {a for a in facts if a >= j}, ids(key))
+                    assert true == mask(want)
+                    assert missing == [
+                        len(set(r.pos) - want) + len(set(r.neg) & ids(key)) for r in g.rules
+                    ]
+            fresh = c.models._load(c.Kernel(g), given)
+            assert k.base == fresh.base
+            assert {key: k.gammas[key] for key in k.stacks} == fresh.gammas
+            got = sorted(map(tuple, c.stable_models(k, given)))
+            assert got == sorted(map(tuple, oracle.exhaustive_stable_models(g, facts=facts)))
+    assert loads == 4800 and min(moves.values()) > 1000
+
+
 def key_subsets(rng: random.Random, negative: int):
     """Every subset of the mask ``negative`` when it has at most 6 atoms,
     else 8 seeded samples, as masks."""
@@ -699,7 +742,7 @@ def key_subsets(rng: random.Random, negative: int):
 
 
 def test_every_reduct_least_model_extends_the_choices_base_state():
-    """On every carried choice, Γ of each key (a subset of the negatively
+    """On every choice of a sweep, Γ of each key (a subset of the negatively
     occurring atoms) is Γ by its definition, though every miss
     extends the choice's base state. One kernel driven with the facts of two
     choices, A, then B, then A again, answers as fresh kernels do, so a base
@@ -713,7 +756,8 @@ def test_every_reduct_least_model_extends_the_choices_base_state():
     for g in map(fx.grd, texts):
         k = c.Kernel(g)
         sampled += k.negative.bit_count() > 6
-        for _, facts in c.models.carried(k, c.total_choices(g, 20)):
+        for choice in c.total_choices(g, 20):
+            facts = c.models._load(k, k.kept_facts(choice.kept)).fact_mask
             for key in key_subsets(rng, k.negative):
                 assert gamma(k, key) == fresh_gamma(g, facts, key)
         choices = list(c.total_choices(g, 20))
@@ -756,7 +800,7 @@ def wide_program(rng: random.Random, facts: bool) -> str:
 
 
 def test_bitmask_kernel_matches_a_plain_set_fixpoint(monkeypatch):
-    """Every carried base state (counters and true set), every cached Γ and
+    """Every loaded base state (counters and true set), every cached Γ and
     the well-founded model of each total choice equal the oracle's set
     fixpoint over ``g.rules``, on programs past 64 atoms, with atom 0 in
     some least models and other least models empty. An empty least model is
@@ -773,9 +817,10 @@ def test_bitmask_kernel_matches_a_plain_set_fixpoint(monkeypatch):
         wide += g.n_atoms > 64
         negative = {a for r in g.rules for a in r.neg}
         assert k.negative == mask(negative) and k.atoms == mask(range(g.n_atoms))
-        for _, facts in c.models.carried(k, c.total_choices(g)):
+        for choice in c.total_choices(g):
+            facts = c.models._load(k, k.kept_facts(choice.kept)).fact_mask
             missing, true = k.base
-            want = oracle.reduct_least_model(g, facts, negative)
+            want = oracle.reduct_least_model(g, ids(facts), negative)
             assert true == mask(want)
             assert missing == [len(set(r.pos) - want) + len(set(r.neg) & negative)
                                for r in g.rules]
@@ -783,7 +828,7 @@ def test_bitmask_kernel_matches_a_plain_set_fixpoint(monkeypatch):
             keys.append(sum(1 << a for a in range(g.n_atoms) if rng.random() < 0.5))
             for key in keys:
                 assumed = {a for a in range(g.n_atoms) if key >> a & 1}
-                want = oracle.reduct_least_model(g, facts, assumed)
+                want = oracle.reduct_least_model(g, ids(facts), assumed)
                 empty += not want
                 zero += 0 in want
                 if key & ~k.negative:
@@ -794,7 +839,7 @@ def test_bitmask_kernel_matches_a_plain_set_fixpoint(monkeypatch):
                 assert first == c.models._gamma(k, key) == mask(want)
                 assert len(extends) == misses <= 1
                 empty_misses += misses and not want
-            assert c.well_founded_model(k, facts) == oracle.well_founded_model(g, facts)
+            assert c.well_founded_model(k, facts) == oracle.well_founded_model(g, ids(facts))
             for key, true in k.gammas.items():
                 assert true == fresh_gamma(g, facts, key)
     assert wide >= 12 and empty > 0 and empty_misses > 0 and zero > 0
@@ -806,11 +851,11 @@ def test_bitmask_kernel_matches_a_plain_set_fixpoint(monkeypatch):
 
 
 def reference_must(g, facts, assign):
-    """``must`` by its definition: the least model of the facts and true atoms
-    under the rules whose negative body is all false."""
+    """``must`` by its definition: the least model of the facts (a mask) and
+    true atoms under the rules whose negative body is all false."""
     true = [a for a, v in enumerate(assign) if v]
     not_false = {a for a, v in enumerate(assign) if v is not False}
-    return mask(oracle.reduct_least_model(g, [*facts, *true], not_false))
+    return mask(oracle.reduct_least_model(g, [*ids(facts), *true], not_false))
 
 
 def reference_counters(g, assign, must):
@@ -895,14 +940,14 @@ def test_carried_search_bound_matches_a_fresh_one_node_by_node(monkeypatch):
 
     def checked(k, missing, must, false, queue, new):
         parent = assignment(k.n_atoms, must, false)
-        assert must == reference_must(k, k.facts, parent)
+        assert must == reference_must(k, k.fact_mask, parent)
         assert missing == reference_counters(k, parent, must)
         arrival = assignment(k.n_atoms, must | sum(1 << a for a in queue), false | new)
         narrowed = real(k, missing, must, false, queue, new)
         after = None
         if narrowed is not None:
             after = assignment(k.n_atoms, *narrowed)
-            assert narrowed[0] == reference_must(k, k.facts, after)
+            assert narrowed[0] == reference_must(k, k.fact_mask, after)
             assert missing == reference_counters(k, after, narrowed[0])
         nodes.append((arrival, after))
         return narrowed
@@ -991,8 +1036,8 @@ def memo_programs():
 
 
 def test_replayed_residuals_match_a_fresh_search_per_choice(monkeypatch):
-    """One kernel carried over every total choice of a program, as a sweep
-    carries it, yields the models of a fresh kernel per choice, in their
+    """One kernel loaded with every total choice of a program in turn, as a
+    sweep loads it, yields the models of a fresh kernel per choice, in their
     order, though it replays most residual programs it meets again; the
     first choice with no model is the witness of both, and of the sweep."""
     counts, solve = count_replays(monkeypatch)
@@ -1000,7 +1045,8 @@ def test_replayed_residuals_match_a_fresh_search_per_choice(monkeypatch):
     for text in memo_programs():
         g = fx.grd(text)
         k, witness = c.Kernel(g), None
-        for choice, facts in c.models.carried(k, c.total_choices(g)):
+        for choice in c.total_choices(g):
+            facts = k.kept_facts(choice.kept)
             got = solve(k, facts)
             assert got == list(c.stable_models(c.Kernel(g), facts))
             if not got and witness is None:
@@ -1078,8 +1124,8 @@ def test_residuals_that_never_repeat_stay_under_the_cap(monkeypatch):
     lines += [f"1/2::c{i}. r{i} :- c{i}, not p." for i in range(n)]
     g = fx.grd("\n".join(lines))
     k, sizes = c.Kernel(g), []
-    for choice, facts in c.models.carried(k, c.total_choices(g)):
-        assert len(solve(k, facts)) == 2
+    for choice in c.total_choices(g):
+        assert len(solve(k, k.kept_facts(choice.kept))) == 2
         sizes.append(len(k.residuals))
     assert max(sizes) == c.models.MEMO_CAP < 1 << n
     assert sizes.count(1) == 2  # the first choice, and the first after the drop
@@ -1103,7 +1149,7 @@ def checked_gammas(monkeypatch):
             counts["missed"] += 1
             counts["hit"] += (key, k.fact_mask & relevant(k, key)) in k.reducts
         true = real(k, key)
-        assert true == fresh_gamma(k, k.facts, key)
+        assert true == fresh_gamma(k, k.fact_mask, key)
         return true
 
     monkeypatch.setattr(c.models, "_gamma", gamma)
@@ -1154,8 +1200,9 @@ def test_shared_reduct_least_models_match_fresh_ones_for_arbitrary_facts(monkeyp
 
 
 def test_shared_reduct_least_models_match_fresh_ones_in_sweeps(monkeypatch):
-    """A sweep of each program (carried choices, so the fact masks come
-    from ``carried``'s stack) and a consistency check on the same kernel,
+    """A sweep of each program (each choice loaded after the one before
+    it, so the least models come from ``_load``'s stacks) and a consistency
+    check on the same kernel,
     which stops each search at its first model: every Γ equals the
     oracle's, and the answers are those of fresh kernels per choice."""
     texts = memo_programs()[::3]
@@ -1163,9 +1210,10 @@ def test_shared_reduct_least_models_match_fresh_ones_in_sweeps(monkeypatch):
     for text in texts:
         g = fx.grd(text)
         k = c.Kernel(g)
-        for _, facts in c.models.carried(k, c.total_choices(g)):
+        masks = [k.kept_facts(choice.kept) for choice in c.total_choices(g)]
+        for facts in masks:
             assert list(c.stable_models(k, facts)) == list(c.stable_models(c.Kernel(g), facts))
-        for _, facts in c.models.carried(k, c.total_choices(g)):
+        for facts in masks:
             first = next(iter(c.stable_models(k, facts)), None)
             assert first == next(iter(c.stable_models(c.Kernel(g), facts)), None)
             assert c.well_founded_model(k, facts) == c.well_founded_model(c.Kernel(g), facts)
@@ -1185,8 +1233,8 @@ def test_reduct_least_models_that_never_repeat_stay_under_the_cap(monkeypatch):
     lines += [f"1/2::c{i}. r{i} :- c{i}, not p." for i in range(n)]
     g = fx.grd("\n".join(lines))
     k, sizes = c.Kernel(g), []
-    for _, facts in c.models.carried(k, c.total_choices(g)):
-        assert len(list(c.stable_models(k, facts))) == 2
+    for choice in c.total_choices(g):
+        assert len(list(c.stable_models(k, k.kept_facts(choice.kept)))) == 2
         assert len(k.relevant) <= len(k.reducts)
         sizes.append(len(k.reducts))
     assert max(sizes) == c.models.MEMO_CAP < 1 << n
