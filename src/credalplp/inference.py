@@ -108,7 +108,7 @@ def compile_event(e: Event, g: GroundProgram) -> Callable[[PartialInterpretation
     holds when its atom has exactly the literal's value, so an undefined atom
     matches only an undefined literal, and an atom absent from ``g`` is false
     in every model. A conjunction or disjunction of one part is that part's
-    test."""
+    test, and of none a constant."""
     if isinstance(e, Lit):
         aid, value = g.atom_id(e.atom), e.value
         if aid is None:  # false in every model
@@ -121,6 +121,9 @@ def compile_event(e: Event, g: GroundProgram) -> Callable[[PartialInterpretation
     if isinstance(e, (And, Or)):
         tests = [compile_event(p, g) for p in e.parts]
         fold = all if isinstance(e, And) else any
+        if not tests:  # TRUE or FALSE, on every model
+            holds = fold(())
+            return lambda model: holds
         if len(tests) == 1:
             return tests[0]
         return lambda model: fold(test(model) for test in tests)
@@ -237,15 +240,20 @@ def _sweep(g: GroundProgram, project, solve, max_choices, stats=None):
     """Map each set S of ``project`` images to the weight of the total choices
     whose models, ``solve(kernel, kept atoms)`` (``stable_models``, ``_wf`` or
     the first stable model, read from this module when called, so wrappers
-    put here see them), project onto exactly S. Aborts on the first choice
-    without a model; counts choices and models into ``stats``. Weights add up
-    as integer numerators over one denominator, one ``Fraction`` per set."""
+    put here see them), project onto exactly S. The kept atoms are a mask:
+    when each choice point i sits on atom i, the choice's index in the
+    binary-counting order of ``total_choices``, else ``Kernel.kept_facts``.
+    Aborts on the first choice without a model; counts choices and models
+    into ``stats``. Weights add up as integer numerators over one
+    denominator, one ``Fraction`` per set."""
     k = Kernel(g)
+    counting = k.choice_bits == [1 << i for i in range(len(k.choice_bits))]
     mass: dict[frozenset, int] = {}
     choices = found = 0
     try:
-        for choice in total_choices(g, max_choices):
-            models = list(solve(k, k.kept_facts(choice.kept)))
+        for index, choice in enumerate(total_choices(g, max_choices)):
+            facts = index if counting else k.kept_facts(choice.kept)
+            models = list(solve(k, facts))
             if not models:
                 raise InconsistentProgramError(choice, choice.describe(g))
             choices += 1

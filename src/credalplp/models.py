@@ -10,7 +10,7 @@ set is an immutable ``int`` mask, atom id i as bit i.
 from __future__ import annotations
 
 from functools import reduce
-from itertools import chain, compress, product
+from itertools import compress, product
 from operator import or_
 from typing import Iterator
 
@@ -126,7 +126,12 @@ class Kernel:
     def kept_facts(self, kept) -> int:
         """The mask of the atoms of the choice points a total choice keeps
         (``kept`` is indexed by choice-point id): its ``choice_bits`` ORed
-        (several choice points may share one atom)."""
+        (several choice points may share one atom). When ``choice_bits`` are
+        1, 2, 4, ..., choice point i on atom i (choice atoms are interned
+        first, in choice-point order, so unless two points share an atom),
+        the mask is the choice's index in the binary-counting order of
+        ``inference.total_choices``, which ``inference._sweep`` reads
+        instead of calling this."""
         return reduce(or_, compress(self.choice_bits, kept), 0)
 
 
@@ -135,9 +140,13 @@ _BIT_CHARS = bytes.maketrans(b"\0\1", b"01")
 
 
 def _bools(n: int, mask: int) -> Interpretation:
-    """A fresh list of ``n`` bools, True at the atoms of ``mask``, by bytes."""
-    by_byte = map(_BYTE_BOOLS.__getitem__, mask.to_bytes(n + 7 >> 3, "little"))
-    return list(chain.from_iterable(by_byte))[:n]
+    """A fresh list of ``n`` bools, True at the atoms of ``mask``: one list
+    extended by the 8 bools of each byte, then cut to ``n``."""
+    out = []
+    for byte in mask.to_bytes(n + 7 >> 3, "little"):
+        out += _BYTE_BOOLS[byte]
+    del out[n:]
+    return out
 
 
 def _mask(flags) -> int:
@@ -374,9 +383,11 @@ def well_founded_model(g: GroundProgram | Kernel, facts=()) -> PartialInterpreta
     gfp = alternating_iterates(k, k.atoms, k.fact_mask)[-1]
     k.wf = lfp, gfp
     model: PartialInterpretation = _bools(k.n_atoms, lfp)
-    if gfp != lfp:
-        for aid in _ids(k, gfp ^ lfp):  # lfp ⊆ gfp
-            model[aid] = None
+    undefined = gfp ^ lfp  # lfp ⊆ gfp
+    while undefined:
+        low = undefined & -undefined
+        model[low.bit_length() - 1] = None
+        undefined ^= low
     return model
 
 

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 import credalplp as c
 from credalplp import models, oracle
-from credalplp.inference import TRUE, FALSE
+from credalplp.inference import TRUE, FALSE, compile_event
 from credalplp.models import alternating_iterates
 
 import fixtures as fx
@@ -164,6 +164,33 @@ def test_wf_game():
     assert m["wins(b)"] == "undefined"
 
 
+def test_bools_is_the_bit_list_of_its_mask():
+    """``_bools`` extends one list a byte at a time and cuts it to ``n``:
+    at every length across the byte boundaries it is the mask's bits, low
+    bit first, in a fresh list."""
+    rng = random.Random(20261201)
+    for n in range(41):
+        for mask in {0, (1 << n) - 1, 1 << n >> 1, rng.getrandbits(n)}:
+            out = models._bools(n, mask)
+            assert out == [bool(mask >> i & 1) for i in range(n)]
+            assert out is not models._bools(n, mask)
+
+
+def test_wf_undefined_atoms_past_the_first_byte():
+    """The undefined atoms are set bit by bit from the two fixpoints; here
+    they sit past the first byte (ids 8 and up), between true and false
+    ones, and the model is the oracle's alternating fixpoint."""
+    loops = [f"p{i} :- not q{i}. q{i} :- not p{i}." for i in range(6)]
+    g = fx.grd(" ".join(
+        [*(f"f{i}." for i in range(8)), *loops, "t :- f0. u :- t, not f1.",
+         "r :- not r. s :- r, p5."]
+    ))
+    wf = models.well_founded_model(g)
+    undefined = [a for a, v in enumerate(wf) if v is None]
+    assert undefined == [*range(8, 20), 22, 23] and wf[20:22] == [True, False]
+    assert wf == oracle.well_founded_model(g)
+
+
 def test_alternating_iterates_monotone_and_short():
     for text in fx.ALL_PROGRAMS.values():
         g = fx.grd(text)
@@ -277,6 +304,27 @@ def test_event_evaluation():
     assert not c.eval_event(e, g, model)
     # atoms outside the table are false
     assert c.eval_event(c.Lit("wins(z)", False), g, model)
+
+
+def test_empty_conjunction_and_disjunction_are_constant_tests():
+    """``And(())`` holds and ``Or(())`` fails on every model, two- or
+    three-valued, also under ``Not``. A well-founded query without evidence
+    conditions on ``And(())``; its answers are pinned through the CLI
+    (``test_cli_pin``), and here match the sweep that reads no evidence."""
+    events = [c.And(()), c.Or(()), c.Not(c.And(())), c.Not(c.Or(()))]
+    for text in (fx.PQR_DET, fx.GAME, ""):
+        g = fx.grd(text)
+        n = g.n_atoms
+        for model in ([True] * n, [False] * n, [None] * n, c.well_founded_model(g)):
+            assert [compile_event(e, g)(model) for e in events] == [
+                True, False, False, True
+            ]
+    for name in ("WINS", "PQR", "CASES"):
+        g = fx.grd(getattr(fx, name))
+        for atom in g.atoms:
+            p = c.wf_atom_distribution(g, atom)
+            for value, want in (("true", p.p_true), ("undefined", p.p_undefined)):
+                assert c.wf_query(g, [(atom, value)]) == want
 
 
 def test_entail_game():

@@ -455,6 +455,60 @@ def test_sweep_mass_is_the_fraction_sum_of_choice_weights():
     assert 0 < inconsistent < 80
 
 
+def reference_sweep(g, project, solve):
+    """The sweep's mass with each choice's facts from ``Kernel.kept_facts``,
+    and the first choice without a model (or None)."""
+    k, mass = c.Kernel(g), {}
+    for choice in c.total_choices(g):
+        models = list(solve(k, k.kept_facts(choice.kept)))
+        if not models:
+            return None, choice
+        key = frozenset(map(project, models))
+        mass[key] = mass.get(key, Fraction(0)) + choice.weight
+    return mass, None
+
+
+def test_sweep_facts_from_the_counting_index_match_kept_facts():
+    """When each choice point i sits on atom i, the sweep loads the choice's
+    index as its facts, else ``Kernel.kept_facts``; either way its mass and
+    the consistency witness are those of a sweep that calls ``kept_facts``
+    per choice. Covered: programs with and without shared choice atoms, no
+    choice point, probabilities 0 and 1, and inconsistent programs."""
+    rng = random.Random(20261202)
+    texts = ["a :- not b. b :- not a.", "0::a. 1::b. c :- a, not b.",
+             "1/2::a. p :- not p, a.", "1/2::a. 1/3::a. p :- not p, a."]
+    makers = (random_program, edge_case_program, odd_loop_program,
+              lambda rng: shared_choice_program(rng, random_program))
+    texts += [makers[i % 4](rng) for i in range(120)]
+    seen = Counter()
+    for g in map(fx.grd, texts):
+        k = c.Kernel(g)
+        n = len(g.choice_points)
+        counting = k.choice_bits == [1 << i for i in range(n)]
+        if counting:
+            for index, choice in enumerate(c.total_choices(g)):
+                assert k.kept_facts(choice.kept) == index
+        for solve in (c.inference._wf, c.stable_models):
+            want, witness = reference_sweep(g, tuple, solve)
+            if witness is None:
+                assert c.inference._sweep(g, tuple, solve, 20) == want
+            else:
+                with pytest.raises(c.InconsistentProgramError) as exc:
+                    c.inference._sweep(g, tuple, solve, 20)
+                assert exc.value.witness == witness
+                assert exc.value.description == witness.describe(g)
+                assert str(exc.value) == f"no stable model for total choice {witness}"
+        report = c.check_consistency(g)  # ``witness`` is ``stable_models``' here
+        assert report == (witness is None, witness)
+        probs = {cp.prob for cp in g.choice_points}
+        seen["counting" if counting else "kept_facts"] += 1
+        seen["no choice"] += n == 0
+        seen["0 and 1"] += {0, 1} <= probs
+        seen["inconsistent"] += witness is not None
+        seen["inconsistent, kept_facts"] += witness is not None and not counting
+    assert min(seen.values()) >= 2, seen
+
+
 # ---------------------------------------------------------------------------
 # the credal and well-founded entry points against a plain loop over total
 # choices with the exhaustive stable-model oracle
